@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from repro.faultinjection import run_with_recovery
+from repro.faultinjection import PreparedWorkload, run_with_recovery
 from repro.profiling import collect_profiles
 from repro.sim import InjectionPlan, Interpreter
 from repro.transforms import apply_scheme, protect_control_flow
@@ -33,61 +33,64 @@ def build_fortress(workload):
     print(f"protection: {stats.num_duplicated} duplicated instrs, "
           f"{stats.num_value_checks} value checks, "
           f"{cfcss.num_guards} control-flow signatures")
-    return module
+    return module, stats
 
 
-def attack(module, workload, kind, trials, golden, golden_instructions, noisy):
+def golden_run(workload, module, stats):
+    """The fault-free run, kept as the trials' reference (and replay)."""
+    inputs = workload.test_inputs()
+    golden, run = workload.run(
+        module, inputs, interpreter=Interpreter(module, guard_mode="count")
+    )
+    return PreparedWorkload(
+        workload=workload,
+        scheme="dup_valchk+cfcss",
+        module=module,
+        scheme_stats=stats,
+        inputs=inputs,
+        golden_outputs=golden,
+        golden_instructions=run.instructions,
+        golden_guard_failures=run.guard_stats.total_failures,
+        golden_guard_evaluations=run.guard_stats.evaluations,
+        noisy_guards=frozenset(run.guard_stats.failures_by_guard),
+    )
+
+
+def attack(prepared, kind, trials):
+    golden = prepared.golden_outputs
     outcomes = {"corrected": 0, "clean": 0, "sdc": 0, "trapped": 0}
     for seed in range(trials):
         plan = InjectionPlan(
-            cycle=1 + (seed * 6151) % golden_instructions,
+            cycle=1 + (seed * 6151) % prepared.golden_instructions,
             bit=seed % 31,
             seed=seed,
             kind=kind,
         )
-        result = run_with_recovery(
-            module, workload.test_inputs(), plan,
-            checkpoint_interval=50_000,
-            disabled_guards=noisy,
-            max_instructions=golden_instructions * 10 + 10_000,
-        )
+        result = run_with_recovery(prepared, plan, checkpoint_interval=50_000)
         if result.trapped:
             outcomes["trapped"] += 1
-            continue
-        identical = all(
-            np.array_equal(golden[k], result.outputs[k]) for k in golden
-        )
-        if result.recovered:
-            outcomes["corrected" if identical else "sdc"] += 1
+        elif result.recovered:
+            outcomes["corrected"] += 1
+        elif all(np.array_equal(golden[k], result.outputs[k]) for k in golden):
+            outcomes["clean"] += 1
         else:
-            outcomes["clean" if identical else "sdc"] += 1
+            outcomes["sdc"] += 1
     return outcomes
 
 
 def main() -> None:
     trials = int(sys.argv[1]) if len(sys.argv) > 1 else 30
     workload = get_workload("g721dec")
-    module = build_fortress(workload)
-
-    golden_interp = Interpreter(module, guard_mode="count")
-    _, golden_run = workload.run(
-        module, workload.test_inputs(), interpreter=golden_interp
-    )
-    golden = {
-        name: np.asarray(golden_interp.read_global(name))
-        for name in workload.output_names(module)
-    }
-    noisy = set(golden_run.guard_stats.failures_by_guard)
-    print(f"golden run: {golden_run.instructions} instructions, "
-          f"{golden_run.guard_stats.evaluations} checks, "
-          f"{len(noisy)} noisy checks disabled\n")
+    prepared = golden_run(workload, *build_fortress(workload))
+    print(f"golden run: {prepared.golden_instructions} instructions, "
+          f"{prepared.golden_guard_evaluations} checks, "
+          f"{len(prepared.noisy_guards)} noisy checks disabled\n")
 
     print(f"{'fault model':22s} {'corrected':>9s} {'clean':>6s} "
           f"{'SDC':>4s} {'trapped':>8s}")
     for kind, label in (("register", "register bit flips"),
                         ("control", "branch-target faults")):
-        o = attack(module, workload, kind, trials, golden,
-                   golden_run.instructions, noisy)
+        o = attack(prepared, kind, trials)
         print(f"{label:22s} {o['corrected']:9d} {o['clean']:6d} "
               f"{o['sdc']:4d} {o['trapped']:8d}")
 

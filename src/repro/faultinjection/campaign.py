@@ -393,6 +393,14 @@ def run_trial(
     fidelity scoring) so corrupted outputs can never kill a worker.
     """
     plan = InjectionPlan(cycle=cycle, bit=bit, seed=seed, model=model)
+    interp = _trial_interpreter(prepared, config)
+    return _drive_trial(prepared, plan, interp, config, stats)
+
+
+def _trial_interpreter(
+    prepared: PreparedWorkload, config: CampaignConfig
+) -> Interpreter:
+    """A fresh detect-mode interpreter for one trial of ``prepared``."""
     interp = Interpreter(
         prepared.module,
         config=config.sim,
@@ -402,7 +410,7 @@ def run_trial(
     # Memory-hierarchy models draw their targets from the golden-run
     # occupancy map when one was captured (None degrades to probing).
     interp._occupancy = prepared.occupancy
-    return _drive_trial(prepared, plan, interp, config, stats)
+    return interp
 
 
 def _drive_trial(
@@ -475,10 +483,12 @@ def _classify_trial(
     # Dead-flip triage is sound for single-site models with a deadness
     # proof: register liveness for ``single_bit``, the occupancy map for the
     # memory-hierarchy models.  Multi-site and register-persistent models
-    # (double_bit, burst, stuck_at) keep the full run.
+    # (double_bit, burst, stuck_at) keep the full run.  A Masked verdict
+    # also assumes the rest of the golden run fits the instruction budget.
     triage = (
         snapshot_mod.resolve_triage(config.triage)
         and plan.model in TRIAGEABLE_FAULT_MODELS
+        and limit >= prepared.golden_instructions
     )
     tracer = trace_mod.current()
     try:

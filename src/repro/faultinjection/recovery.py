@@ -12,27 +12,28 @@ demonstrate end-to-end *correction*, not just detection:
   checkpoint at ``floor(C / interval) * interval`` and replays — the
   replayed instructions are the recovery overhead;
 * per the paper's once-per-check policy, a guard that fires again after its
-  recovery (a false positive) stops triggering recoveries; the campaign layer
-  already feeds such guards in via ``disabled_guards``.
+  recovery (a false positive) stops triggering recoveries; the prepared
+  workload's ``noisy_guards`` are disabled for exactly that reason.
 
-The simulator cannot resume mid-run from a snapshot, but it does not need
-to: with the fault removed, the replay is exactly the fault-free execution,
-so the model runs the prefix (to detection) plus a clean full run and charges
-``full_run - checkpoint`` replayed instructions.
+The faulty pass is an ordinary campaign trial (snapshot restore and
+dead-flip triage included).  The replay needs no simulation at all: with the
+fault removed it is the fault-free execution — same module, same inputs,
+guards counting — which is the golden run :func:`~.campaign.prepare`
+already did.  So a recovery charges ``golden_instructions - checkpoint``
+replayed instructions and ends with the golden outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
-from ..ir.module import Module
-from ..sim.config import SimConfig
-from ..sim.events import GuardTrap, SimTrap
 from ..sim.faults import InjectionPlan
-from ..sim.interpreter import Interpreter
+from . import campaign
+from .campaign import CampaignConfig, PreparedWorkload
+from .outcomes import Outcome
 
 
 @dataclass
@@ -59,73 +60,64 @@ class RecoveryResult:
 
 
 def run_with_recovery(
-    module: Module,
-    inputs: Optional[Dict[str, Sequence]] = None,
-    injection: Optional[InjectionPlan] = None,
-    entry: str = "main",
+    prepared: PreparedWorkload,
+    plan: InjectionPlan,
     checkpoint_interval: int = 100_000,
-    disabled_guards: Optional[set] = None,
-    config: Optional[SimConfig] = None,
-    max_instructions: int = 50_000_000,
+    config: Optional[CampaignConfig] = None,
 ) -> RecoveryResult:
-    """Execute with detection; on a software detection, roll back and replay.
+    """Inject ``plan``; on a software detection, roll back and replay.
 
     Returns the (recovered) outputs and the instruction-cost accounting.
-    Hardware traps (memory symptoms) are reported via ``trapped=True`` — a
-    real system would recover those through the same checkpoints, but the
-    paper classifies them separately (HWDetect), so we surface them.
+    The run's instruction budget is the campaign's (``config.timeout_factor``
+    times the golden run).  Hardware traps and timeouts are reported via
+    ``trapped=True`` — a real system would recover those through the same
+    checkpoints, but the paper classifies them separately (HWDetect), so we
+    surface them.  A recovered run (and a flip triaged dead) returns the
+    prepared golden output arrays themselves, not copies.
     """
     if checkpoint_interval <= 0:
         raise ValueError("checkpoint_interval must be positive")
+    config = config or CampaignConfig()
+    interp = campaign._trial_interpreter(prepared, config)
+    stats: Dict[str, int] = {}
+    trial = campaign._drive_trial(prepared, plan, interp, config, stats)
+    golden_instructions = prepared.golden_instructions
 
-    interp = Interpreter(
-        module, config=config, guard_mode="detect",
-        disabled_guards=disabled_guards or set(),
-    )
-    try:
-        interp.run(
-            entry=entry, inputs=inputs, injection=injection,
-            max_instructions=max_instructions,
-        )
-        outputs = _read_outputs(interp, module)
+    if trial.outcome is Outcome.SWDETECT:
+        # Roll back to the last checkpoint before the detection and replay.
+        detection_cycle = trial.event_cycle
+        checkpoint = (detection_cycle // checkpoint_interval) * checkpoint_interval
+        replayed = max(golden_instructions - checkpoint, 0)
         return RecoveryResult(
-            outputs=outputs,
-            recovered=False,
-            detection_cycle=None,
-            total_instructions=interp.cycle,
-            replayed_instructions=0,
+            outputs=dict(prepared.golden_outputs),
+            recovered=True,
+            detection_cycle=detection_cycle,
+            total_instructions=detection_cycle + replayed,
+            replayed_instructions=replayed,
         )
-    except GuardTrap as trap:
-        detection_cycle = trap.cycle
-    except SimTrap:
+    if trial.trap_kind:
         return RecoveryResult(
             outputs={},
             recovered=False,
             detection_cycle=None,
-            total_instructions=interp.cycle,
+            total_instructions=trial.event_cycle,
             replayed_instructions=0,
             trapped=True,
         )
-
-    # Roll back to the last checkpoint before the detection and replay.
-    # The fault was transient, so the replay is the fault-free execution.
-    checkpoint = (detection_cycle // checkpoint_interval) * checkpoint_interval
-    clean = Interpreter(module, config=config, guard_mode="count")
-    clean.run(entry=entry, inputs=inputs, max_instructions=max_instructions)
-    outputs = _read_outputs(clean, module)
-    replayed = max(clean.cycle - checkpoint, 0)
-    total = detection_cycle + replayed
+    if "triaged_masked" in stats or "triaged_dead_memory" in stats:
+        # Proven dead at injection: the rest of the run is the golden run.
+        outputs = dict(prepared.golden_outputs)
+        total = golden_instructions
+    else:
+        outputs = {
+            name: np.asarray(interp.read_global(name))
+            for name in prepared.golden_outputs
+        }
+        total = interp.cycle
     return RecoveryResult(
         outputs=outputs,
-        recovered=True,
-        detection_cycle=detection_cycle,
+        recovered=False,
+        detection_cycle=None,
         total_instructions=total,
-        replayed_instructions=replayed,
+        replayed_instructions=0,
     )
-
-
-def _read_outputs(interp: Interpreter, module: Module) -> Dict[str, np.ndarray]:
-    return {
-        g.name: np.asarray(interp.read_global(g.name))
-        for g in module.output_globals()
-    }

@@ -5,7 +5,7 @@ hands out shared null instruments whose methods are no-op one-liners, and
 instrumented code holds the instrument (not the registry), so the per-event
 cost in the disabled configuration is a single no-op method call — cheap
 enough to leave the instrumentation permanently threaded through the
-campaign engine without perturbing BENCH_campaign numbers.
+campaign engine without perturbing the performance ledger's numbers.
 
 Instruments:
 

@@ -808,7 +808,11 @@ class Interpreter:
                     if value_hook is not None:
                         value_hook(call_instr, value)
                 if timing is not None:
-                    timing.observe_return(call_instr)
+                    timing.observe_return(
+                        call_instr,
+                        timing.value_ready_time(instr._operands[0])
+                        if instr._operands else 0.0,
+                    )
                 frame = caller
                 continue
 

@@ -25,15 +25,14 @@ compare+branch work on the critical path.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..ir.instructions import (
-    BinaryOp,
+    Br,
     Call,
-    Cast,
     CondBr,
-    FCmp,
     GuardEq,
     GuardRange,
     GuardValues,
@@ -45,16 +44,29 @@ from ..ir.instructions import (
 from .cache import BranchPredictor, SetAssociativeCache
 from .config import SimConfig
 
+#: what the model needs of one static instruction: ids of the operands that
+#: can carry a ready time, latency, issue slots, and the id its result is
+#: ready under (None when it defines no value the model tracks)
+Descriptor = Tuple[Tuple[int, ...], float, int, Optional[int]]
+
 
 class TimingModel:
     """Online cycle estimator attached to an interpreter run."""
 
     def __init__(self, config: Optional[SimConfig] = None) -> None:
-        self.config = config or SimConfig()
-        self.dcache = SetAssociativeCache(self.config.l1d)
+        self.config = cfg = config or SimConfig()
+        self.dcache = SetAssociativeCache(cfg.l1d)
         self.branch_predictor = BranchPredictor()
-        self._latencies = self.config.latencies
-        self._slot_costs = self.config.slot_costs
+        self._latencies = cfg.latencies
+        self._slot_costs = cfg.slot_costs
+        self._rob_entries = cfg.rob_entries
+        self._issue_queue = cfg.issue_queue
+        self._issue_width = cfg.issue_width
+        self._miss_penalty = cfg.miss_penalty
+        self._mispredict_penalty = cfg.mispredict_penalty
+        #: per-instruction descriptors, built on first retirement; keyed by
+        #: the instruction itself, which keeps its id from being reused
+        self._descriptors: dict = {}
         self.reset()
 
     def reset(self) -> None:
@@ -73,14 +85,56 @@ class TimingModel:
         self.dcache.reset()
         self.branch_predictor.reset()
 
-    # -- core issue mechanics ---------------------------------------------------
+    # -- per-instruction descriptors ---------------------------------------------
 
-    def _issue(self, earliest: float, slots: int, latency: float) -> float:
-        """Issue a micro-op no earlier than ``earliest``; returns completion time.
+    def _describe(self, instr: Instruction) -> Descriptor:
+        """Build and remember ``instr``'s :data:`Descriptor`.
+
+        Only instructions ever get a ready time (constants, arguments and
+        globals are ready at 0), so other operands are dropped here.
+        """
+        latencies = self._latencies
+        slot_costs = self._slot_costs
+        result = id(instr) if instr.has_result else None
+        if isinstance(instr, Load):
+            latency, slots = latencies.get("load", 2), slot_costs.get("load", 2)
+        elif isinstance(instr, Store):
+            latency, slots = 1, slot_costs.get("store", 2)
+        elif isinstance(instr, (Br, CondBr)):
+            latency, slots = 1, 1
+        elif isinstance(instr, GuardEq):
+            # Guards are compare+branch sequences: the branches are highly
+            # predictable (they fail essentially never), so latency is 1 but
+            # they consume issue bandwidth.
+            latency, slots = 1, slot_costs.get("guard_eq", 2)
+        elif isinstance(instr, GuardRange):
+            latency, slots = 1, slot_costs.get("guard_range", 4)
+        elif isinstance(instr, GuardValues):
+            key = "guard_values_1" if len(instr.expected) == 1 else "guard_values_2"
+            latency, slots = 1, slot_costs.get(key, 2)
+        elif isinstance(instr, Call):
+            # The call's result is ready at its return (observe_return).
+            latency, slots, result = 2, slot_costs.get("call", 2), None
+        elif isinstance(instr, IntrinsicCall):
+            latency = latencies.get(instr.intrinsic, 10)
+            slots = slot_costs.get("intrinsic", 4)
+        else:
+            latency, slots = latencies.get(instr.opcode, 1), 1
+        operands = tuple(
+            id(op) for op in instr.operands if isinstance(op, Instruction)
+        )
+        descriptor = (operands, latency, slots, result)
+        self._descriptors[instr] = descriptor
+        return descriptor
+
+    # -- public observation API (called by the interpreter) -----------------------
+
+    def observe(self, instr: Instruction, extra_latency: float = 0) -> float:
+        """Retire ``instr``: issue it and return its completion time.
 
         The issue time is the max of four constraints:
 
-        * operand readiness (``earliest``),
+        * operand readiness,
         * the aggregate bandwidth floor (total slots so far / issue width) —
           out-of-order back-filling of stall gaps is allowed, but total
           throughput never exceeds the width,
@@ -88,85 +142,78 @@ class TimingModel:
           ``issue_queue`` older issued) and the ROB (cannot issue before the
           micro-op ``rob_entries`` older completed),
         * the serial gate left behind by the last mispredict flush.
+
+        Plain ALU/cast/compare/intrinsic retirements, guards and calls need
+        nothing more; ``extra_latency`` carries a load's miss penalty.
         """
-        cfg = self.config
-        if len(self._rob) >= cfg.rob_entries:
-            oldest_done = self._rob.popleft()
+        descriptor = self._descriptors.get(instr) or self._describe(instr)
+        operands, latency, slots, result = descriptor
+        if extra_latency:
+            latency += extra_latency
+        ready = self._ready
+        earliest = 0.0
+        for op in operands:
+            t = ready.get(op)
+            if t is not None and t > earliest:
+                earliest = t
+
+        rob = self._rob
+        iq = self._iq
+        if len(rob) >= self._rob_entries:
+            oldest_done = rob.popleft()
             if oldest_done > earliest:
                 earliest = oldest_done
-        if len(self._iq) >= cfg.issue_queue:
-            window_gate = self._iq.popleft()
+        if len(iq) >= self._issue_queue:
+            window_gate = iq.popleft()
             if window_gate > earliest:
                 earliest = window_gate
         if self._serial_gate > earliest:
             earliest = self._serial_gate
 
-        width_floor = self._slots / cfg.issue_width
+        width_floor = self._slots / self._issue_width
         issue_at = earliest if earliest > width_floor else width_floor
         self._slots += slots
 
         done = issue_at + latency
-        self._iq.append(issue_at)
-        self._rob.append(done)
+        iq.append(issue_at)
+        rob.append(done)
         if done > self._last_completion:
             self._last_completion = done
         self.retired += 1
+        if result is not None:
+            ready[result] = done
         return done
 
-    def _operands_ready(self, instr: Instruction) -> float:
-        ready = 0.0
-        get = self._ready.get
-        for op in instr.operands:
-            t = get(id(op))
-            if t is not None and t > ready:
-                ready = t
-        return ready
-
-    # -- public observation API (called by the interpreter) -----------------------
-
-    def observe(self, instr: Instruction) -> None:
-        """Plain ALU/cast/compare/phi/etc. retirement."""
-        latency = self._latencies.get(instr.opcode, 1)
-        slots = 1
-        if isinstance(instr, IntrinsicCall):
-            latency = self._latencies.get(instr.intrinsic, 10)
-            slots = self._slot_costs.get("intrinsic", 4)
-        done = self._issue(self._operands_ready(instr), slots, latency)
-        if instr.has_result:
-            self._ready[id(instr)] = done
+    observe_guard = observe
+    observe_call = observe
 
     def observe_load(self, instr: Load, address: int) -> None:
-        latency = self._latencies.get("load", 2)
-        if not self.dcache.access(address):
-            latency += self.config.miss_penalty
-        slots = self._slot_costs.get("load", 2)
-        done = self._issue(self._operands_ready(instr), slots, latency)
-        self._ready[id(instr)] = done
+        hit = self.dcache.access(address)
+        self.observe(instr, 0 if hit else self._miss_penalty)
 
     def observe_store(self, instr: Store, address: int) -> None:
         # Stores retire through the store buffer; a miss is buffered and does
         # not stall retirement, but it still occupies the cache.
         self.dcache.access(address)
-        self._issue(self._operands_ready(instr), self._slot_costs.get("store", 2), 1)
+        self.observe(instr)
 
     def observe_branch(self, instr: CondBr, taken: bool) -> None:
-        ready = self._operands_ready(instr)
-        done = self._issue(ready, 1, 1)
+        done = self.observe(instr)
         if not self.branch_predictor.predict_and_update(id(instr), taken):
             # Flush: nothing issues until the branch resolves + refill delay,
             # and the bandwidth of those dead cycles is destroyed.
-            stall_until = done + self.config.mispredict_penalty
+            stall_until = done + self._mispredict_penalty
             if stall_until > self._serial_gate:
                 self._serial_gate = stall_until
-            floor_slots = stall_until * self.config.issue_width
+            floor_slots = stall_until * self._issue_width
             if floor_slots > self._slots:
                 self._slots = floor_slots
         elif taken:
             self._end_fetch_group()
 
-    def observe_jump(self, instr) -> None:
+    def observe_jump(self, instr: Br) -> None:
         """Unconditional branch: 1 slot, and it ends the fetch group."""
-        self._issue(self._operands_ready(instr), 1, 1)
+        self.observe(instr)
         self._end_fetch_group()
 
     def _end_fetch_group(self) -> None:
@@ -174,33 +221,18 @@ class TimingModel:
         rest of the current fetch cycle's slots are wasted.  This keeps tight
         loops throughput-bound, so duplicated work cannot hide entirely in
         front-end slack."""
-        width = self.config.issue_width
-        import math as _math
+        width = self._issue_width
+        self._slots = math.ceil(self._slots / width) * width
 
-        self._slots = _math.ceil(self._slots / width) * width
-
-    def observe_guard(self, instr) -> None:
-        if isinstance(instr, GuardEq):
-            slots = self._slot_costs.get("guard_eq", 2)
-        elif isinstance(instr, GuardRange):
-            slots = self._slot_costs.get("guard_range", 4)
-        elif isinstance(instr, GuardValues):
-            key = "guard_values_1" if len(instr.expected) == 1 else "guard_values_2"
-            slots = self._slot_costs.get(key, 2)
-        else:  # pragma: no cover - only guards reach here
-            slots = 2
-        # Guards are compare+branch sequences: the branches are
-        # highly predictable (they fail essentially never), so latency is 1
-        # but they consume issue bandwidth.
-        self._issue(self._operands_ready(instr), slots, 1)
-
-    def observe_call(self, instr: Call) -> None:
-        self._issue(self._operands_ready(instr), self._slot_costs.get("call", 2), 2)
-
-    def observe_return(self, call_instr: Optional[Call], ret_value_ready: float = 0.0) -> None:
+    def observe_return(
+        self, call_instr: Optional[Call], ret_value_ready: float = 0.0
+    ) -> None:
+        """A callee returned to ``call_instr``: its result is ready once the
+        returned value is and no earlier than the current issue front."""
         if call_instr is not None and call_instr.has_result:
             current = self._ready.get(id(call_instr), 0.0)
-            self._ready[id(call_instr)] = max(current, ret_value_ready, self._front)
+            front = self._slots / self._issue_width
+            self._ready[id(call_instr)] = max(current, ret_value_ready, front)
 
     def value_ready_time(self, value) -> float:
         return self._ready.get(id(value), 0.0)
@@ -216,7 +248,7 @@ class TimingModel:
     def cycles(self) -> float:
         """Total estimated cycles for everything observed so far."""
         return max(
-            self._slots / self.config.issue_width,
+            self._slots / self._issue_width,
             self._last_completion,
             self._serial_gate,
         )

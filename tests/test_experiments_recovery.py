@@ -30,3 +30,11 @@ class TestRecoveryAnalysis:
         assert "checkpoint recovery" in text
         assert "tiff2bw" in text
         assert "fully-correct-output rate" in text
+
+    def test_rows_pinned(self, cache):
+        """The rows the from-scratch recovery model produced at this scale."""
+        (r,) = recovery_analysis.compute(cache)
+        assert r == recovery_analysis.RecoveryRow(
+            benchmark="tiff2bw", trials=5, corrected=2, clean=2,
+            acceptable=1, escaped=0, trapped=0, mean_recovery_cost=1.0,
+        )

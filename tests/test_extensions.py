@@ -4,11 +4,14 @@ branch-target protection the paper defers to), multi-input profiling
 (Section V's false-positive mitigation), and the control-fault model.
 """
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.faultinjection import (
     CampaignConfig,
+    RecoveryResult,
     prepare,
     run_with_recovery,
 )
@@ -30,8 +33,11 @@ class TestRecovery:
         return prepare(get_workload("g721dec"), "dup", CampaignConfig(trials=1))
 
     def test_no_fault_no_recovery(self, prepared):
-        result = run_with_recovery(prepared.module, prepared.inputs)
+        """A plan past the end of the run never fires."""
+        plan = InjectionPlan(cycle=prepared.golden_instructions + 1, bit=0)
+        result = run_with_recovery(prepared, plan)
         assert not result.recovered and result.replayed_instructions == 0
+        assert result.total_instructions == prepared.golden_instructions
         for k, v in prepared.golden_outputs.items():
             assert np.array_equal(v, result.outputs[k])
 
@@ -40,9 +46,7 @@ class TestRecovery:
         for seed in range(30):
             plan = InjectionPlan(cycle=5000, bit=seed % 31, seed=seed)
             result = run_with_recovery(
-                prepared.module, prepared.inputs, plan,
-                checkpoint_interval=10_000,
-                disabled_guards=set(prepared.noisy_guards),
+                prepared, plan, checkpoint_interval=10_000
             )
             if result.recovered:
                 recovered_any = True
@@ -58,9 +62,7 @@ class TestRecovery:
             for seed in range(30):
                 plan = InjectionPlan(cycle=20_000, bit=seed % 31, seed=seed)
                 r = run_with_recovery(
-                    prepared.module, prepared.inputs, plan,
-                    checkpoint_interval=interval,
-                    disabled_guards=set(prepared.noisy_guards),
+                    prepared, plan, checkpoint_interval=interval
                 )
                 if r.recovered:
                     return r.replayed_instructions
@@ -73,7 +75,90 @@ class TestRecovery:
 
     def test_bad_interval_rejected(self, prepared):
         with pytest.raises(ValueError):
-            run_with_recovery(prepared.module, prepared.inputs, checkpoint_interval=0)
+            run_with_recovery(
+                prepared, InjectionPlan(cycle=1, bit=0), checkpoint_interval=0
+            )
+
+
+def _oracle_recovery(prepared, plan, interval, limit):
+    """Recovery from scratch: a reference-interpreter faulty run with no
+    snapshot restore or triage, then a real fault-free rerun on detection."""
+    workload, module = prepared.workload, prepared.module
+    interp = Interpreter(
+        module, guard_mode="detect", disabled_guards=set(prepared.noisy_guards)
+    )
+    try:
+        outputs, _ = workload.run(
+            module, prepared.inputs, interpreter=interp, injection=plan,
+            max_instructions=limit,
+        )
+        return RecoveryResult(outputs, False, None, interp.cycle, 0)
+    except GuardTrap as trap:
+        detection = trap.cycle
+    except SimTrap:
+        return RecoveryResult({}, False, None, interp.cycle, 0, trapped=True)
+    clean = Interpreter(module, guard_mode="count")
+    outputs, _ = workload.run(module, prepared.inputs, interpreter=clean)
+    checkpoint = (detection // interval) * interval
+    replayed = max(clean.cycle - checkpoint, 0)
+    return RecoveryResult(outputs, True, detection, detection + replayed,
+                          replayed)
+
+
+class TestRecoveryDifferential:
+    """Recovery on the trial engine (snapshot restore, dead-flip triage,
+    golden replay) matches the from-scratch oracle field for field."""
+
+    INTERVAL = 10_000
+
+    @pytest.fixture(scope="class")
+    def prepared(self):
+        prepared = prepare(
+            get_workload("g721dec"), "dup_valchk", CampaignConfig(trials=1)
+        )
+        assert prepared.snapshots is not None
+        return prepared
+
+    def _plans(self, prepared):
+        rng = random.Random(0x4EC0)
+        golden = prepared.golden_instructions
+        default, tight = CampaignConfig(), CampaignConfig(timeout_factor=0.5)
+        cases = []
+        for i in range(40):
+            kind = "control" if i % 4 == 3 else "register"
+            # A budget below the golden run makes undetected runs time out.
+            config = tight if i % 10 == 0 else default
+            cycle = rng.randrange(1, golden // 4 if config is tight else golden)
+            plan = InjectionPlan(cycle=cycle, bit=rng.randrange(32),
+                                 seed=rng.randrange(1 << 30), kind=kind)
+            cases.append((plan, config))
+        return cases
+
+    def test_matches_from_scratch_oracle(self, prepared, monkeypatch):
+        seen = set()
+        for plan, config in self._plans(prepared):
+            fast = run_with_recovery(prepared, plan, self.INTERVAL, config)
+            budget = (
+                int(prepared.golden_instructions * config.timeout_factor)
+                + 10_000
+            )
+            with monkeypatch.context() as env:
+                env.setenv("REPRO_FASTPATH", "0")
+                slow = _oracle_recovery(prepared, plan, self.INTERVAL, budget)
+            for name in ("recovered", "detection_cycle", "total_instructions",
+                         "replayed_instructions", "trapped"):
+                assert getattr(fast, name) == getattr(slow, name), (plan, name)
+            assert fast.outputs.keys() == slow.outputs.keys(), plan
+            for k, v in slow.outputs.items():
+                assert np.array_equal(v, fast.outputs[k]), (plan, k)
+            timed_out = slow.trapped and slow.total_instructions > budget
+            seen.add(
+                ("timeout" if timed_out else "trapped") if slow.trapped
+                else ("recovered" if slow.recovered else "completed",
+                      plan.kind)
+            )
+        assert {"timeout", ("recovered", "register"), ("completed", "register"),
+                ("recovered", "control"), ("completed", "control")} <= seen
 
 
 class TestControlFaults:

@@ -124,3 +124,51 @@ class TestMemoryAndBranches:
         apply_scheme(dup_module, "full_dup")
         dup = time_module(dup_module, inputs={"src": data})
         assert dup.cycles > base.cycles
+
+
+class TestCalls:
+    def test_value_returning_call(self):
+        """A call's result is ready once the callee's return value is."""
+        src = """
+        output int out[1];
+        int sq(int x) { return x * x; }
+        void main() {
+            out[0] = sq(3);
+        }
+        """
+        from repro.ir.instructions import Call
+
+        module = compile_source(src)
+        cfg = SimConfig()
+        t = time_module(module, config=cfg)
+        (call,) = (
+            i for i in module.function("main").instructions()
+            if isinstance(i, Call)
+        )
+        assert t.value_ready_time(call) >= cfg.latencies["mul"]
+
+
+#: Figure 12's estimated cycles (``float.hex``), pinned bit-exactly: any
+#: reordering of the timing model's float arithmetic shows up here
+FIGURE12_CYCLES = {
+    ("tiff2bw", "original"): "0x1.14b0000000000p+13",
+    ("tiff2bw", "dup"): "0x1.4af0000000000p+13",
+    ("tiff2bw", "dup_valchk"): "0x1.5198000000000p+13",
+    ("tiff2bw", "full_dup"): "0x1.da7c000000000p+13",
+    ("g721dec", "original"): "0x1.e094000000000p+14",
+    ("g721dec", "dup"): "0x1.0674000000000p+15",
+    ("g721dec", "dup_valchk"): "0x1.2160000000000p+15",
+    ("g721dec", "full_dup"): "0x1.4819000000000p+15",
+}
+
+
+def test_figure12_cycles_pinned():
+    from repro.experiments import ExperimentCache, ExperimentSettings
+
+    cache = ExperimentCache(
+        ExperimentSettings(trials=10, workloads=("tiff2bw", "g721dec"))
+    )
+    measured = {
+        key: cache.runtime_cycles(*key).hex() for key in FIGURE12_CYCLES
+    }
+    assert measured == FIGURE12_CYCLES
