@@ -7,8 +7,8 @@ signature-based control-flow checking as the complementary protection
 unprotected and CFCSS-protected binaries and compare outcomes.
 """
 
+from repro import settings
 from repro.experiments.reporting import format_table, pct
-from repro.experiments.runner import default_trials
 from repro.sim import GuardTrap, Interpreter, InjectionPlan, SimTrap
 from repro.transforms import protect_control_flow
 from repro.workloads import get_workload
@@ -46,7 +46,7 @@ def survey(module, workload, trials, protected):
 
 
 def test_branch_target_faults(benchmark, save_report):
-    trials = max(default_trials() // 2, 10)
+    trials = max(settings.TRIALS.read() // 2, 10)
 
     def run():
         rows = []

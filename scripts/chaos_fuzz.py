@@ -26,16 +26,9 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.faultinjection.chaos import DEFAULT_MODELS, run_chaos_sweep  # noqa: E402
+from repro.settings import ENV_NAMES  # noqa: E402
 from repro.transforms.pipeline import SCHEMES  # noqa: E402
 from repro.workloads.registry import BENCHMARK_NAMES  # noqa: E402
-
-#: environment knobs that would make the sweep non-hermetic (stray event
-#: logs, inherited checkpoints, a forced fault model) — cleared up front
-_SCRUBBED_ENV = (
-    "REPRO_OBS", "REPRO_OBS_TIMING", "REPRO_CHECKPOINT",
-    "REPRO_CHECKPOINT_DIR", "REPRO_FAULT_MODEL", "REPRO_TRIALS",
-    "REPRO_JOBS", "REPRO_TRIAL_DEADLINE", "REPRO_OCCUPANCY",
-)
 
 
 def log(message: str) -> None:
@@ -162,7 +155,9 @@ def main() -> int:
                              "sweep (default: chaos-artifacts)")
     args = parser.parse_args()
 
-    for name in _SCRUBBED_ENV:
+    # Every knob is cleared up front so the sweep is hermetic: no stray
+    # event logs, inherited checkpoints or forced fault model.
+    for name in ENV_NAMES:
         os.environ.pop(name, None)
     os.environ["REPRO_CACHE"] = "0"
 

@@ -108,7 +108,7 @@ def phase_kill_and_resume(workdir: Path, env: dict) -> None:
     # on/off is byte-identical by the house invariant (and excluded from
     # checkpoint compatibility), so the reference comparison still holds.
     slow_env = dict(env)
-    slow_env["REPRO_SNAPSHOT"] = "0"
+    slow_env["REPRO_SNAPSHOT_EVERY"] = "0"
     slow_env["REPRO_TRIAGE"] = "0"
     log("kill+resume: starting campaign, will SIGKILL after first checkpoint")
     proc = subprocess.Popen(cmd, env=slow_env, cwd=REPO)

@@ -45,14 +45,7 @@ from repro.serve.client import (  # noqa: E402
 )
 from repro.serve.queue import JobState  # noqa: E402
 from repro.serve.spec import CampaignSpec  # noqa: E402
-
-_SCRUBBED_ENV = (
-    "REPRO_OBS", "REPRO_OBS_TIMING", "REPRO_TRACE", "REPRO_HEARTBEAT",
-    "REPRO_CHECKPOINT", "REPRO_CHECKPOINT_DIR", "REPRO_FAULT_MODEL",
-    "REPRO_TRIALS", "REPRO_JOBS", "REPRO_SERVE_WORKERS", "REPRO_SERVE_DEPTH",
-    "REPRO_SERVE_RETRIES", "REPRO_RESILIENCE", "REPRO_MAX_RETRIES",
-    "REPRO_TRIAL_DEADLINE", "REPRO_CHECKPOINT_EVERY",
-)
+from repro.settings import ENV_NAMES  # noqa: E402
 
 _TENANTS = ("alice", "bob", "carol", "dave", "erin", "frank")
 
@@ -99,7 +92,7 @@ def main() -> int:
     parser.add_argument("--timeout", type=float, default=1800.0)
     args = parser.parse_args()
 
-    for name in _SCRUBBED_ENV:
+    for name in ENV_NAMES:
         os.environ.pop(name, None)
     os.environ["REPRO_CACHE"] = "0"  # queue throughput, not cache, under test
     workdir = Path(args.workdir)

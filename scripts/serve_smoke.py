@@ -30,20 +30,12 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.faultinjection.campaign import CampaignConfig, prepare, run_campaign  # noqa: E402
 from repro.faultinjection.diskcache import campaign_key  # noqa: E402
-from repro.faultinjection.resilience import default_policy  # noqa: E402
 from repro.serve.client import load_queue_state, submit_to_inbox  # noqa: E402
 from repro.serve.queue import JobState  # noqa: E402
 from repro.serve.spec import CampaignSpec  # noqa: E402
 from repro.serve.worker import job_paths  # noqa: E402
+from repro.settings import ENV_NAMES  # noqa: E402
 from repro.workloads.registry import get_workload  # noqa: E402
-
-_SCRUBBED_ENV = (
-    "REPRO_OBS", "REPRO_OBS_TIMING", "REPRO_TRACE", "REPRO_HEARTBEAT",
-    "REPRO_CHECKPOINT", "REPRO_CHECKPOINT_DIR", "REPRO_FAULT_MODEL",
-    "REPRO_TRIALS", "REPRO_JOBS", "REPRO_SERVE_WORKERS", "REPRO_SERVE_DEPTH",
-    "REPRO_SERVE_RETRIES", "REPRO_RESILIENCE", "REPRO_MAX_RETRIES",
-    "REPRO_TRIAL_DEADLINE", "REPRO_CHECKPOINT_EVERY",
-)
 
 _TENANTS = ("alice", "bob", "carol", "dave")
 
@@ -104,7 +96,7 @@ def reference_artifacts(spec: CampaignSpec, ref_log: Path):
         trials=spec.trials, seed=spec.seed, jobs=spec.jobs,
         swap_train_test=spec.swap_train_test,
         fault_model=spec.fault_model or "single_bit",
-        obs_log=str(ref_log), resilience=default_policy(),
+        obs_log=str(ref_log),
     )
     prepared = prepare(get_workload(spec.workload), spec.scheme, config)
     result = run_campaign(
@@ -134,7 +126,7 @@ def main() -> int:
                         help="report path (default <workdir>/serve-smoke.json)")
     args = parser.parse_args()
 
-    for name in _SCRUBBED_ENV:
+    for name in ENV_NAMES:
         os.environ.pop(name, None)
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)

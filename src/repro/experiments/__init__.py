@@ -25,7 +25,6 @@ from . import (
 from .runner import (
     ExperimentCache,
     ExperimentSettings,
-    default_trials,
     global_cache,
     reset_global_cache,
 )
@@ -33,6 +32,6 @@ from .runner import (
 __all__ = [
     "crossval", "recovery_analysis", "false_positives", "figure2", "figure10", "figure11",
     "figure12", "figure13", "summary", "tables",
-    "ExperimentCache", "ExperimentSettings", "default_trials",
+    "ExperimentCache", "ExperimentSettings",
     "global_cache", "reset_global_cache",
 ]

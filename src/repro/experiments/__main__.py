@@ -9,7 +9,6 @@ import time
 from . import crossval, false_positives, figure2, figure10, figure11, figure12
 from . import recovery_analysis
 from . import figure13, summary, tables
-from .runner import default_trials, global_cache
 
 EXPERIMENTS = {
     "table1": lambda cache: tables.table1_report(),
@@ -84,61 +83,35 @@ def main(argv=None) -> int:
     )
     from ..faultinjection.__main__ import (
         add_resilience_arguments,
-        resolve_resilience_args,
+        resilience_from_args,
     )
 
     add_resilience_arguments(parser, checkpoint_flag=False)
     args = parser.parse_args(argv)
 
     names = _ALL_ORDER if "all" in args.experiments else args.experiments
-    from ..faultinjection.parallel import resolve_jobs
-    from ..obs.config import resolve_obs_log
     from ..obs.metrics import enable_global
+    from ..workloads.registry import BENCHMARK_NAMES
     from .runner import ExperimentSettings, reset_global_cache
 
-    obs_log = resolve_obs_log(args.obs_log)
-    if obs_log:
+    workloads = tuple(BENCHMARK_NAMES)
+    if args.workloads:
+        workloads = tuple(w.strip() for w in args.workloads.split(","))
+        unknown = set(workloads) - set(BENCHMARK_NAMES)
+        if unknown:
+            parser.error(f"unknown workloads: {sorted(unknown)}")
+    cache = reset_global_cache(ExperimentSettings(
+        trials=args.trials,
+        workloads=workloads,
+        jobs=args.jobs,
+        progress=not args.quiet,
+        obs_log=args.obs_log,
+        checkpoint_dir=args.checkpoint_dir,
+        resilience=resilience_from_args(args),
+        fault_model=args.fault_model,
+    ))
+    if cache.settings.obs_log:
         enable_global()
-    policy, _ = resolve_resilience_args(args)
-    resilience_flags = (
-        args.checkpoint_dir is not None
-        or args.checkpoint_every is not None
-        or args.max_retries is not None
-        or args.on_worker_failure is not None
-        or args.trial_deadline is not None
-    )
-    if (
-        args.trials is not None
-        or args.workloads is not None
-        or args.jobs is not None
-        or args.fault_model is not None
-        or obs_log is not None
-        or resilience_flags
-        or not args.quiet
-    ):
-        from ..workloads.registry import BENCHMARK_NAMES
-
-        workloads = tuple(BENCHMARK_NAMES)
-        if args.workloads:
-            workloads = tuple(w.strip() for w in args.workloads.split(","))
-            unknown = set(workloads) - set(BENCHMARK_NAMES)
-            if unknown:
-                parser.error(f"unknown workloads: {sorted(unknown)}")
-        settings_kwargs = dict(
-            trials=args.trials if args.trials is not None else default_trials(),
-            workloads=workloads,
-            jobs=resolve_jobs(args.jobs),
-            progress=not args.quiet,
-            obs_log=obs_log,
-            resilience=policy,
-            fault_model=args.fault_model,
-        )
-        if args.checkpoint_dir is not None:
-            settings_kwargs["checkpoint_dir"] = args.checkpoint_dir
-        settings = ExperimentSettings(**settings_kwargs)
-        cache = reset_global_cache(settings)
-    else:
-        cache = global_cache()
     print(f"[trials per campaign: {cache.settings.trials}; "
           f"workloads: {len(cache.settings.workloads)}]\n")
     for name in names:

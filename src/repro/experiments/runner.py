@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
+from .. import settings
+from ..settings import resolve as resolve_settings
 from ..faultinjection.campaign import (
     CampaignConfig,
     PreparedWorkload,
@@ -28,10 +30,8 @@ from ..faultinjection.campaign import (
 )
 from ..faultinjection.diskcache import CampaignCache, campaign_key
 from ..faultinjection.outcomes import CampaignResult
-from ..faultinjection.parallel import default_jobs
-from ..faultinjection.resilience import ResiliencePolicy, checkpoint_dir_env
+from ..faultinjection.resilience import ResilienceLogger, ResiliencePolicy
 from ..obs import events as obs_events
-from ..obs.config import obs_log_path
 from ..obs.metrics import global_registry
 from ..profiling.profiler import collect_profiles
 from ..sim.interpreter import Interpreter
@@ -40,56 +40,59 @@ from ..transforms.pipeline import SchemeStats, apply_scheme
 from ..workloads.base import Workload
 from ..workloads.registry import BENCHMARK_NAMES, get_workload
 
-DEFAULT_TRIALS = 60
-
-
-def default_trials() -> int:
-    """Trial count per (workload, scheme) campaign; REPRO_TRIALS overrides."""
-    value = os.environ.get("REPRO_TRIALS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return DEFAULT_TRIALS
-
-
 @dataclass
 class ExperimentSettings:
-    """Scope and scale of an experiment run."""
+    """Scope and scale of an experiment run.
 
-    trials: int = field(default_factory=default_trials)
+    A field left ``None`` takes its ``REPRO_*`` twin, else its default;
+    :class:`ExperimentCache` resolves the settings once
+    (:func:`repro.settings.resolve`).
+    """
+
+    #: injection trials per (workload, scheme) campaign
+    trials: Optional[int] = field(
+        default=None, metadata=settings.tags(settings.TRIALS)
+    )
     seed: int = 2014
     workloads: Tuple[str, ...] = tuple(BENCHMARK_NAMES)
     campaign: CampaignConfig = field(default_factory=CampaignConfig)
-    #: campaign worker processes; defaults to ``REPRO_JOBS`` (or 1)
-    jobs: int = field(default_factory=default_jobs)
+    #: campaign worker processes (0 = one per CPU)
+    jobs: Optional[int] = field(
+        default=None, metadata=settings.tags(settings.JOBS)
+    )
     #: per-trial progress callback threaded into every campaign
     on_trial: Optional[Callable] = None
     #: print a rate-limited live progress line per campaign (stderr)
     progress: bool = False
     #: structured JSONL trial event log appended to by every campaign
-    #: (default: the ``REPRO_OBS`` environment variable, or off)
-    obs_log: Optional[str] = field(default_factory=obs_log_path)
+    #: ("" = off)
+    obs_log: Optional[str] = field(
+        default=None, metadata=settings.tags(settings.OBS)
+    )
     #: directory for per-campaign checkpoint files, so an interrupted
-    #: experiment sweep resumes mid-campaign on re-invocation (default: the
-    #: ``REPRO_CHECKPOINT_DIR`` environment variable, or off).  Each campaign
-    #: checkpoints to ``checkpoint-<disk_key[:16]>.json`` inside it — keyed
-    #: like the disk cache, so a stale checkpoint can never leak between
-    #: configurations.
-    checkpoint_dir: Optional[str] = field(default_factory=checkpoint_dir_env)
-    #: recovery policy threaded into every campaign (None = env defaults)
-    resilience: Optional[ResiliencePolicy] = None
-    #: fault model threaded into every campaign (None = the campaign's own
-    #: default resolution: ``REPRO_FAULT_MODEL`` or single_bit)
-    fault_model: Optional[str] = None
+    #: experiment sweep resumes mid-campaign on re-invocation ("" = off).
+    #: Each campaign checkpoints to ``checkpoint-<disk_key[:16]>.json``
+    #: inside it — keyed like the disk cache, so a stale checkpoint can
+    #: never leak between configurations.
+    checkpoint_dir: Optional[str] = field(
+        default=None, metadata=settings.tags(settings.CHECKPOINT_DIR)
+    )
+    #: recovery policy threaded into every campaign
+    resilience: Optional[ResiliencePolicy] = field(
+        default=None, metadata=settings.tags(nested=ResiliencePolicy)
+    )
+    #: fault model threaded into every campaign
+    fault_model: Optional[str] = field(
+        default=None, metadata=settings.tags(settings.FAULT_MODEL)
+    )
 
     def campaign_config(self) -> CampaignConfig:
-        config = replace(
+        """The resolved config every campaign of this run shares."""
+        return resolve_settings(replace(
             self.campaign, trials=self.trials, seed=self.seed, jobs=self.jobs,
             obs_log=self.obs_log, resilience=self.resilience,
-        )
-        if self.fault_model is not None:
-            config = replace(config, fault_model=self.fault_model)
-        return config
+            fault_model=self.fault_model,
+        ))
 
 
 class ExperimentCache:
@@ -105,8 +108,12 @@ class ExperimentCache:
 
     def __init__(self, settings: Optional[ExperimentSettings] = None,
                  disk_cache: Optional[CampaignCache] = None) -> None:
-        self.settings = settings or ExperimentSettings()
-        self.disk_cache = disk_cache if disk_cache is not None else CampaignCache()
+        self.settings = resolve_settings(settings or ExperimentSettings())
+        if disk_cache is None:
+            disk_cache = CampaignCache(
+                logger=ResilienceLogger(self.settings.obs_log)
+            )
+        self.disk_cache = disk_cache
         self._prepared: Dict[Tuple[str, str, bool], PreparedWorkload] = {}
         self._campaigns: Dict[Tuple[str, str, bool], CampaignResult] = {}
         self._runtimes: Dict[Tuple[str, str], float] = {}

@@ -9,7 +9,7 @@ from .campaign import (
     run_trial,
 )
 from .diskcache import CACHE_SCHEMA_VERSION, CampaignCache, campaign_key
-from .parallel import default_jobs, resolve_jobs, run_trials_parallel
+from .parallel import run_trials_parallel
 from .progress import ProgressPrinter
 from .recovery import RecoveryResult, run_with_recovery
 from .resilience import (
@@ -18,7 +18,6 @@ from .resilience import (
     HarnessTimeout,
     ResilienceLogger,
     ResiliencePolicy,
-    default_policy,
     load_checkpoint,
     save_checkpoint,
 )
@@ -30,10 +29,10 @@ __all__ = [
     "run_campaign", "run_trial",
     "CampaignResult", "Outcome", "TrialResult",
     "CACHE_SCHEMA_VERSION", "CampaignCache", "campaign_key",
-    "default_jobs", "resolve_jobs", "run_trials_parallel",
+    "run_trials_parallel",
     "ProgressPrinter",
     "RecoveryResult", "run_with_recovery",
     "Checkpoint", "Checkpointer", "HarnessTimeout", "ResilienceLogger",
-    "ResiliencePolicy", "default_policy", "load_checkpoint", "save_checkpoint",
+    "ResiliencePolicy", "load_checkpoint", "save_checkpoint",
     "Z_95", "confidence_interval", "margin_of_error", "trials_for_margin",
 ]

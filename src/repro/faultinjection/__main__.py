@@ -14,18 +14,16 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
-from ..obs.config import resolve_obs_log
+from .. import settings
 from ..obs.metrics import enable_global
 from ..transforms.pipeline import SCHEMES
 from ..sim.faults import CHAOS_FAULT_MODEL, CONCRETE_FAULT_MODELS
 from ..workloads.registry import BENCHMARK_NAMES, get_workload
 from .campaign import CampaignConfig, run_campaign
-from .parallel import resolve_jobs
 from .progress import ProgressPrinter
-from .resilience import checkpoint_path_env, default_policy
+from .resilience import ResiliencePolicy
 from .stats import margin_of_error
 
 
@@ -64,23 +62,17 @@ def add_resilience_arguments(parser: argparse.ArgumentParser,
                             "(default: REPRO_TRIAL_DEADLINE or off)")
 
 
-def resolve_resilience_args(args: argparse.Namespace):
-    """``(policy, checkpoint_path)`` from CLI flags over env defaults."""
-    policy = default_policy()
-    overrides = {}
-    if args.on_worker_failure is not None:
-        overrides["on_worker_failure"] = args.on_worker_failure
-        overrides["enabled"] = True
-    if args.max_retries is not None:
-        overrides["max_retries"] = args.max_retries
-    if args.trial_deadline is not None:
-        overrides["trial_deadline_seconds"] = args.trial_deadline
-    if args.checkpoint_every is not None:
-        overrides["checkpoint_every"] = args.checkpoint_every
-    if overrides:
-        policy = dataclasses.replace(policy, **overrides)
-    checkpoint = getattr(args, "checkpoint", None) or checkpoint_path_env()
-    return policy, checkpoint
+def resilience_from_args(args: argparse.Namespace) -> ResiliencePolicy:
+    """The policy the resilience flags set; absent flags stay ``None`` so
+    :func:`repro.settings.resolve` fills them from the environment.  Naming
+    a worker-failure policy also turns recovery on."""
+    return ResiliencePolicy(
+        enabled=True if args.on_worker_failure is not None else None,
+        on_worker_failure=args.on_worker_failure,
+        max_retries=args.max_retries,
+        trial_deadline_seconds=args.trial_deadline,
+        checkpoint_every=args.checkpoint_every,
+    )
 
 
 def main(argv=None) -> int:
@@ -143,15 +135,14 @@ def main(argv=None) -> int:
     add_resilience_arguments(parser)
     args = parser.parse_args(argv)
 
-    policy, checkpoint = resolve_resilience_args(args)
-    config = CampaignConfig(
+    config = settings.resolve(CampaignConfig(
         trials=args.trials, seed=args.seed, swap_train_test=args.swap_inputs,
-        jobs=resolve_jobs(args.jobs), obs_log=resolve_obs_log(args.obs_log),
-        checkpoint=checkpoint, resilience=policy,
+        jobs=args.jobs, obs_log=args.obs_log, checkpoint=args.checkpoint,
+        resilience=resilience_from_args(args),
         snapshot_every=args.snapshot_every,
         fault_model=args.fault_model or (CHAOS_FAULT_MODEL if args.chaos else None),
         trace=args.trace, heartbeat=args.heartbeat, batch=args.batch,
-    )
+    ))
     if config.obs_log:
         enable_global()
     on_trial = None

@@ -15,7 +15,6 @@ One campaign = one (workload, protection scheme) pair:
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -23,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..obs import config as obs_config
+from .. import settings
 from ..obs import events as obs_events
 from ..obs import heartbeat as heartbeat_mod
 from ..obs import trace as trace_mod
@@ -58,83 +57,112 @@ from .outcomes import CampaignResult, Outcome, TrialResult
 from .resilience import ResiliencePolicy
 
 
-@dataclass
-class CampaignConfig:
-    """Tunables of a fault-injection campaign."""
+_RESULT = settings.tags(result=True)
 
-    trials: int = 100
-    seed: int = 2014
+
+@dataclass(frozen=True)
+class CampaignConfig:
+    """Tunables of a fault-injection campaign.
+
+    Each field is tagged result-affecting or execution-only
+    (:func:`repro.settings.tags`): the disk-cache and checkpoint keys hash
+    exactly the result-affecting fields.  A field left ``None`` takes its
+    environment twin, else its default (:func:`repro.settings.resolve`);
+    the entry points resolve a config once, so workers inherit the parent's
+    decisions.
+    """
+
+    trials: int = field(default=100, metadata=_RESULT)
+    seed: int = field(default=2014, metadata=_RESULT)
     #: trap within this many cycles of injection = HWDetect, later = Failure
-    symptom_window: int = 1000
+    symptom_window: int = field(default=1000, metadata=_RESULT)
     #: injection runs are aborted (Failure: infinite loop) after this multiple
     #: of the golden instruction count
-    timeout_factor: float = 10.0
-    sim: SimConfig = field(default_factory=SimConfig)
-    protection: ProtectionConfig = field(default_factory=ProtectionConfig)
+    timeout_factor: float = field(default=10.0, metadata=_RESULT)
+    sim: SimConfig = field(default_factory=SimConfig, metadata=_RESULT)
+    protection: ProtectionConfig = field(
+        default_factory=ProtectionConfig, metadata=_RESULT
+    )
     #: use the test input for profiling instead of the train input (the
     #: paper's 2-fold cross-validation experiment swaps them)
-    swap_train_test: bool = False
-    #: worker processes for trial execution; 1 = in-process serial.  Results
-    #: are bit-identical for any value (trial plans are pre-drawn serially),
-    #: so ``jobs`` is deliberately excluded from campaign cache keys.
-    jobs: int = 1
-    #: structured JSONL trial event log path (None = observability off; the
-    #: ``REPRO_OBS`` environment variable supplies a default).  Like ``jobs``,
-    #: excluded from campaign cache keys — logging cannot affect results.
-    obs_log: Optional[str] = None
-    #: record per-trial wall-clock time in trial events (``REPRO_OBS_TIMING``
-    #: supplies a default).  Off by default: wall-times are nondeterministic,
-    #: and with timing off a ``jobs=N`` log is byte-identical to serial.
-    obs_timing: bool = False
-    #: checkpoint file for crash-resumable campaigns (None = no
-    #: checkpointing; ``REPRO_CHECKPOINT`` supplies a default).  Excluded
-    #: from cache keys — checkpointing cannot affect results.
-    checkpoint: Optional[str] = None
+    swap_train_test: bool = field(default=False, metadata=_RESULT)
+    #: worker processes for trial execution; 1 = in-process serial, 0 = one
+    #: per CPU.  Results are bit-identical for any value (trial plans are
+    #: pre-drawn serially).
+    jobs: Optional[int] = field(
+        default=None, metadata=settings.tags(settings.JOBS, result=False)
+    )
+    #: structured JSONL trial event log path ("" = off)
+    obs_log: Optional[str] = field(
+        default=None, metadata=settings.tags(settings.OBS, result=False)
+    )
+    #: record per-trial wall-clock time in trial events.  Off by default:
+    #: wall-times are nondeterministic, and with timing off a ``jobs=N`` log
+    #: is byte-identical to serial.
+    obs_timing: Optional[bool] = field(
+        default=None, metadata=settings.tags(settings.OBS_TIMING, result=False)
+    )
+    #: checkpoint file for crash-resumable campaigns ("" = off)
+    checkpoint: Optional[str] = field(
+        default=None, metadata=settings.tags(settings.CHECKPOINT, result=False)
+    )
     #: recovery policy (worker-failure handling, retry budget, per-trial
-    #: wall-clock watchdog, checkpoint cadence).  None = resolve from the
-    #: ``REPRO_RESILIENCE`` family of environment variables; resolution
-    #: happens once in the parent so workers inherit the same decision.
-    #: Also excluded from cache keys: recovery changes *how* trials get
-    #: executed, never what they compute.
-    resilience: Optional[ResiliencePolicy] = None
+    #: wall-clock watchdog, checkpoint cadence): recovery changes *how*
+    #: trials get executed, never what they compute.
+    resilience: Optional[ResiliencePolicy] = field(
+        default=None,
+        metadata=settings.tags(result=False, nested=ResiliencePolicy),
+    )
     #: golden-run snapshot cadence for shared-prefix trial execution
-    #: (``docs/PERFORMANCE.md``): None = resolve from ``REPRO_SNAPSHOT`` /
-    #: ``REPRO_SNAPSHOT_EVERY`` (default: auto heuristic), 0 = disabled,
-    #: -1 = auto, N > 0 = snapshot every N golden cycles.  Excluded from
-    #: cache keys — restore is bit-invisible by construction (differential
-    #: tests enforce it).
-    snapshot_every: Optional[int] = None
-    #: dead-flip triage: short-circuit provably-dead register flips straight
-    #: to Masked, skipping the post-injection run and output comparison.
-    #: None = resolve from ``REPRO_TRIAGE`` (default on).  Excluded from
-    #: cache keys — a triaged trial records exactly what a full run would.
-    triage: Optional[bool] = None
+    #: (``docs/PERFORMANCE.md``): 0 = disabled, -1 = auto, N > 0 = snapshot
+    #: every N golden cycles.  Restore is bit-invisible by construction
+    #: (differential tests enforce it).
+    snapshot_every: Optional[int] = field(
+        default=None,
+        metadata=settings.tags(settings.SNAPSHOT_EVERY, result=False),
+    )
+    #: dead-flip triage: short-circuit provably-dead flips straight to
+    #: Masked, skipping the post-injection run and output comparison — a
+    #: triaged trial records exactly what a full run would.
+    triage: Optional[bool] = field(
+        default=None, metadata=settings.tags(settings.TRIAGE, result=False)
+    )
     #: fault model drawn for every trial: one of
     #: :data:`~repro.sim.faults.CONCRETE_FAULT_MODELS` or ``"chaos"`` (each
-    #: trial draws a concrete model from the campaign RNG).  None = resolve
-    #: from ``REPRO_FAULT_MODEL`` (default ``"single_bit"``, the paper's
-    #: model).  *Included* in cache/checkpoint keys — different models
-    #: produce different results — but only when it resolves to a
-    #: non-default model, so historical single-bit keys stay valid.
-    fault_model: Optional[str] = None
+    #: trial draws a concrete model from the campaign RNG).  Keys carry it
+    #: only when it is not the paper's ``single_bit``, so historical
+    #: single-bit keys stay valid.
+    fault_model: Optional[str] = field(
+        default=None, metadata=settings.tags(settings.FAULT_MODEL, result=True)
+    )
     #: Chrome trace-event JSON output path for hierarchical wall-clock spans
-    #: (None = tracing off; ``REPRO_TRACE`` supplies a default).  Excluded
-    #: from cache keys: spans are wall-clock data and live in the trace file
-    #: only — results, obs logs, and checkpoints are byte-identical with
-    #: tracing on or off.
-    trace: Optional[str] = None
+    #: ("" = off).  Spans live in the trace file only — results, obs logs,
+    #: and checkpoints are byte-identical with tracing on or off.
+    trace: Optional[str] = field(
+        default=None, metadata=settings.tags(settings.TRACE, result=False)
+    )
     #: live status/heartbeat JSON path, atomically replaced at a rate-limited
-    #: cadence while the campaign runs (None = off; ``REPRO_HEARTBEAT``
-    #: supplies a default).  Watch it with ``python -m repro.obs top``.
-    #: Excluded from cache keys for the same reason as ``trace``.
-    heartbeat: Optional[str] = None
+    #: cadence while the campaign runs ("" = off).  Watch it with
+    #: ``python -m repro.obs top``.
+    heartbeat: Optional[str] = field(
+        default=None, metadata=settings.tags(settings.HEARTBEAT, result=False)
+    )
     #: batched lane-parallel trial execution (:mod:`repro.sim.batched`):
-    #: lanes per sweep.  None = resolve from ``REPRO_BATCH``; 0/1 = off
-    #: (scalar fastpath).  Requires triage on — with triage off the backend
-    #: silently falls back to scalar.  Excluded from cache keys: batched
-    #: results are byte-identical to scalar for any batch size (differential
-    #: tests enforce it).
-    batch: Optional[int] = None
+    #: lanes per sweep; 0/1 = off (scalar fastpath).  Requires triage on —
+    #: with triage off the backend falls back to scalar.  Batched results
+    #: are byte-identical to scalar for any batch size (differential tests
+    #: enforce it).
+    batch: Optional[int] = field(
+        default=None, metadata=settings.tags(settings.BATCH, result=False)
+    )
+
+    def __post_init__(self) -> None:
+        # A typo must never silently fall back to the default model.
+        model = self.fault_model
+        if (model is not None and model != CHAOS_FAULT_MODEL
+                and model not in FAULT_MODELS):
+            known = ", ".join(CONCRETE_FAULT_MODELS + (CHAOS_FAULT_MODEL,))
+            raise ValueError(f"unknown fault model {model!r} (known: {known})")
 
 
 @dataclass
@@ -167,8 +195,8 @@ def prepare(
     workload: Workload, scheme: str, config: Optional[CampaignConfig] = None
 ) -> PreparedWorkload:
     """Compile, protect, and golden-run a workload under one scheme."""
-    config = config or CampaignConfig()
-    tracer = trace_mod.activate(trace_mod.resolve_trace(config.trace))
+    config = settings.resolve(config or CampaignConfig())
+    tracer = trace_mod.activate(config.trace)
     with tracer.span(
         "prepare", cat="prepare", workload=workload.name, scheme=scheme
     ):
@@ -204,7 +232,7 @@ def prepare(
                 module, run_inputs, interpreter=golden_interp
             )
         snapshots, occupancy = _capture_golden_state(
-            workload, module, run_inputs, golden_result, config
+            workload, module, run_inputs, golden_result.instructions, config
         )
     return PreparedWorkload(
         workload=workload,
@@ -226,45 +254,56 @@ def _capture_golden_state(
     workload: Workload,
     module,
     run_inputs,
-    golden_result,
+    golden_instructions: int,
     config: CampaignConfig,
 ):
-    """Second, instrumented golden run: restore snapshots and/or occupancy.
+    """Second, instrumented golden run: capture snapshots and/or occupancy.
 
     Returns ``(snapshots, occupancy)``.  Snapshot capture is skipped when
-    snapshotting is disabled (``snapshot_every=0`` / ``REPRO_SNAPSHOT=0``)
-    or the auto heuristic deems the golden run too short to pay for the
-    extra capture run; occupancy capture is skipped unless the campaign's
-    resolved fault model consumes occupancy data (or ``REPRO_OCCUPANCY=1``
-    forces it).  When both are wanted they share ONE instrumented pass via
+    snapshotting is disabled (``snapshot_every=0``) or the auto heuristic
+    deems the golden run too short to pay for the extra capture run;
+    occupancy capture is skipped unless the campaign's fault model consumes
+    occupancy data (:data:`~repro.sim.memfaults.OCCUPANCY_MODELS`).  When
+    both are wanted they share ONE instrumented pass via
     :class:`~repro.sim.memfaults.FusedCapture`, so a memory-model prepare
     pays only the load/store wrapper overhead on top of the snapshot run —
-    not a whole extra execution.  Both are fast-path features.  The capture
-    run is verified to retire exactly the golden instruction count — any
-    mismatch (it cannot happen; this is a tripwire) drops the captured
-    state rather than risking divergent trials.
+    not a whole extra execution.
+
+    Both hook the fast path.  The occupancy pass analyses the golden run,
+    which both interpreters execute identically, so it always runs on the
+    fast path and memory-model results do not depend on ``REPRO_FASTPATH``;
+    a snapshot-only pass follows ``REPRO_FASTPATH``, since only fast-path
+    trials restore snapshots.  The boundary cadence is a pure function of
+    the golden instruction count, so the map (and every memory-model
+    verdict derived from it) is bit-identical across processes and config
+    variations.  The capture run is verified to retire exactly the golden
+    instruction count — any mismatch (it cannot happen; this is a
+    tripwire) drops the captured state rather than risking divergent
+    trials.
     """
     snap_recorder = None
-    every = snapshot_mod.resolve_snapshot_every(config.snapshot_every)
+    every = config.snapshot_every
     if every != 0:
         cadence = (
             every if every > 0
-            else snapshot_mod.auto_cadence(golden_result.instructions)
+            else snapshot_mod.auto_cadence(golden_instructions)
         )
-        if cadence is not None and cadence < golden_result.instructions:
+        if cadence is not None and cadence < golden_instructions:
             snap_recorder = snapshot_mod.SnapshotRecorder(cadence)
 
     occ_recorder = None
-    model = resolve_fault_model(config.fault_model)
-    if memfaults_mod.occupancy_enabled(model):
+    if config.fault_model in memfaults_mod.OCCUPANCY_MODELS:
         occ_recorder = memfaults_mod.OccupancyRecorder(
-            memfaults_mod.boundary_cadence(golden_result.instructions),
+            memfaults_mod.boundary_cadence(golden_instructions),
             config.sim.l1d,
         )
 
     if snap_recorder is None and occ_recorder is None:
         return None, None
-    capture_interp = Interpreter(module, config=config.sim, guard_mode="count")
+    capture_interp = Interpreter(
+        module, config=config.sim, guard_mode="count",
+        fastpath=True if occ_recorder is not None else None,
+    )
     if not capture_interp.fastpath:
         return None, None
     if snap_recorder is not None and occ_recorder is not None:
@@ -280,7 +319,7 @@ def _capture_golden_state(
         _, capture_result = workload.run(
             module, run_inputs, interpreter=capture_interp, capture=capture
         )
-    if capture_result.instructions != golden_result.instructions:
+    if capture_result.instructions != golden_instructions:
         return None, None  # pragma: no cover - determinism tripwire
     snapshots = None
     if snap_recorder is not None and len(snap_recorder.store):
@@ -288,50 +327,9 @@ def _capture_golden_state(
     occupancy = None
     if occ_recorder is not None:
         occupancy = occ_recorder.finalize(
-            workload.output_names(module), golden_result.instructions
+            workload.output_names(module), golden_instructions
         )
     return snapshots, occupancy
-
-
-def _capture_occupancy(
-    workload: Workload,
-    module,
-    run_inputs,
-    golden_result,
-    config: CampaignConfig,
-) -> Optional[memfaults_mod.OccupancyMap]:
-    """Dedicated occupancy-only golden pass (the ``_ensure_occupancy`` path).
-
-    ``prepare()`` itself fuses occupancy capture into the snapshot run (see
-    :func:`_capture_golden_state`); this standalone pass serves callers that
-    attach a map to an already-prepared workload.  Runs only when the
-    campaign's resolved fault model consumes occupancy data (or
-    ``REPRO_OCCUPANCY=1`` forces it) and the fast path is on — the wrappers
-    hook the compiled load/store address translation.  The boundary cadence
-    is a pure function of the golden instruction count (never of snapshot
-    or other config knobs), so the map — and every memory-model verdict
-    derived from it — is bit-identical across processes, config variations,
-    and the fused-vs-dedicated capture paths.
-    """
-    model = resolve_fault_model(config.fault_model)
-    if not memfaults_mod.occupancy_enabled(model):
-        return None
-    capture_interp = Interpreter(module, config=config.sim, guard_mode="count")
-    if not capture_interp.fastpath:
-        return None
-    cadence = memfaults_mod.boundary_cadence(golden_result.instructions)
-    recorder = memfaults_mod.OccupancyRecorder(cadence, config.sim.l1d)
-    with trace_mod.current().span(
-        "occupancy_capture", cat="prepare", cadence=cadence
-    ):
-        _, capture_result = workload.run(
-            module, run_inputs, interpreter=capture_interp, capture=recorder
-        )
-    if capture_result.instructions != golden_result.instructions:
-        return None  # pragma: no cover - determinism tripwire
-    return recorder.finalize(
-        workload.output_names(module), golden_result.instructions
-    )
 
 
 def _ensure_occupancy(
@@ -340,28 +338,18 @@ def _ensure_occupancy(
     """Attach an occupancy map to an already-prepared workload on demand.
 
     Covers callers that prepared once and reuse the workload across models
-    (the chaos harness, shared test fixtures): when the resolved model needs
-    the map but ``prepare()`` ran without it, recompute it here — before any
-    worker pool is created, so forked workers inherit the exact same map.
+    (the chaos harness, shared test fixtures): when the model needs the map
+    but ``prepare()`` ran without it, capture it here with an
+    occupancy-only pass — before any worker pool is created, so forked
+    workers inherit the exact same map.
     """
-    if prepared.occupancy is not None:
+    if (prepared.occupancy is not None
+            or config.fault_model not in memfaults_mod.OCCUPANCY_MODELS):
         return
-    model = resolve_fault_model(config.fault_model)
-    if not memfaults_mod.occupancy_enabled(model):
-        return
-    golden = _GoldenShim(prepared.golden_instructions)
-    prepared.occupancy = _capture_occupancy(
-        prepared.workload, prepared.module, prepared.inputs, golden, config
+    _, prepared.occupancy = _capture_golden_state(
+        prepared.workload, prepared.module, prepared.inputs,
+        prepared.golden_instructions, replace(config, snapshot_every=0),
     )
-
-
-class _GoldenShim:
-    """Minimal golden-result stand-in for :func:`_capture_occupancy`."""
-
-    __slots__ = ("instructions",)
-
-    def __init__(self, instructions: int) -> None:
-        self.instructions = instructions
 
 
 def run_trial(
@@ -392,6 +380,7 @@ def run_trial(
     same for harness code outside the interpreter (output comparison,
     fidelity scoring) so corrupted outputs can never kill a worker.
     """
+    config = settings.resolve(config)
     plan = InjectionPlan(cycle=cycle, bit=bit, seed=seed, model=model)
     interp = _trial_interpreter(prepared, config)
     return _drive_trial(prepared, plan, interp, config, stats)
@@ -471,7 +460,7 @@ def _classify_trial(
     if (
         prepared.snapshots is not None
         and interp.fastpath
-        and snapshot_mod.resolve_snapshot_every(config.snapshot_every) != 0
+        and config.snapshot_every != 0
     ):
         restore = prepared.snapshots.nearest(plan.cycle)
         if restore is not None and stats is not None:
@@ -486,7 +475,7 @@ def _classify_trial(
     # (double_bit, burst, stuck_at) keep the full run.  A Masked verdict
     # also assumes the rest of the golden run fits the instruction budget.
     triage = (
-        snapshot_mod.resolve_triage(config.triage)
+        config.triage
         and plan.model in TRIAGEABLE_FAULT_MODELS
         and limit >= prepared.golden_instructions
     )
@@ -697,7 +686,8 @@ def draw_plans(
     the concrete model, uniform over
     :data:`~repro.sim.faults.CONCRETE_FAULT_MODELS`.
     """
-    model = resolve_fault_model(config.fault_model)
+    config = settings.resolve(config)
+    model = config.fault_model
     chaos = model == CHAOS_FAULT_MODEL
     key = f"{config.seed}:{prepared.workload.name}:{prepared.scheme}".encode()
     rng = random.Random(int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
@@ -717,62 +707,6 @@ def draw_plans(
     return plans
 
 
-def resolve_fault_model(value: Optional[str]) -> str:
-    """Resolve a fault-model name: explicit value wins, then the
-    ``REPRO_FAULT_MODEL`` environment variable, then ``"single_bit"``.
-
-    Accepts every concrete model plus ``"chaos"``; anything else raises
-    ``ValueError`` (a typo must never silently fall back to the default
-    model).
-    """
-    if value is None:
-        value = os.environ.get("REPRO_FAULT_MODEL", "").strip() or None
-    if value is None:
-        return "single_bit"
-    if value != CHAOS_FAULT_MODEL and value not in FAULT_MODELS:
-        known = ", ".join(CONCRETE_FAULT_MODELS + (CHAOS_FAULT_MODEL,))
-        raise ValueError(f"unknown fault model {value!r} (known: {known})")
-    return value
-
-
-def resolve_fault_model_config(config: CampaignConfig) -> CampaignConfig:
-    """Fold the ``REPRO_FAULT_MODEL`` default into the config.
-
-    Same contract as :func:`resolve_obs_config`: explicit fields win, the
-    environment only fills gaps, and resolution happens once in the parent
-    so every worker injects under the same model.
-    """
-    model = resolve_fault_model(config.fault_model)
-    if model == config.fault_model:
-        return config
-    return replace(config, fault_model=model)
-
-
-def resolve_batch(value: Optional[int]) -> int:
-    """Resolve the batched-lane batch size: explicit config wins, then
-    ``REPRO_BATCH``, then 0 (off).  Unparsable environment values resolve
-    to 0 — the scalar path is the safe default."""
-    if value is not None:
-        return max(0, value)
-    raw = os.environ.get("REPRO_BATCH", "").strip()
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            return 0
-    return 0
-
-
-def resolve_batch_config(config: CampaignConfig) -> CampaignConfig:
-    """Fold the ``REPRO_BATCH`` default into the config (parent-side, so
-    workers inherit the same batching decision through the pool
-    initializer)."""
-    batch = resolve_batch(config.batch)
-    if batch == config.batch:
-        return config
-    return replace(config, batch=batch)
-
-
 def batched_enabled(config: CampaignConfig) -> bool:
     """Is the batched lane-sweep backend on for this campaign?
 
@@ -781,25 +715,7 @@ def batched_enabled(config: CampaignConfig) -> bool:
     the scalar path runs every trial to completion) the backend has nothing
     sound to decide in place and falls back to scalar.
     """
-    return bool(
-        config.batch and config.batch > 1
-        and snapshot_mod.resolve_triage(config.triage)
-    )
-
-
-def resolve_telemetry_config(config: CampaignConfig) -> CampaignConfig:
-    """Fold the ``REPRO_TRACE``/``REPRO_HEARTBEAT`` defaults into the config.
-
-    Same contract as :func:`resolve_obs_config`: explicit fields win, the
-    environment only fills gaps, and resolution happens once in the parent
-    so workers (which receive the config through the pool initializer) make
-    the same tracing decision.
-    """
-    trace = trace_mod.resolve_trace(config.trace)
-    heartbeat = heartbeat_mod.resolve_heartbeat(config.heartbeat)
-    if trace == config.trace and heartbeat == config.heartbeat:
-        return config
-    return replace(config, trace=trace, heartbeat=heartbeat)
+    return config.batch > 1 and config.triage
 
 
 def _chain_heartbeat(heart, on_trial, on_recovery):
@@ -836,62 +752,6 @@ def _chain_heartbeat(heart, on_trial, on_recovery):
             on_recovery(line)
 
     return heartbeat_trial, heartbeat_recovery
-
-
-def resolve_obs_config(config: CampaignConfig) -> CampaignConfig:
-    """Fold the ``REPRO_OBS``/``REPRO_OBS_TIMING`` defaults into the config.
-
-    Explicit config fields win; the environment only fills gaps.  Resolution
-    happens once, in the parent, so workers (which receive the config through
-    the pool initializer) see the exact same observability decision.
-    """
-    obs_log = config.obs_log if config.obs_log else obs_config.obs_log_path()
-    obs_timing = config.obs_timing or obs_config.obs_timing_enabled()
-    if obs_log == config.obs_log and obs_timing == config.obs_timing:
-        return config
-    return replace(config, obs_log=obs_log, obs_timing=obs_timing)
-
-
-def resolve_resilience_config(config: CampaignConfig) -> CampaignConfig:
-    """Fold the ``REPRO_RESILIENCE``/``REPRO_CHECKPOINT`` defaults in.
-
-    Like :func:`resolve_obs_config`: explicit config fields win, the
-    environment only fills gaps, and resolution happens once in the parent
-    so every worker sees the same recovery policy.
-    """
-    policy = config.resilience or resilience_mod.default_policy()
-    checkpoint = config.checkpoint or resilience_mod.checkpoint_path_env()
-    if policy is config.resilience and checkpoint == config.checkpoint:
-        return config
-    return replace(config, resilience=policy, checkpoint=checkpoint)
-
-
-def resolve_prefix_config(config: CampaignConfig) -> CampaignConfig:
-    """Fold the ``REPRO_SNAPSHOT*``/``REPRO_TRIAGE`` defaults into the config.
-
-    Same contract as :func:`resolve_obs_config`: explicit fields win, the
-    environment only fills gaps, and resolution happens once in the parent
-    so every worker makes the same snapshot/triage decision.
-    """
-    every = snapshot_mod.resolve_snapshot_every(config.snapshot_every)
-    triage = snapshot_mod.resolve_triage(config.triage)
-    if every == config.snapshot_every and triage == config.triage:
-        return config
-    return replace(config, snapshot_every=every, triage=triage)
-
-
-def resolve_jobs_config(config: CampaignConfig) -> CampaignConfig:
-    """Resolve ``jobs=0`` (auto) to the machine's CPU count.
-
-    Resolution happens once in the parent; the parallel path is skipped
-    entirely when the resolved count is 1, so single-core runners stop
-    paying pool overhead.
-    """
-    if config.jobs == 0:
-        return replace(config, jobs=os.cpu_count() or 1)
-    if config.jobs < 0:
-        return replace(config, jobs=1)
-    return config
 
 
 def _record_campaign_metrics(registry, result: CampaignResult,
@@ -1013,7 +873,8 @@ def _open_checkpointer(
         scheme=prepared.scheme,
         trials=config.trials,
         completed=dict(restored),
-        obs_log=config.obs_log,
+        # "no log" is stored as null, as checkpoints always have
+        obs_log=config.obs_log or None,
         obs_log_offset=obs_offset,
     )
     return resilience_mod.Checkpointer(
@@ -1038,6 +899,9 @@ def run_campaign(
     ``on_recovery`` receives a short human-readable line per recovery action
     (checkpoint load, chunk retry, serial fallback, quarantine).
 
+    ``config`` is resolved once here (:func:`repro.settings.resolve`), so
+    every worker runs under the parent's decisions.
+
     When ``config.obs_log`` (or ``REPRO_OBS``) names a path, a structured
     JSONL event log is appended there: a ``campaign_begin`` header, one
     ``trial`` record per plan (in plan order — parallel workers write shard
@@ -1059,13 +923,7 @@ def run_campaign(
     sidecars: results, the main obs log, cache keys, and checkpoints are
     byte-identical with them on or off (see ``docs/OBSERVABILITY.md``).
     """
-    config = resolve_obs_config(config or CampaignConfig())
-    config = resolve_resilience_config(config)
-    config = resolve_prefix_config(config)
-    config = resolve_jobs_config(config)
-    config = resolve_fault_model_config(config)
-    config = resolve_batch_config(config)
-    config = resolve_telemetry_config(config)
+    config = settings.resolve(config or CampaignConfig())
     tracer = trace_mod.activate(config.trace)
     heart = None
     if config.heartbeat:
@@ -1097,7 +955,7 @@ def run_campaign(
             golden_instructions=prepared.golden_instructions,
             golden_guard_failures=prepared.golden_guard_failures,
             golden_guard_evaluations=prepared.golden_guard_evaluations,
-            fault_model=config.fault_model or "single_bit",
+            fault_model=config.fault_model,
         )
         writer = None
         if config.obs_log:
@@ -1315,7 +1173,7 @@ def _run_parallel_portion(
     from .parallel import run_trials_parallel
 
     resuming = bool(restored)
-    worker_config = replace(config, obs_log=None) if resuming else config
+    worker_config = replace(config, obs_log="") if resuming else config
     trials_by_index = dict(restored)
 
     def on_result(index: int, trial: TrialResult) -> None:

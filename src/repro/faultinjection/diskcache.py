@@ -15,51 +15,51 @@ containing:
   workload builder, transform pipeline, or protection knob that alters the
   emitted code changes the key);
 * ``scheme`` and the workload name;
-* ``config`` — every :class:`CampaignConfig` field (including the full
-  nested ``SimConfig`` and ``ProtectionConfig``) *except* ``jobs``, which
-  cannot affect results by construction;
+* ``config`` — every :class:`CampaignConfig` field tagged result-affecting
+  (:func:`repro.settings.result_fields`; including the full nested
+  ``SimConfig`` and ``ProtectionConfig``), with ``fault_model`` present only
+  when it is not the default ``single_bit``.  Execution-only fields —
+  ``jobs``, the telemetry paths, checkpointing, resilience, snapshot,
+  triage and batch settings — cannot affect results and stay out;
 * ``trials`` and ``seed``.
 
 **Location.**  ``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``.  Set
 ``REPRO_CACHE=0`` to disable reads and writes; delete the directory (or any
 single ``campaign-*.json`` file) to invalidate manually.
 
-Writes are atomic (temp file + ``os.replace``), so concurrent campaigns —
-including the workers of a parallel campaign on a shared filesystem — can
-only ever observe complete entries.
+Writes are atomic (:func:`repro.durable.write_json_atomic`), so concurrent
+campaigns — including the workers of a parallel campaign on a shared
+filesystem — can only ever observe complete entries.
 
 **Integrity.**  Every entry embeds a sha256 of its canonical result payload,
 verified on load.  A corrupt entry (unparsable JSON, checksum mismatch, or
 an undecodable result) is *quarantined* — moved into a ``quarantine/``
 subdirectory of the cache, preserving the evidence — counted in the
-``cache.corrupt`` metric, and reported as a resilience event; the campaign
-is then recomputed.  Entries are never silently ignored and never trusted
-unverified (see ``docs/RESILIENCE.md``).
+``cache.corrupt`` metric, and reported as a ``cache_corrupt`` event through
+the cache's resilience logger; the campaign is then recomputed.  Entries are
+never silently ignored and never trusted unverified (see
+``docs/RESILIENCE.md``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
+from .. import durable, settings
 from ..ir.printer import module_to_str
 from ..obs import trace as trace_mod
 from ..obs.metrics import global_registry
 from .campaign import CampaignConfig
 from .outcomes import CampaignResult
-from .resilience import ResilienceLogger, quarantine_file
+from .resilience import ResilienceLogger
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "CampaignCache",
     "cache_dir",
-    "cache_enabled",
     "campaign_key",
 ]
 
@@ -69,59 +69,31 @@ __all__ = [
 #: detector_kind, trap_kind, function) and entries carry creation metadata.
 CACHE_SCHEMA_VERSION = 2
 
+#: CampaignConfig fields that enter the cache key
+_RESULT_FIELDS = settings.result_fields(CampaignConfig)
+
 
 def cache_dir() -> Path:
     """Cache root: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``."""
-    override = os.environ.get("REPRO_CACHE_DIR", "")
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "repro"
-
-
-def cache_enabled() -> bool:
-    """False when ``REPRO_CACHE`` is set to 0/off/false/no."""
-    return os.environ.get("REPRO_CACHE", "1").lower() not in (
-        "0", "off", "false", "no",
-    )
+    return Path(settings.CACHE_DIR.read() or Path.home() / ".cache" / "repro")
 
 
 def _config_fingerprint(config: CampaignConfig) -> dict:
-    """JSON-safe view of every result-affecting config field.
+    """JSON-safe view of the result-affecting config fields.
 
-    ``jobs`` is excluded: pre-drawn trial plans make parallel campaigns
-    bit-identical to serial ones, so worker count must not fragment the
-    cache.  The observability knobs (``obs_log``, ``obs_timing``) are
-    excluded, as are ``snapshot_every``/``triage`` (shared-prefix execution
-    is differentially verified byte-identical to from-scratch runs),
-    for the same reason — logging observes trials, it cannot affect
-    them — as are the resilience knobs (``checkpoint``, ``resilience``):
-    recovery changes how trials get executed, never what they compute.
-    The telemetry sidecar paths (``trace``, ``heartbeat``) are excluded on
-    the same grounds: wall-clock spans and status files observe a campaign
-    without touching its results.  ``batch`` is excluded because batched
-    lane-parallel execution is differentially verified byte-identical to
-    the scalar fastpath, so batch size must not fragment the cache.
     ``trials`` and ``seed`` are kept in the fingerprint *and* surfaced as
-    top-level key fields for human inspection.
-
-    ``fault_model`` IS result-affecting, so it is resolved here (explicit
-    value, else ``REPRO_FAULT_MODEL``, else the default) and included — but
-    only when it resolves to a non-default model, so every historical
-    single-bit cache key stays valid.  Resolving inside the fingerprint
-    matters: callers (e.g. the experiments cache) compute keys *before*
-    ``run_campaign``'s own resolution pass, and the key must reflect the
-    model that will actually run.
+    top-level key fields for human inspection.  ``fault_model`` is resolved
+    (explicit value, else ``REPRO_FAULT_MODEL``, else the default) — callers
+    may compute keys before ``run_campaign`` resolves the config, and the
+    key must reflect the model that will actually run — but it is included
+    only when it is not ``single_bit``, so every historical single-bit
+    cache key stays valid.
     """
-    from .campaign import resolve_fault_model
-
-    fields = dataclasses.asdict(config)
-    for non_semantic in (
-        "jobs", "obs_log", "obs_timing", "checkpoint", "resilience",
-        "snapshot_every", "triage", "trace", "heartbeat", "batch",
-    ):
-        fields.pop(non_semantic, None)
-    model = resolve_fault_model(fields.pop("fault_model", None))
-    if model != "single_bit":
+    config = settings.resolve(config)
+    everything = dataclasses.asdict(config)
+    fields = {name: everything[name] for name in _RESULT_FIELDS}
+    model = fields.pop("fault_model")
+    if model != settings.FAULT_MODEL.default:
         fields["fault_model"] = model
     if model in ("memory_word", "chaos"):
         # The occupancy-map rework changed what these two models compute
@@ -132,22 +104,10 @@ def _config_fingerprint(config: CampaignConfig) -> dict:
     return fields
 
 
-def _result_digest(result_doc: Dict) -> str:
-    """sha256 of the canonical JSON encoding of a result document.
-
-    Computed over the parsed document (not raw file bytes) so the digest is
-    stable across JSON round-trips: the value written at ``put`` time equals
-    the value recomputed from the parsed entry at ``get`` time iff the
-    payload is undamaged.
-    """
-    canonical = json.dumps(result_doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
 def campaign_key(module, workload: str, scheme: str,
                  config: CampaignConfig) -> str:
     """sha256 key of one campaign (see module docstring for contents)."""
-    payload = {
+    return durable.canonical_sha256({
         "schema": CACHE_SCHEMA_VERSION,
         "ir": module_to_str(module),
         "workload": workload,
@@ -155,9 +115,23 @@ def campaign_key(module, workload: str, scheme: str,
         "config": _config_fingerprint(config),
         "trials": config.trials,
         "seed": config.seed,
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    })
+
+
+def _decode_entry(data) -> Tuple[CampaignResult, Dict]:
+    """``(result, meta)`` of a parsed entry, its checksum verified.
+
+    Legacy (unwrapped or checksum-less) entries decode with empty meta.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("cache entry is not a JSON object")
+    if "result" not in data:
+        return CampaignResult.from_dict(data), {}
+    stored = (data.get("integrity") or {}).get("sha256")
+    result = data["result"]
+    if stored is not None and stored != durable.canonical_sha256(result):
+        raise ValueError("cache entry checksum mismatch")
+    return CampaignResult.from_dict(result), data.get("meta") or {}
 
 
 class CampaignCache:
@@ -171,9 +145,13 @@ class CampaignCache:
     """
 
     def __init__(self, root: Optional[Path] = None,
-                 enabled: Optional[bool] = None) -> None:
+                 enabled: Optional[bool] = None,
+                 logger: Optional[ResilienceLogger] = None) -> None:
         self.root = Path(root) if root is not None else cache_dir()
-        self.enabled = cache_enabled() if enabled is None else enabled
+        self.enabled = settings.CACHE.read() if enabled is None else enabled
+        #: reports quarantined entries (counters only unless the caller
+        #: binds it to an obs log)
+        self.logger = logger or ResilienceLogger()
 
     def _path(self, key: str) -> Path:
         return self.root / f"campaign-{key}.json"
@@ -196,42 +174,17 @@ class CampaignCache:
             registry.counter("cache.miss").inc()
             return None
         with trace_mod.current().span("cache.get", cat="cache", key=key[:16]):
-            try:
-                with open(path) as fh:
-                    data = json.load(fh)
-                if not isinstance(data, dict):
-                    raise ValueError("cache entry is not a JSON object")
-                if "result" in data:
-                    integrity = data.get("integrity") or {}
-                    stored = integrity.get("sha256")
-                    if stored is not None and stored != _result_digest(
-                        data["result"]
-                    ):
-                        raise ValueError("cache entry checksum mismatch")
-                    result = CampaignResult.from_dict(data["result"])
-                    meta = data.get("meta") or {}
-                else:
-                    result = CampaignResult.from_dict(data)
-                    meta = {}
-            except (OSError, ValueError, KeyError, TypeError) as err:
-                self._quarantine(key, path, err)
+            entry = durable.load_verified(
+                path, _decode_entry, self.logger, "cache_corrupt",
+                note=f"corrupt cache entry quarantined: {path.name}",
+                key=key,
+            )
+            if entry is None:
+                registry.counter("cache.corrupt").inc()
                 registry.counter("cache.miss").inc()
                 return None
             registry.counter("cache.hit").inc()
-            return result, meta
-
-    def _quarantine(self, key: str, path: Path, err: Exception) -> None:
-        """Move a corrupt entry aside and account for it."""
-        global_registry().counter("cache.corrupt").inc()
-        dest = quarantine_file(path)
-        ResilienceLogger.from_env().emit(
-            "cache_corrupt",
-            note=f"corrupt cache entry quarantined: {path.name}",
-            key=key,
-            path=str(path),
-            quarantined_to=dest,
-            reason=str(err),
-        )
+            return entry
 
     def get(self, key: str) -> Optional[CampaignResult]:
         """Cached result for ``key``, or None (corrupt entries miss)."""
@@ -257,26 +210,13 @@ class CampaignCache:
                 "trials": result.num_trials,
             },
             "result": result_doc,
-            "integrity": {"sha256": _result_digest(result_doc)},
+            "integrity": {"sha256": durable.canonical_sha256(result_doc)},
         }
         with trace_mod.current().span("cache.put", cat="cache", key=key[:16]):
             try:
-                self.root.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(
-                    prefix=".campaign-", suffix=".tmp", dir=self.root
-                )
-                try:
-                    with os.fdopen(fd, "w") as fh:
-                        json.dump(document, fh)
-                    os.replace(tmp, self._path(key))
-                    global_registry().counter("cache.write").inc()
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
+                durable.write_json_atomic(self._path(key), document)
             except OSError:
                 # A read-only or full cache directory must never fail a
                 # campaign.
-                pass
+                return
+            global_registry().counter("cache.write").inc()

@@ -40,67 +40,17 @@ Design (see ``docs/PERFORMANCE.md``):
 
 from __future__ import annotations
 
-import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import trace as trace_mod
-from ..obs.metrics import global_registry
 from ..sim.faults import InjectionPlan
 from . import resilience as resilience_mod
 from .campaign import CampaignConfig, PreparedWorkload, prepare
 from .outcomes import TrialResult
 
-__all__ = ["default_jobs", "resolve_jobs", "run_trials_parallel"]
-
-#: one-time flag for the REPRO_JOBS misparse warning
-_WARNED_JOBS_MISPARSE = False
-
-
-def default_jobs() -> int:
-    """Worker count from the ``REPRO_JOBS`` environment variable (min 1).
-
-    ``REPRO_JOBS=0`` means "auto": one worker per available CPU
-    (``os.cpu_count()``).  An unparsable value (``"4.0"``, ``"four"``)
-    falls back to 1 — but not silently: it raises a one-time
-    :class:`RuntimeWarning` and increments the ``config.jobs_misparse``
-    counter, so a campaign that was meant to run on 32 cores cannot
-    quietly run serially for hours.
-    """
-    global _WARNED_JOBS_MISPARSE
-    value = os.environ.get("REPRO_JOBS", "")
-    if not value:
-        return 1
-    try:
-        jobs = int(value)
-        if jobs == 0:
-            return os.cpu_count() or 1
-        return max(1, jobs)
-    except ValueError:
-        global_registry().counter("config.jobs_misparse").inc()
-        if not _WARNED_JOBS_MISPARSE:
-            _WARNED_JOBS_MISPARSE = True
-            warnings.warn(
-                f"REPRO_JOBS={value!r} is not an integer; "
-                f"falling back to 1 worker (serial execution)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return 1
-
-
-def resolve_jobs(jobs: Optional[int]) -> int:
-    """CLI helper: explicit ``--jobs`` wins, else ``REPRO_JOBS``, else 1.
-
-    ``0`` (from either source) resolves to ``os.cpu_count()``.
-    """
-    if jobs is not None:
-        if jobs == 0:
-            return os.cpu_count() or 1
-        return max(1, jobs)
-    return default_jobs()
+__all__ = ["run_trials_parallel"]
 
 
 def _prepared_key(name: str, scheme: str, config: CampaignConfig) -> Tuple:
@@ -299,15 +249,15 @@ def run_trials_parallel(
     plans: Sequence[InjectionPlan],
     config: CampaignConfig,
     on_trial: Optional[Callable[[TrialResult], None]] = None,
-    jobs: Optional[int] = None,
     indices: Optional[Sequence[int]] = None,
     on_result: Optional[Callable[[int, TrialResult], None]] = None,
     rlog: Optional[resilience_mod.ResilienceLogger] = None,
     stats: Optional[Dict[str, int]] = None,
 ) -> List[TrialResult]:
-    """Execute pre-drawn trial plans across worker processes.
+    """Execute pre-drawn trial plans across ``config.jobs`` worker processes.
 
-    Returns results in plan order; ``on_trial`` fires in completion order,
+    ``config`` must be resolved (:func:`repro.settings.resolve`).  Returns
+    results in plan order; ``on_trial`` fires in completion order,
     ``on_result`` fires alongside it with the original plan index (the
     campaign layer uses it to checkpoint completed trials).  ``indices``
     lets a resumed campaign run a subset of its plans under their original
@@ -323,8 +273,7 @@ def run_trials_parallel(
     propagates, as it did before the resilience layer existed.
     """
     global _FORK_PREPARED
-    jobs = jobs if jobs is not None else config.jobs
-    jobs = (os.cpu_count() or 1) if jobs == 0 else max(1, jobs)
+    jobs = config.jobs
     if indices is None:
         indices = range(len(plans))
     tagged = [
@@ -337,7 +286,7 @@ def run_trials_parallel(
         for ordinal, i in enumerate(range(0, len(tagged), size))
     }
     name, scheme = prepared.workload.name, prepared.scheme
-    policy = config.resilience or resilience_mod.ResiliencePolicy(enabled=False)
+    policy = config.resilience
     rlog = rlog or resilience_mod.ResilienceLogger(config.obs_log)
 
     results: Dict[int, TrialResult] = {}

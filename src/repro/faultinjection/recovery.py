@@ -30,6 +30,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from .. import settings
 from ..sim.faults import InjectionPlan
 from . import campaign
 from .campaign import CampaignConfig, PreparedWorkload
@@ -77,7 +78,7 @@ def run_with_recovery(
     """
     if checkpoint_interval <= 0:
         raise ValueError("checkpoint_interval must be positive")
-    config = config or CampaignConfig()
+    config = settings.resolve(config or CampaignConfig())
     interp = campaign._trial_interpreter(prepared, config)
     stats: Dict[str, int] = {}
     trial = campaign._drive_trial(prepared, plan, interp, config, stats)

@@ -10,7 +10,8 @@ provides the pieces; :mod:`.campaign` and :mod:`.parallel` integrate them.
 * :class:`ResiliencePolicy` — the recovery knobs (worker-failure policy,
   retry budget and backoff, per-trial wall-clock deadline, checkpoint
   cadence), resolved once in the campaign parent from ``REPRO_RESILIENCE``
-  and friends so workers inherit the exact same decision.
+  and friends (:mod:`repro.settings`) so workers inherit the exact same
+  decision.
 
 * **Checkpointing** (:class:`Checkpointer`, :func:`save_checkpoint`,
   :func:`load_checkpoint`) — periodically persists completed plan-indexed
@@ -32,10 +33,10 @@ provides the pieces; :mod:`.campaign` and :mod:`.parallel` integrate them.
   nondeterministic, so the determinism guarantee only covers campaigns where
   the watchdog never fires (or is disabled).
 
-* **Quarantine** (:func:`quarantine_file`) — corrupt artifacts (cache
-  entries, checkpoints) are moved into a ``quarantine/`` subdirectory next
-  to where they lived, preserving the evidence for diagnosis instead of
-  silently deleting or — worse — silently *using* it.
+* **Quarantine** (:func:`repro.durable.quarantine_file`) — corrupt
+  artifacts (cache entries, checkpoints) are moved into a ``quarantine/``
+  subdirectory next to where they lived, preserving the evidence for
+  diagnosis instead of silently deleting or — worse — silently *using* it.
 
 * :class:`ResilienceLogger` — every recovery action (checkpoint write/load,
   chunk retry, serial fallback, quarantine) emits a structured event to a
@@ -48,17 +49,16 @@ provides the pieces; :mod:`.campaign` and :mod:`.parallel` integrate them.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import signal
-import tempfile
 import threading
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .. import durable, settings
 from ..obs import events as obs_events
 from ..obs import trace as trace_mod
 from ..obs.metrics import global_registry
@@ -71,11 +71,8 @@ __all__ = [
     "HarnessTimeout",
     "ResiliencePolicy",
     "ResilienceLogger",
-    "default_policy",
     "jittered_backoff",
     "load_checkpoint",
-    "quarantine_file",
-    "resilience_enabled",
     "run_trial_guarded",
     "save_checkpoint",
     "trial_deadline",
@@ -84,10 +81,8 @@ __all__ = [
 #: bump on any change to the checkpoint file layout
 CHECKPOINT_SCHEMA_VERSION = 1
 
-_FALSEY = ("", "0", "off", "false", "no")
-
 #: accepted ``on_worker_failure`` policies
-WORKER_FAILURE_POLICIES = ("retry", "serial", "fail")
+WORKER_FAILURE_POLICIES = settings.WORKER_FAILURE.choices
 
 
 # ---------------------------------------------------------------------------
@@ -95,119 +90,46 @@ WORKER_FAILURE_POLICIES = ("retry", "serial", "fail")
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResiliencePolicy:
-    """Recovery behaviour of one campaign (resolved once, in the parent)."""
+    """Recovery behaviour of one campaign (resolved once, in the parent).
+
+    A field left ``None`` takes its ``REPRO_*`` twin, else its default
+    (:func:`repro.settings.resolve`).
+    """
 
     #: master switch; when False every failure propagates as before
-    enabled: bool = True
+    enabled: Optional[bool] = field(
+        default=None, metadata=settings.tags(settings.RESILIENCE)
+    )
     #: reaction to a lost worker/chunk: 'retry' (backoff, then serial),
     #: 'serial' (immediate in-process fallback), or 'fail' (propagate)
-    on_worker_failure: str = "retry"
+    on_worker_failure: Optional[str] = field(
+        default=None, metadata=settings.tags(settings.WORKER_FAILURE)
+    )
     #: pool re-creation attempts before degrading to serial execution
-    max_retries: int = 2
+    max_retries: Optional[int] = field(
+        default=None, metadata=settings.tags(settings.MAX_RETRIES)
+    )
     #: base delay before the first retry; doubles per attempt
     backoff_seconds: float = 0.5
     #: per-trial wall-clock deadline in seconds (0 = watchdog off).  A trial
     #: exceeding it is requeued once, then quarantined as harness_timeout.
-    trial_deadline_seconds: float = 0.0
+    trial_deadline_seconds: Optional[float] = field(
+        default=None, metadata=settings.tags(settings.TRIAL_DEADLINE)
+    )
     #: completed trials between checkpoint writes (when checkpointing is on)
-    checkpoint_every: int = 25
+    checkpoint_every: Optional[int] = field(
+        default=None, metadata=settings.tags(settings.CHECKPOINT_EVERY)
+    )
 
     def __post_init__(self) -> None:
-        if self.on_worker_failure not in WORKER_FAILURE_POLICIES:
+        if (self.on_worker_failure is not None
+                and self.on_worker_failure not in WORKER_FAILURE_POLICIES):
             raise ValueError(
                 f"on_worker_failure must be one of {WORKER_FAILURE_POLICIES},"
                 f" got {self.on_worker_failure!r}"
             )
-
-
-def resilience_enabled() -> bool:
-    """False when ``REPRO_RESILIENCE`` is set to 0/off/false/no."""
-    return os.environ.get("REPRO_RESILIENCE", "1").strip().lower() not in _FALSEY
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, ""))
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, ""))
-    except ValueError:
-        return default
-
-
-def default_policy() -> ResiliencePolicy:
-    """Policy from the environment.
-
-    * ``REPRO_RESILIENCE`` — falsey disables recovery entirely; ``retry``,
-      ``serial`` or ``fail`` select the worker-failure policy; any other
-      truthy value means enabled with defaults.
-    * ``REPRO_MAX_RETRIES`` — pool re-creation budget (default 2).
-    * ``REPRO_TRIAL_DEADLINE`` — per-trial wall-clock deadline, seconds
-      (default 0 = off).
-    * ``REPRO_CHECKPOINT_EVERY`` — trials between checkpoint writes
-      (default 25).
-    """
-    value = os.environ.get("REPRO_RESILIENCE", "1").strip().lower()
-    policy = ResiliencePolicy(enabled=value not in _FALSEY)
-    if value in WORKER_FAILURE_POLICIES:
-        policy.on_worker_failure = value
-    policy.max_retries = max(0, _env_int("REPRO_MAX_RETRIES", policy.max_retries))
-    policy.trial_deadline_seconds = max(
-        0.0, _env_float("REPRO_TRIAL_DEADLINE", policy.trial_deadline_seconds)
-    )
-    policy.checkpoint_every = max(
-        1, _env_int("REPRO_CHECKPOINT_EVERY", policy.checkpoint_every)
-    )
-    return policy
-
-
-def checkpoint_path_env() -> Optional[str]:
-    """Checkpoint file path from ``REPRO_CHECKPOINT`` (single-campaign CLI)."""
-    value = os.environ.get("REPRO_CHECKPOINT", "").strip()
-    return value or None
-
-
-def checkpoint_dir_env() -> Optional[str]:
-    """Checkpoint directory from ``REPRO_CHECKPOINT_DIR`` (experiment sweeps:
-    one checkpoint file per campaign, keyed like the disk cache)."""
-    value = os.environ.get("REPRO_CHECKPOINT_DIR", "").strip()
-    return value or None
-
-
-# ---------------------------------------------------------------------------
-# quarantine
-# ---------------------------------------------------------------------------
-
-
-def quarantine_file(path) -> Optional[str]:
-    """Move a corrupt artifact into ``quarantine/`` next to it.
-
-    Returns the destination path, or None when the move failed (the caller
-    must still treat the artifact as unusable).  Existing quarantined files
-    with the same name are suffixed ``.1``, ``.2``, ... rather than
-    overwritten, so repeated corruption keeps all the evidence.
-    """
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    qdir = os.path.join(directory, "quarantine")
-    name = os.path.basename(path)
-    try:
-        os.makedirs(qdir, exist_ok=True)
-        dest = os.path.join(qdir, name)
-        suffix = 0
-        while os.path.exists(dest):
-            suffix += 1
-            dest = os.path.join(qdir, f"{name}.{suffix}")
-        os.replace(path, dest)
-        return dest
-    except OSError:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +155,6 @@ class ResilienceLogger:
             obs_events.resilience_log_path(obs_log) if obs_log else None
         )
         self.echo = echo
-
-    @classmethod
-    def from_env(cls) -> "ResilienceLogger":
-        """Logger bound to the ``REPRO_OBS`` sidecar (library-level callers
-        with no campaign context, e.g. the disk cache)."""
-        from ..obs.config import obs_log_path
-
-        return cls(obs_log_path())
 
     def emit(self, kind: str, note: str = "", **fields) -> None:
         global_registry().counter(f"resilience.{kind}").inc()
@@ -289,41 +203,36 @@ def _checkpoint_document(checkpoint: Checkpoint) -> Dict:
             for i, t in sorted(checkpoint.completed.items())
         },
     }
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-    payload["sha256"] = digest
+    payload["sha256"] = durable.canonical_sha256(payload)
     return payload
 
 
 def save_checkpoint(path, checkpoint: Checkpoint) -> None:
-    """Atomically persist ``checkpoint`` (temp file + ``os.replace``).
+    """Atomically persist ``checkpoint``.
 
     A crash mid-write can therefore never leave a half-written checkpoint
     under ``path`` — resume sees either the previous complete checkpoint or
     the new one.
     """
-    path = os.fspath(path)
     with trace_mod.current().span(
         "checkpoint.save", cat="resilience",
         completed=len(checkpoint.completed),
     ):
-        document = _checkpoint_document(checkpoint)
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            prefix=".checkpoint-", suffix=".tmp", dir=directory
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(document, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        durable.write_json_atomic(path, _checkpoint_document(checkpoint))
+
+
+def _verified_checkpoint(document: Dict) -> Dict:
+    """The checkpoint document with its checksum and schema verified."""
+    stored = document.pop("sha256")
+    if durable.canonical_sha256(document) != stored:
+        raise ValueError("checkpoint checksum mismatch")
+    if document.get("v") != CHECKPOINT_SCHEMA_VERSION:
+        raise ValueError("unknown checkpoint schema")
+    document["completed"] = {
+        int(i): trial_from_record(rec)
+        for i, rec in document["completed"].items()
+    }
+    return document
 
 
 def load_checkpoint(
@@ -338,32 +247,13 @@ def load_checkpoint(
     will be overwritten only by an explicit save).
     """
     path = os.fspath(path)
-    logger = logger or ResilienceLogger()
-    load_span = trace_mod.current().span("checkpoint.load", cat="resilience")
-    try:
-        with load_span, open(path, encoding="utf-8") as fh:
-            document = json.load(fh)
-        stored = document.pop("sha256")
-        digest = hashlib.sha256(
-            json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest()
-        if digest != stored:
-            raise ValueError("checkpoint checksum mismatch")
-        if document.get("v") != CHECKPOINT_SCHEMA_VERSION:
-            raise ValueError("unknown checkpoint schema")
-        completed = {
-            int(i): trial_from_record(rec)
-            for i, rec in document["completed"].items()
-        }
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError, KeyError, TypeError) as err:
-        dest = quarantine_file(path)
-        logger.emit(
+    with trace_mod.current().span("checkpoint.load", cat="resilience"):
+        document = durable.load_verified(
+            path, _verified_checkpoint, logger or ResilienceLogger(),
             "checkpoint_corrupt",
             note=f"corrupt checkpoint quarantined: {path}",
-            path=path, quarantined_to=dest, reason=str(err),
         )
+    if document is None:
         return None
     if document.get("key") != key or document.get("trials") != trials:
         return None
@@ -372,7 +262,7 @@ def load_checkpoint(
         workload=document.get("workload", ""),
         scheme=document.get("scheme", ""),
         trials=trials,
-        completed=completed,
+        completed=document["completed"],
         obs_log=document.get("obs_log"),
         obs_log_offset=int(document.get("obs_log_offset", 0)),
     )

@@ -8,12 +8,6 @@ span traces, Chrome trace-event JSON), and ``REPRO_HEARTBEAT``/
 ``--heartbeat`` (live status file for ``python -m repro.obs top``).
 """
 
-from .config import (
-    obs_enabled,
-    obs_log_path,
-    obs_timing_enabled,
-    resolve_obs_log,
-)
 from .events import (
     SCHEMA_VERSION,
     EventLogWriter,
@@ -29,9 +23,7 @@ from .events import (
 from .heartbeat import (
     HEARTBEAT_SCHEMA_VERSION,
     HeartbeatWriter,
-    heartbeat_path,
     read_heartbeat,
-    resolve_heartbeat,
 )
 from .metrics import (
     Counter,
@@ -52,9 +44,7 @@ from .trace import (
     current,
     load_trace,
     render_summary,
-    resolve_trace,
     summarize_trace,
-    trace_path,
     validate_trace,
 )
 
@@ -65,10 +55,8 @@ __all__ = [
     "Tracer",
     "activate", "cache_hit_event", "campaign_begin_event",
     "campaign_end_event", "current", "encode_event", "enable_global",
-    "global_registry", "heartbeat_path", "load_trace", "merge_shards",
-    "obs_enabled", "obs_log_path", "obs_timing_enabled", "percentile",
+    "global_registry", "load_trace", "merge_shards", "percentile",
     "read_events", "read_events_detailed", "read_heartbeat",
-    "render_heartbeat", "render_summary", "reset_global", "resolve_heartbeat",
-    "resolve_obs_log", "resolve_trace", "summarize_trace", "trace_path",
+    "render_heartbeat", "render_summary", "reset_global", "summarize_trace",
     "trial_event", "validate_trace", "watch",
 ]

@@ -103,8 +103,8 @@ def main(argv=None) -> int:
         "top", help="live view of a running campaign's heartbeat file"
     )
     top.add_argument("heartbeat", metavar="HEARTBEAT",
-                     help="status JSON written via --heartbeat or "
-                          "REPRO_HEARTBEAT")
+                     help="status JSON written via --heartbeat "
+                          "or REPRO_HEARTBEAT")
     top.add_argument("--interval", type=float, default=1.0, metavar="SECONDS",
                      help="refresh interval (default 1.0)")
     top.add_argument("--once", action="store_true",

@@ -25,52 +25,35 @@ This is the pre-work for the ``repro.serve`` campaign service (ROADMAP):
 the submit/status/results API will stream exactly this document.  Watch it
 live with ``python -m repro.obs top <file>``.
 
-Configured via ``REPRO_HEARTBEAT=/path/to/status.json`` or ``--heartbeat``;
-off by default.  Like every telemetry artifact, the heartbeat is wall-clock
-data in a sidecar only: campaign results, obs logs, cache keys, and
-checkpoints are byte-identical with it on or off.
+Configured via ``CampaignConfig.heartbeat`` (``--heartbeat`` or
+``REPRO_HEARTBEAT=/path/to/status.json``); off by default.  Like every
+telemetry artifact, the heartbeat is wall-clock data in a sidecar only:
+campaign results, obs logs, cache keys, and checkpoints are byte-identical
+with it on or off.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from typing import Dict, Optional
+
+from .. import durable
 
 __all__ = [
     "HEARTBEAT_SCHEMA_VERSION",
     "HeartbeatWriter",
     "effective_status",
-    "heartbeat_path",
     "pid_alive",
     "read_heartbeat",
-    "resolve_heartbeat",
 ]
 
 #: bump on any change to heartbeat field names or semantics
 HEARTBEAT_SCHEMA_VERSION = 1
 
-_FALSEY = ("", "0", "off", "false", "no")
-
 #: EMA smoothing for the instantaneous trials/sec estimate
 _EMA_ALPHA = 0.3
-
-
-def heartbeat_path() -> Optional[str]:
-    """Heartbeat file path from ``REPRO_HEARTBEAT``, or None when off."""
-    value = os.environ.get("REPRO_HEARTBEAT", "").strip()
-    if value.lower() in _FALSEY:
-        return None
-    return value
-
-
-def resolve_heartbeat(explicit: Optional[str]) -> Optional[str]:
-    """Explicit config/CLI path wins, else ``REPRO_HEARTBEAT``, else None."""
-    if explicit:
-        return explicit
-    return heartbeat_path()
 
 
 class HeartbeatWriter:
@@ -197,21 +180,7 @@ class HeartbeatWriter:
         self._last_write = now
         document = self.document(status=status, now=now)
         try:
-            directory = os.path.dirname(os.path.abspath(self.path))
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                prefix=".heartbeat-", suffix=".tmp", dir=directory
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(document, fh)
-                os.replace(tmp, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            durable.write_json_atomic(self.path, document)
         except OSError:  # pragma: no cover - telemetry is best effort
             pass
 

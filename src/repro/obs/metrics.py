@@ -19,7 +19,7 @@ Instruments:
   still supporting percentile *estimates* (upper bucket bound).
 
 The process-wide default registry (:func:`global_registry`) is enabled when
-``REPRO_OBS`` is set (see :mod:`repro.obs.config`); library code records into
+``REPRO_OBS`` is set (see :mod:`repro.settings`); library code records into
 it, and :func:`enable_global`/:func:`reset_global` let tests and CLIs control
 it explicitly.
 """
@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import time
 from typing import Dict, Iterator, Optional, Tuple
+
+from .. import settings
 
 __all__ = [
     "Counter",
@@ -249,9 +251,7 @@ def global_registry() -> MetricsRegistry:
     """Process-wide registry; enabled iff ``REPRO_OBS`` is set at first use."""
     global _GLOBAL
     if _GLOBAL is None:
-        from .config import obs_enabled
-
-        _GLOBAL = MetricsRegistry(enabled=obs_enabled())
+        _GLOBAL = MetricsRegistry(enabled=bool(settings.OBS.read()))
     return _GLOBAL
 
 

@@ -50,6 +50,8 @@ import threading
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from .. import durable
+
 __all__ = [
     "TRACE_SCHEMA_VERSION",
     "Tracer",
@@ -58,31 +60,12 @@ __all__ = [
     "current",
     "load_trace",
     "render_summary",
-    "resolve_trace",
     "summarize_trace",
-    "trace_path",
     "validate_trace",
 ]
 
 #: bump on any change to exported event fields or semantics
 TRACE_SCHEMA_VERSION = 1
-
-_FALSEY = ("", "0", "off", "false", "no")
-
-
-def trace_path() -> Optional[str]:
-    """Trace output path from ``REPRO_TRACE``, or None when unset/disabled."""
-    value = os.environ.get("REPRO_TRACE", "").strip()
-    if value.lower() in _FALSEY:
-        return None
-    return value
-
-
-def resolve_trace(explicit: Optional[str]) -> Optional[str]:
-    """Explicit config/CLI path wins, else ``REPRO_TRACE``, else None."""
-    if explicit:
-        return explicit
-    return trace_path()
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +289,7 @@ class Tracer:
             },
         }
         try:
-            parent = os.path.dirname(os.path.abspath(self.path))
-            os.makedirs(parent, exist_ok=True)
-            tmp = f"{self.path}.tmp-{os.getpid()}"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(document, fh)
-            os.replace(tmp, self.path)
+            durable.write_json_atomic(self.path, document)
             return self.path
         except OSError:  # pragma: no cover - tracing is best effort
             return None

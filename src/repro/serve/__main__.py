@@ -34,14 +34,14 @@ from .worker import execute_job
 
 
 def _cmd_run(args) -> int:
-    config = ServiceConfig.from_env(
+    config = ServiceConfig(
         args.root,
         workers=args.workers,
         max_depth=args.max_depth,
         max_job_retries=args.max_retries,
         backoff_seconds=args.backoff,
-        inline=args.inline or None,
-        until_idle=args.until_idle or None,
+        inline=args.inline,
+        until_idle=args.until_idle,
     )
     return Service(config).run()
 
@@ -190,8 +190,9 @@ def main(argv=None) -> int:
     run.add_argument("--max-retries", type=int, default=None, metavar="N",
                      help="failed attempts before poison quarantine "
                           "(default: REPRO_SERVE_RETRIES/3)")
-    run.add_argument("--backoff", type=float, default=None, metavar="SECONDS",
-                     help="base retry backoff (default 0.5)")
+    run.add_argument("--backoff", type=float,
+                     default=ServiceConfig.backoff_seconds, metavar="SECONDS",
+                     help="base retry backoff (default %(default)s)")
     run.add_argument("--inline", action="store_true",
                      help="execute jobs in-process (tests, single-host "
                           "load drives)")

@@ -22,11 +22,12 @@ import os
 import time
 from typing import Dict, Optional
 
+from ..durable import write_json_atomic
 from .journal import load_state_snapshot, read_journal
 from .queue import Job, JobState, QueueState
 from .spec import DEFAULT_TENANT, CampaignSpec
 from .service import service_paths
-from .worker import job_paths, load_result, write_json_atomic
+from .worker import job_paths, load_result
 
 __all__ = [
     "load_queue_state",

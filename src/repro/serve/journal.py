@@ -13,13 +13,13 @@ byte-identical — ``docs/RESILIENCE.md``), and continues.
 
 Because replaying a long journal from byte 0 gets slower as the service
 lives on, the service periodically writes an **atomic state snapshot**
-(``state.json``: temp file + ``os.replace``, sha256-checksummed exactly
-like the PR 4 campaign checkpoints).  The snapshot records the journal
-byte offset it covers; recovery loads the snapshot, verifies its checksum,
-and replays only the journal tail after that offset.  A snapshot that does
-not verify is quarantined (``quarantine/`` — evidence preserved, same
-policy as corrupt caches and checkpoints) and recovery falls back to a
-full journal replay, which is always sufficient.
+(``state.json``, written and verified through :mod:`repro.durable`,
+sha256-checksummed exactly like the campaign checkpoints).  The snapshot
+records the journal byte offset it covers; recovery loads the snapshot,
+verifies its checksum, and replays only the journal tail after that
+offset.  A snapshot that does not verify is quarantined (``quarantine/``
+— evidence preserved, same policy as corrupt caches and checkpoints) and
+recovery falls back to a full journal replay, which is always sufficient.
 
 Torn tails are expected, not errors: a SIGKILL mid-append leaves a partial
 last line, which replay ignores (the transition it described never
@@ -31,14 +31,13 @@ full-journal replay sees every record that was ever applied.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
-import tempfile
 from typing import Dict, List, Optional, Tuple
 
-from ..faultinjection.resilience import ResilienceLogger, quarantine_file
+from .. import durable
+from ..faultinjection.resilience import ResilienceLogger
 
 __all__ = [
     "JOURNAL_SCHEMA_VERSION",
@@ -165,35 +164,25 @@ def read_journal(path, offset: int = 0) -> Tuple[List[Dict], int]:
 # ---------------------------------------------------------------------------
 
 
-def _snapshot_digest(payload: Dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
 def save_state_snapshot(path, state_doc: Dict, journal_offset: int) -> None:
     """Atomically persist the queue state + the journal offset it covers."""
-    path = os.fspath(path)
     payload = {
         "v": JOURNAL_SCHEMA_VERSION,
         "journal_offset": journal_offset,
         "state": state_doc,
     }
-    payload["sha256"] = _snapshot_digest(
-        {k: payload[k] for k in ("v", "journal_offset", "state")}
-    )
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".state-", suffix=".tmp", dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    payload["sha256"] = durable.canonical_sha256(payload)
+    durable.write_json_atomic(path, payload)
+
+
+def _verified_snapshot(payload: Dict) -> Tuple[Dict, int]:
+    """``(state_doc, journal_offset)`` with checksum and schema verified."""
+    stored = payload.pop("sha256")
+    if durable.canonical_sha256(payload) != stored:
+        raise ValueError("state snapshot checksum mismatch")
+    if payload.get("v") != JOURNAL_SCHEMA_VERSION:
+        raise ValueError("unknown state snapshot schema")
+    return payload["state"], int(payload["journal_offset"])
 
 
 def load_state_snapshot(
@@ -206,23 +195,8 @@ def load_state_snapshot(
     snapshot — the journal is the source of truth.
     """
     path = os.fspath(path)
-    logger = logger or ResilienceLogger()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        stored = payload.pop("sha256")
-        if _snapshot_digest(payload) != stored:
-            raise ValueError("state snapshot checksum mismatch")
-        if payload.get("v") != JOURNAL_SCHEMA_VERSION:
-            raise ValueError("unknown state snapshot schema")
-        return payload["state"], int(payload["journal_offset"])
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError, KeyError, TypeError) as err:
-        dest = quarantine_file(path)
-        logger.emit(
-            "service_state_corrupt",
-            note=f"corrupt service state snapshot quarantined: {path}",
-            path=path, quarantined_to=dest, reason=str(err),
-        )
-        return None
+    return durable.load_verified(
+        path, _verified_snapshot, logger or ResilienceLogger(),
+        "service_state_corrupt",
+        note=f"corrupt service state snapshot quarantined: {path}",
+    )

@@ -53,7 +53,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..faultinjection.resilience import jittered_backoff, quarantine_file
+from .. import settings
+from ..durable import quarantine_file, write_json_atomic
+from ..faultinjection.resilience import jittered_backoff
 from ..obs.heartbeat import pid_alive, read_heartbeat
 from ..obs.metrics import global_registry
 from .journal import (
@@ -70,7 +72,6 @@ from .worker import (
     execute_job,
     job_paths,
     load_result,
-    write_json_atomic,
 )
 
 __all__ = ["ServiceConfig", "Service", "ServicePaths", "service_paths"]
@@ -81,35 +82,29 @@ SERVICE_HEARTBEAT_KIND = "service"
 #: sentinel exit code for "exit 0 but no result.json" (never a real rc)
 EXIT_FAILED_NO_RESULT = 1001
 
-#: env vars scrubbed from (and around) workers: either they could change
-#: campaign *bytes* (REPRO_OBS_TIMING) or they would misroute artifacts the
-#: service owns the paths of.  A spec must compute the same campaign on
-#: every host, whatever the operator's shell exports.
-SCRUBBED_WORKER_ENV = (
-    "REPRO_OBS", "REPRO_OBS_TIMING", "REPRO_TRACE", "REPRO_HEARTBEAT",
-    "REPRO_CHECKPOINT", "REPRO_CHECKPOINT_DIR", "REPRO_FAULT_MODEL",
-    "REPRO_TRIALS", "REPRO_JOBS",
-)
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, ""))
-    except ValueError:
-        return default
-
 
 @dataclass
 class ServiceConfig:
-    """Tunables of one service process (CLI flags override env defaults)."""
+    """Tunables of one service process.
+
+    A field left ``None`` takes its ``REPRO_SERVE_*`` twin, else its
+    default; :class:`Service` resolves the config
+    (:func:`repro.settings.resolve`).
+    """
 
     root: str
-    #: concurrent jobs (worker subprocesses); REPRO_SERVE_WORKERS default
-    workers: int = 2
+    #: concurrent jobs (worker subprocesses)
+    workers: Optional[int] = field(
+        default=None, metadata=settings.tags(settings.SERVE_WORKERS)
+    )
     #: admission bound: queued + running jobs; submissions past it are shed
-    max_depth: int = 256
+    max_depth: Optional[int] = field(
+        default=None, metadata=settings.tags(settings.SERVE_DEPTH)
+    )
     #: failed attempts before a job is quarantined as poison
-    max_job_retries: int = 3
+    max_job_retries: Optional[int] = field(
+        default=None, metadata=settings.tags(settings.SERVE_RETRIES)
+    )
     #: base retry backoff (doubles per attempt, deterministic jitter)
     backoff_seconds: float = 0.5
     #: journal appends between state snapshots
@@ -123,19 +118,6 @@ class ServiceConfig:
     until_idle: bool = False
     #: seconds to wait for SIGTERMed workers before giving up the drain
     drain_grace: float = 30.0
-
-    @classmethod
-    def from_env(cls, root: str, **overrides) -> "ServiceConfig":
-        config = cls(
-            root=root,
-            workers=max(1, _env_int("REPRO_SERVE_WORKERS", 2)),
-            max_depth=max(1, _env_int("REPRO_SERVE_DEPTH", 256)),
-            max_job_retries=max(1, _env_int("REPRO_SERVE_RETRIES", 3)),
-        )
-        for name, value in overrides.items():
-            if value is not None:
-                setattr(config, name, value)
-        return config
 
 
 @dataclass(frozen=True)
@@ -218,7 +200,7 @@ class Service:
     """One long-lived queue/dispatch process over a service root."""
 
     def __init__(self, config: ServiceConfig) -> None:
-        self.config = config
+        self.config = settings.resolve(config)
         self.paths = service_paths(config.root)
         os.makedirs(self.paths.inbox, exist_ok=True)
         os.makedirs(self.paths.control, exist_ok=True)
@@ -389,9 +371,9 @@ class Service:
             write_json_atomic(paths.spec, job.spec)
 
     def _worker_env(self) -> Dict[str, str]:
+        # Workers build a fully explicit campaign config (worker.py), so the
+        # operator's environment needs no scrubbing.
         env = dict(os.environ)
-        for name in SCRUBBED_WORKER_ENV:
-            env.pop(name, None)
         import repro
 
         package_root = os.path.dirname(os.path.dirname(
@@ -611,8 +593,6 @@ class Service:
 
     def run(self) -> int:
         """The service loop; returns the process exit code."""
-        for name in ("REPRO_OBS_TIMING",):
-            os.environ.pop(name, None)  # inline workers share this process
         self.recover()
 
         def _on_signal(signum, frame):

@@ -11,21 +11,23 @@ properties matter to the service:
   surprises, which is what the poison-job quarantine is for.
 
 * **The content key is semantic.**  :meth:`CampaignSpec.key` is the sha256
-  of the result-affecting fields only — ``jobs`` (worker count inside one
-  campaign) is excluded because campaign results, obs logs, caches, and
-  checkpoints are byte-identical for any value (the house invariant), and
-  the submitting tenant is excluded because *who* asked cannot change what
-  gets computed.  Two tenants submitting the same campaign therefore hash
-  to the same key, which is what lets the service dedup them onto one
-  execution and one cache entry.
+  of the result-affecting fields only, as tagged on their
+  :class:`~repro.faultinjection.campaign.CampaignConfig` twins — ``jobs``
+  (worker count inside one campaign) is execution-only because campaign
+  results, obs logs, caches, and checkpoints are byte-identical for any
+  value (the house invariant), and the submitting tenant is excluded
+  because *who* asked cannot change what gets computed.  Two tenants
+  submitting the same campaign therefore hash to the same key, which is
+  what lets the service dedup them onto one execution and one cache entry.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Optional
+
+from ..durable import canonical_sha256
 
 __all__ = ["CampaignSpec", "DEFAULT_TENANT"]
 
@@ -50,8 +52,8 @@ class CampaignSpec:
     #: ``REPRO_FAULT_MODEL``, so a spec means the same thing on every host.
     fault_model: Optional[str] = None
     #: worker processes *inside* the campaign (``CampaignConfig.jobs``).
-    #: Non-semantic: excluded from :meth:`key` because results and logs are
-    #: byte-identical for any value.
+    #: Execution-only: excluded from :meth:`key` because results and logs
+    #: are byte-identical for any value.
     jobs: int = 1
     #: the paper's cross-validation input swap (semantic: different inputs)
     swap_train_test: bool = False
@@ -145,20 +147,25 @@ class CampaignSpec:
     def key(self) -> str:
         """sha256 over the semantic fields — the service's dedup identity.
 
-        ``fault_model`` is folded in resolved (None → ``single_bit``) so an
-        explicit ``single_bit`` and the default collapse to one key; ``jobs``,
-        ``labels``, and the tenant never appear.
+        The workload, the scheme, and every spec field whose
+        ``CampaignConfig`` twin is tagged result-affecting.  A field left
+        None hashes as its twin's default (``fault_model`` None →
+        ``single_bit``), so an explicit default and an omitted one collapse
+        to one key; ``jobs``, ``labels``, and the tenant never appear.
         """
-        payload = {
-            "workload": self.workload,
-            "scheme": self.scheme,
-            "trials": self.trials,
-            "seed": self.seed,
-            "fault_model": self.fault_model or "single_bit",
-            "swap_train_test": self.swap_train_test,
-        }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        from ..faultinjection.campaign import CampaignConfig
+
+        twins = {f.name: f for f in dataclasses.fields(CampaignConfig)}
+        payload = {"workload": self.workload, "scheme": self.scheme}
+        for spec_field in dataclasses.fields(self):
+            twin = twins.get(spec_field.name)
+            if twin is None or not twin.metadata.get("result"):
+                continue
+            value = getattr(self, spec_field.name)
+            if value is None:
+                value = twin.metadata["knob"].default
+            payload[spec_field.name] = value
+        return canonical_sha256(payload)
 
     def describe(self) -> str:
         """Short human-readable label (status tables, logs)."""

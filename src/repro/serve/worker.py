@@ -10,7 +10,8 @@ A worker owns one job directory (``<root>/jobs/<job-id>/``)::
     error.txt         traceback of the last failed attempt, if any
 
 **Idempotence is the crash-safety contract.**  ``result.json`` is written
-atomically (temp + ``os.replace``) *after* the campaign finishes, so its
+atomically (:func:`repro.durable.write_json_atomic`) *after* the campaign
+finishes, so its
 existence is the single completion marker: a re-dispatched job that already
 has a loadable result exits immediately without touching anything — this is
 what makes "service SIGKILLed after the worker finished but before the
@@ -35,11 +36,12 @@ import json
 import os
 import signal
 import sys
-import tempfile
 import traceback
 from dataclasses import dataclass
 from typing import Optional
 
+from .. import settings
+from ..durable import write_json_atomic
 from .spec import CampaignSpec
 
 __all__ = [
@@ -49,7 +51,6 @@ __all__ = [
     "JobPaths",
     "execute_job",
     "job_paths",
-    "write_json_atomic",
 ]
 
 EXIT_DONE = 0
@@ -84,23 +85,6 @@ def job_paths(root, job_id: str) -> JobPaths:
     )
 
 
-def write_json_atomic(path: str, document) -> None:
-    """Temp file + ``os.replace``: readers never observe a torn document."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".result-", suffix=".tmp", dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(document, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def load_result(path: str) -> Optional[dict]:
     """The job's result document, or None when absent/unreadable."""
     try:
@@ -116,27 +100,30 @@ class _Drained(BaseException):
 
 
 def _campaign_config(spec: CampaignSpec, paths: JobPaths):
-    """The exact config a direct CLI run of this spec would resolve to.
+    """The exact config a direct run of this spec resolves to.
 
-    Every environment-resolved knob that could differ between the service
-    host and a direct run is pinned explicitly (fault model from the spec,
-    never ``REPRO_FAULT_MODEL``), so a spec computes the same campaign
-    everywhere.
+    Every field that could change campaign bytes or route an artifact is
+    explicit — the fault model comes from the spec, never
+    ``REPRO_FAULT_MODEL``; the obs log, checkpoint and heartbeat live in
+    the job directory; timing and tracing are off — so a spec computes the
+    same campaign whatever the host's environment says.  Only the
+    execution-only knobs (resilience policy, snapshot cadence, triage,
+    batching) are left to the environment.
     """
     from ..faultinjection.campaign import CampaignConfig
-    from ..faultinjection.resilience import default_policy
 
-    return CampaignConfig(
+    return settings.resolve(CampaignConfig(
         trials=spec.trials,
         seed=spec.seed,
         jobs=spec.jobs,
         swap_train_test=spec.swap_train_test,
         fault_model=spec.fault_model or "single_bit",
         obs_log=paths.obs_log,
+        obs_timing=False,
         checkpoint=paths.checkpoint,
         heartbeat=paths.heartbeat,
-        resilience=default_policy(),
-    )
+        trace="",
+    ))
 
 
 def _fresh_start_cleanup(paths: JobPaths) -> None:
@@ -220,7 +207,8 @@ def _run_spec(spec: CampaignSpec, paths: JobPaths) -> int:
     write_json_atomic(paths.result, result.to_dict())
     # Share the finished campaign through the regular disk cache (honours
     # REPRO_CACHE / REPRO_CACHE_DIR): dedup means one execution — and one
-    # cache entry — no matter how many tenants asked for this spec.
+    # cache entry — no matter how many tenants asked for this spec.  Its
+    # quarantine reports stay off the operator's obs log.
     cache = CampaignCache()
     if cache.enabled:
         cache.put(

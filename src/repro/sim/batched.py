@@ -375,11 +375,8 @@ def sweep_batch(
     # batch would instead span first-to-last injection cycle (most of the
     # golden run for uniformly drawn cycles) and lose to scalar triage
     # whenever the batch is smaller than ~2x the snapshot count.
-    from . import snapshot as snapshot_mod
-
     use_snapshots = (
-        prepared.snapshots is not None
-        and snapshot_mod.resolve_snapshot_every(config.snapshot_every) != 0
+        prepared.snapshots is not None and config.snapshot_every != 0
     )
     groups: List[List[Lane]] = []
     last_key = None

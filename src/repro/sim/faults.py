@@ -550,8 +550,8 @@ class MemTransientFault(FaultModel):
     The target is drawn uniformly over words the golden run actually uses
     (the occupancy map from :mod:`repro.sim.memfaults`), so trials stop
     wasting draws on the vast empty address space; with no map
-    (``REPRO_OCCUPANCY=0`` or fast path off at prepare time) it degrades to
-    a blind uniform word.  Provably-dead hits triage to Masked with
+    (``PreparedWorkload.occupancy is None``) it degrades to a blind uniform
+    word.  Provably-dead hits triage to Masked with
     ``reason="dead_memory"``.
     """
 

@@ -23,12 +23,12 @@ false-positive rate, modelling the paper's recover-once-then-ignore policy).
 from __future__ import annotations
 
 import math
-import os
 import random
 import struct
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
+from .. import settings
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -94,13 +94,6 @@ _safe_sqrt = ops.safe_sqrt
 _safe_exp = ops.safe_exp
 _safe_log = ops.safe_log
 _safe_pow = ops.safe_pow
-
-
-def _default_fastpath() -> bool:
-    """Fast path on unless ``REPRO_FASTPATH`` disables it (escape hatch)."""
-    return os.environ.get("REPRO_FASTPATH", "1").strip().lower() not in (
-        "0", "off", "false", "no",
-    )
 
 
 def _retime_trap(trap, cycle: int):
@@ -172,7 +165,9 @@ class Interpreter:
         #: compiled-dispatch fast path (see :mod:`repro.sim.compiled`);
         #: timing-model runs always use the reference loop, which observes
         #: every retired instruction (the detailed-CPU analogue).
-        self.fastpath = _default_fastpath() if fastpath is None else fastpath
+        self.fastpath = (
+            settings.FASTPATH.read() if fastpath is None else fastpath
+        )
         #: guard ids whose failures never raise — the paper's recover-once
         #: policy: a check that also fails after recovery (i.e. in the golden
         #: run) stops triggering recoveries

@@ -37,16 +37,14 @@ correctness.
 
 The map is captured once per prepared workload and never pickled: parallel
 workers recompute it deterministically from the same golden run (or inherit
-it over fork), so serial and ``jobs=N`` trials draw identical targets.
-
-``REPRO_OCCUPANCY=0`` disables the capture pass (models fall back to
-address-space probing); ``REPRO_OCCUPANCY=1`` forces it even for models that
-do not consume it (used by the byte-identity pinning tests).
+it over fork), so serial and ``jobs=N`` trials draw identical targets.  The
+capture pass runs for the models in :data:`OCCUPANCY_MODELS`; without a map
+(``PreparedWorkload.occupancy is None``) the models fall back to
+address-space probing.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -63,7 +61,6 @@ __all__ = [
     "boundary_cadence",
     "draw_occupied_word",
     "fill_memory_record",
-    "occupancy_enabled",
     "probe_any_word",
     "triage_dead_memory",
 ]
@@ -91,22 +88,6 @@ def boundary_cadence(golden_instructions: int) -> int:
     changing ``--snapshot-every`` keeps memory-model results bit-identical.
     """
     return max(1, golden_instructions // BOUNDARY_TARGET)
-
-
-def occupancy_enabled(model: str) -> bool:
-    """Whether the occupancy capture pass should run for ``model``.
-
-    ``REPRO_OCCUPANCY=0`` forces it off (memory models degrade to
-    address-space probing), ``REPRO_OCCUPANCY=1`` forces it on regardless
-    of model (pinning tests use this to prove ``single_bit`` campaigns are
-    byte-identical with the pass enabled).
-    """
-    env = os.environ.get("REPRO_OCCUPANCY", "").strip()
-    if env == "0":
-        return False
-    if env == "1":
-        return True
-    return model in OCCUPANCY_MODELS
 
 
 class OccupancyRecorder:
@@ -288,8 +269,8 @@ class FusedCapture:
     a ``take`` never advances the cycle counter, and both recorders trim the
     register-file write log identically (keeping only the newest writes that
     can still occupy a slot), so each sub-recorder sees exactly what its
-    dedicated pass would.  The resulting map is bit-identical to
-    ``_capture_occupancy``'s dedicated pass — asserted by the tests.
+    dedicated pass would.  The resulting map is bit-identical to an
+    occupancy-only pass's — asserted by the tests.
     """
 
     def __init__(self, snapshot_recorder, occupancy_recorder) -> None:

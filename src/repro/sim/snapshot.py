@@ -22,19 +22,17 @@ This module removes that redundancy in two stages:
   provably-dead flip leaves execution identical to the golden run (which
   completed, trap-free, within any trial's instruction budget).
 
-Configuration mirrors the fast path's escape hatches:
+Configuration (``CampaignConfig`` fields, see :mod:`repro.settings`):
 
-* ``REPRO_SNAPSHOT=0`` / ``CampaignConfig.snapshot_every=0`` disables
-  snapshotting entirely;
-* ``REPRO_SNAPSHOT_EVERY=N`` / ``--snapshot-every N`` sets an explicit
-  cadence; the default (:data:`AUTO`) derives one from the golden length;
-* ``REPRO_TRIAGE=0`` / ``CampaignConfig.triage=False`` disables triage.
+* ``snapshot_every=0`` / ``REPRO_SNAPSHOT_EVERY=0`` disables snapshotting
+  entirely; ``N`` / ``--snapshot-every N`` sets an explicit cadence; the
+  default (:data:`AUTO`) derives one from the golden length;
+* ``triage=False`` / ``REPRO_TRIAGE=0`` disables triage.
 """
 
 from __future__ import annotations
 
 import bisect
-import os
 import random
 from typing import Dict, List, Optional, Tuple
 
@@ -54,12 +52,8 @@ __all__ = [
     "SnapshotStore",
     "TriageMasked",
     "auto_cadence",
-    "resolve_snapshot_every",
-    "resolve_triage",
     "value_dead_after",
 ]
-
-_FALSEY = ("0", "off", "false", "no")
 
 #: sentinel cadence: derive one from the golden instruction count
 AUTO = -1
@@ -87,38 +81,6 @@ class TriageMasked(Exception):
     def __init__(self, reason: str = "register") -> None:
         super().__init__(reason)
         self.reason = reason
-
-
-# ---------------------------------------------------------------------------
-# configuration resolution (mirrors REPRO_FASTPATH / resolve_obs_config)
-# ---------------------------------------------------------------------------
-
-
-def resolve_snapshot_every(value: Optional[int]) -> int:
-    """Resolve a config cadence against the environment.
-
-    An explicit config value (0 = off, :data:`AUTO`, or a positive cadence)
-    wins; ``None`` falls back to ``REPRO_SNAPSHOT`` (falsey disables) and
-    ``REPRO_SNAPSHOT_EVERY`` (explicit cadence), defaulting to :data:`AUTO`.
-    """
-    if value is not None:
-        return value
-    if os.environ.get("REPRO_SNAPSHOT", "1").strip().lower() in _FALSEY:
-        return 0
-    explicit = os.environ.get("REPRO_SNAPSHOT_EVERY", "").strip()
-    if explicit:
-        try:
-            return max(0, int(explicit))
-        except ValueError:
-            return AUTO
-    return AUTO
-
-
-def resolve_triage(value: Optional[bool]) -> bool:
-    """Explicit config wins; else ``REPRO_TRIAGE`` (default on)."""
-    if value is not None:
-        return bool(value)
-    return os.environ.get("REPRO_TRIAGE", "1").strip().lower() not in _FALSEY
 
 
 def auto_cadence(golden_instructions: int) -> Optional[int]:

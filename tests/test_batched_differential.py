@@ -23,6 +23,7 @@ from repro.faultinjection import (
 )
 from repro.faultinjection.campaign import batched_enabled
 from repro.obs.events import read_events, resilience_log_path
+from repro.settings import resolve
 from repro.workloads.registry import get_workload
 
 WORKLOADS = ["g721dec", "kmeans"]
@@ -68,7 +69,7 @@ def _assert_identical(tmp_path, prepared, scheme, batch, jobs=1, model=None):
     batched, cfg = _campaign(
         prepared, scheme, bat_log, batch=batch, jobs=jobs, fault_model=model
     )
-    assert batched_enabled(cfg), "batched backend should be active"
+    assert batched_enabled(resolve(cfg)), "batched backend should be active"
     # Dataclass equality: every field of every trial, in order.
     assert batched.trials == reference.trials
     assert bat_log.read_bytes() == ref_log.read_bytes()

@@ -150,15 +150,19 @@ def test_cache_disabled_is_noop(tmp_path, small_campaign):
     assert cache.get("k") is None
 
 
-def test_cache_enabled_honours_env(monkeypatch):
+def test_cache_enabled_honours_env(monkeypatch, tmp_path):
+    def enabled():
+        return CampaignCache(root=tmp_path).enabled
+
     monkeypatch.setenv("REPRO_CACHE", "0")
-    assert not diskcache.cache_enabled()
+    assert not enabled()
     monkeypatch.setenv("REPRO_CACHE", "off")
-    assert not diskcache.cache_enabled()
+    assert not enabled()
     monkeypatch.setenv("REPRO_CACHE", "1")
-    assert diskcache.cache_enabled()
+    assert enabled()
     monkeypatch.delenv("REPRO_CACHE", raising=False)
-    assert diskcache.cache_enabled()
+    assert enabled()
+    assert not CampaignCache(root=tmp_path, enabled=False).enabled
 
 
 def test_cache_dir_env_override(monkeypatch, tmp_path):

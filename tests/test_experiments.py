@@ -40,12 +40,18 @@ class TestRunnerCache:
         assert cache.overhead("g721dec", "full_dup") > cache.overhead("g721dec", "dup")
 
     def test_trials_env_override(self, monkeypatch):
-        from repro.experiments.runner import default_trials
+        from repro import settings
 
+        def trials():
+            return settings.resolve(ExperimentSettings()).trials
+
+        monkeypatch.setattr(settings, "_warned", set())
         monkeypatch.setenv("REPRO_TRIALS", "123")
-        assert default_trials() == 123
+        assert trials() == 123
         monkeypatch.setenv("REPRO_TRIALS", "junk")
-        assert default_trials() == 60
+        with pytest.warns(RuntimeWarning, match="REPRO_TRIALS"):
+            assert trials() == 60
+        assert settings.resolve(ExperimentSettings(trials=5)).trials == 5
 
 
 class TestFigureDrivers:

@@ -18,9 +18,9 @@ from repro.faultinjection.campaign import (
     CampaignConfig,
     draw_plans,
     prepare,
-    resolve_fault_model,
     run_campaign,
 )
+from repro.settings import resolve
 from repro.faultinjection.diskcache import _config_fingerprint, campaign_key
 from repro.faultinjection.outcomes import (
     Outcome,
@@ -145,15 +145,20 @@ class TestPlanDrawing:
         )
 
     def test_resolution_order(self, monkeypatch):
+        def model(value):
+            return resolve(CampaignConfig(fault_model=value)).fault_model
+
         monkeypatch.delenv("REPRO_FAULT_MODEL", raising=False)
-        assert resolve_fault_model(None) == "single_bit"
-        assert resolve_fault_model("burst") == "burst"
+        assert model(None) == "single_bit"
+        assert model("burst") == "burst"
         monkeypatch.setenv("REPRO_FAULT_MODEL", "stuck_at")
-        assert resolve_fault_model(None) == "stuck_at"
-        assert resolve_fault_model("burst") == "burst"  # explicit wins
+        assert model(None) == "stuck_at"
+        assert model("burst") == "burst"  # explicit wins
         monkeypatch.setenv("REPRO_FAULT_MODEL", "typo")
         with pytest.raises(ValueError, match="unknown fault model"):
-            resolve_fault_model(None)
+            model(None)
+        with pytest.raises(ValueError, match="unknown fault model"):
+            CampaignConfig(fault_model="typo")
 
 
 class TestCacheKeyStability:

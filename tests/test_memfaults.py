@@ -4,10 +4,11 @@ containment, parity, and the AVF report.
 The two load-bearing invariants:
 
 * ``single_bit`` campaigns stay byte-identical to their pre-occupancy bytes
-  even with the occupancy pass forced on (``REPRO_OCCUPANCY=1``) — the map
-  may exist, but the default model never consumes it;
+  even with the occupancy pass forced on (``single_bit`` added to
+  ``OCCUPANCY_MODELS``) — the map may exist, but the default model never
+  consumes it;
 * every memory model is deterministic across serial/parallel execution,
-  triage on/off, and checkpoint interrupt/resume.
+  triage on/off, fast path on/off, and checkpoint interrupt/resume.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pytest
 from repro.faultinjection.campaign import (
     CampaignConfig,
     _ensure_occupancy,
+    draw_plans,
     prepare,
     run_campaign,
     run_trial,
@@ -41,9 +43,15 @@ MEMORY_MODELS = ("mem_transient", "mem_stuck_at", "cache_line", "stack_frame")
 
 
 @pytest.fixture(autouse=True)
-def _no_occupancy_env(monkeypatch):
-    monkeypatch.delenv("REPRO_OCCUPANCY", raising=False)
+def _no_model_env(monkeypatch):
     monkeypatch.delenv("REPRO_FAULT_MODEL", raising=False)
+
+
+def _force_occupancy_for_single_bit(monkeypatch):
+    monkeypatch.setattr(
+        memfaults, "OCCUPANCY_MODELS",
+        memfaults.OCCUPANCY_MODELS | {"single_bit"},
+    )
 
 
 @pytest.fixture(scope="module")
@@ -70,13 +78,14 @@ class TestOccupancyCapture:
         assert prepared.occupancy is None
 
     def test_occupancy_enabled_gating(self, monkeypatch):
-        assert memfaults.occupancy_enabled("mem_transient")
-        assert memfaults.occupancy_enabled("chaos")
-        assert not memfaults.occupancy_enabled("single_bit")
-        monkeypatch.setenv("REPRO_OCCUPANCY", "0")
-        assert not memfaults.occupancy_enabled("mem_transient")
-        monkeypatch.setenv("REPRO_OCCUPANCY", "1")
-        assert memfaults.occupancy_enabled("single_bit")
+        # The model set alone decides whether prepare() runs the pass.
+        assert {"mem_transient", "chaos"} <= memfaults.OCCUPANCY_MODELS
+        assert "single_bit" not in memfaults.OCCUPANCY_MODELS
+        _force_occupancy_for_single_bit(monkeypatch)
+        prepared = prepare(
+            get_workload(WORKLOAD), SCHEME, CampaignConfig(seed=5)
+        )
+        assert prepared.occupancy is not None
 
     def test_boundary_cadence_is_config_independent(self):
         assert memfaults.boundary_cadence(6400) == 100
@@ -107,16 +116,19 @@ class TestOccupancyCapture:
 
     def test_fused_capture_matches_dedicated_pass(self, prepared_mem):
         # prepare() fuses occupancy capture into the snapshot run; the
-        # _ensure_occupancy path runs a dedicated occupancy-only pass.
-        # Workers may take either route, so the maps must be bit-identical.
-        from repro.faultinjection.campaign import _GoldenShim, _capture_occupancy
+        # _ensure_occupancy path runs an occupancy-only pass.  Workers may
+        # take either route, so the maps must be bit-identical.
+        from repro.faultinjection.campaign import _capture_golden_state
 
-        config = CampaignConfig(seed=5, fault_model="mem_transient")
-        assert prepared_mem.snapshots is not None  # fused route was taken
-        dedicated = _capture_occupancy(
-            prepared_mem.workload, prepared_mem.module, prepared_mem.inputs,
-            _GoldenShim(prepared_mem.golden_instructions), config,
+        config = CampaignConfig(
+            seed=5, fault_model="mem_transient", snapshot_every=0
         )
+        assert prepared_mem.snapshots is not None  # fused route was taken
+        snapshots, dedicated = _capture_golden_state(
+            prepared_mem.workload, prepared_mem.module, prepared_mem.inputs,
+            prepared_mem.golden_instructions, config,
+        )
+        assert snapshots is None  # occupancy-only route was taken
         fused = prepared_mem.occupancy
         for field in (
             "golden_instructions", "segment_spans", "total_words",
@@ -125,6 +137,21 @@ class TestOccupancyCapture:
             "cache_line_shift", "cache_total_lines",
         ):
             assert getattr(fused, field) == getattr(dedicated, field), field
+
+    def test_memory_model_results_ignore_fastpath(self, monkeypatch):
+        # The capture pass analyses the golden run, so prepare() builds the
+        # map on the fast path even when trials run on the reference
+        # interpreter: REPRO_FASTPATH=0 stays an oracle for memory models.
+        def run(fastpath):
+            monkeypatch.setenv("REPRO_FASTPATH", fastpath)
+            config = CampaignConfig(
+                trials=12, seed=2014, fault_model="mem_transient"
+            )
+            return run_campaign(
+                get_workload("g721dec"), "dup_valchk", config
+            ).to_dict()
+
+        assert run("0") == run("1")
 
 
 class TestAccessSpanRecording:
@@ -333,7 +360,7 @@ class TestSingleBitPinning:
             return result.to_dict(), log.read_bytes()
 
         baseline_result, baseline_log = run("off")
-        monkeypatch.setenv("REPRO_OCCUPANCY", "1")
+        _force_occupancy_for_single_bit(monkeypatch)
         forced_result, forced_log = run("on")
         assert forced_result == baseline_result
         assert forced_log == baseline_log
@@ -341,7 +368,7 @@ class TestSingleBitPinning:
     def test_single_bit_cache_key_ignores_occupancy(self, monkeypatch):
         module, _ = build_sum_loop()
         base = campaign_key(module, "w", "s", CampaignConfig())
-        monkeypatch.setenv("REPRO_OCCUPANCY", "1")
+        _force_occupancy_for_single_bit(monkeypatch)
         assert campaign_key(module, "w", "s", CampaignConfig()) == base
 
     def test_memory_word_and_chaos_keys_fragment_once(self):
@@ -418,24 +445,18 @@ class TestDeadRegionTriage:
             t.value_name.startswith("<stack:") for t in landed
         )
 
-    def test_memory_word_fallback_counts_dead_skips(
-        self, prepared_mem, monkeypatch
-    ):
-        # With the map disabled the old rejection-sampling loop runs; its
-        # wasted probes land in the memfault.dead_region_skips counter.
-        monkeypatch.setenv("REPRO_OCCUPANCY", "0")
+    def test_memory_word_fallback_counts_dead_skips(self):
+        # Without a map the old rejection-sampling loop runs; its wasted
+        # probes land in the memfault.dead_region_skips counter.
         registry = enable_global(True)
         before = registry.counter("memfault.dead_region_skips").snapshot()
-        prepared = prepare(
-            get_workload(WORKLOAD), SCHEME,
-            CampaignConfig(seed=5, fault_model="memory_word"),
-        )
-        assert prepared.occupancy is None
-        run_campaign(
-            get_workload(WORKLOAD), SCHEME,
-            CampaignConfig(trials=10, seed=5, fault_model="memory_word"),
-            prepared=prepared,
-        )
+        config = CampaignConfig(trials=10, seed=5, fault_model="memory_word")
+        prepared = prepare(get_workload(WORKLOAD), SCHEME, config)
+        prepared.occupancy = None
+        for plan in draw_plans(config, prepared):
+            trial = run_trial(prepared, plan.cycle, plan.bit, plan.seed,
+                              config, model=plan.model)
+            assert trial.fault_model == "memory_word"
         after = registry.counter("memfault.dead_region_skips").snapshot()
         assert after >= before  # probes may or may not miss, never negative
 

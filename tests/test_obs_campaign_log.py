@@ -26,10 +26,10 @@ from repro.faultinjection import (
     prepare,
     run_campaign,
 )
-from repro.faultinjection.campaign import resolve_obs_config
 from repro.obs import metrics as obs_metrics
 from repro.obs.events import read_events
 from repro.obs.metrics import MetricsRegistry
+from repro.settings import resolve
 from repro.workloads.registry import get_workload
 
 
@@ -129,13 +129,32 @@ def test_resolve_obs_config_explicit_wins(monkeypatch):
     monkeypatch.setenv("REPRO_OBS", "/env/path.jsonl")
     monkeypatch.setenv("REPRO_OBS_TIMING", "1")
     explicit = CampaignConfig(obs_log="/explicit.jsonl")
-    resolved = resolve_obs_config(explicit)
+    resolved = resolve(explicit)
     assert resolved.obs_log == "/explicit.jsonl"
     assert resolved.obs_timing  # env fills the gap
+    off = resolve(CampaignConfig(obs_log="", obs_timing=False))
+    assert off.obs_log == "" and off.obs_timing is False  # explicit off wins
     monkeypatch.delenv("REPRO_OBS_TIMING", raising=False)
     monkeypatch.delenv("REPRO_OBS", raising=False)
-    plain = resolve_obs_config(CampaignConfig())
-    assert plain.obs_log is None and not plain.obs_timing
+    plain = resolve(CampaignConfig())
+    assert plain.obs_log == "" and not plain.obs_timing
+
+
+def test_explicit_timing_off_beats_the_environment(
+    tmp_path, monkeypatch, prepared_tiff
+):
+    """``obs_timing=False`` is an explicit off: ``REPRO_OBS_TIMING=1`` must
+    not put wall-clock fields into the log."""
+    config, prepared = prepared_tiff
+    log = tmp_path / "untimed.jsonl"
+    monkeypatch.setenv("REPRO_OBS_TIMING", "1")
+    run_campaign(
+        prepared.workload, "dup_valchk",
+        replace(config, obs_timing=False, obs_log=str(log)),
+        prepared=prepared,
+    )
+    trials = [e for e in read_events(log)[0] if e["event"] == "trial"]
+    assert trials and not any("wall_ms" in e for e in trials)
 
 
 def test_timing_opt_in_adds_wall_ms(tmp_path, prepared_tiff):

@@ -8,12 +8,11 @@ import warnings
 
 import pytest
 
+from repro import settings
 from repro.faultinjection import (
     CampaignConfig,
-    default_jobs,
     draw_plans,
     prepare,
-    resolve_jobs,
     run_campaign,
 )
 from repro.faultinjection.parallel import _chunk_size
@@ -106,41 +105,43 @@ def test_on_trial_called_once_per_trial(prepared_g721):
 # ---------------------------------------------------------------------------
 
 
-def test_default_jobs_reads_env(monkeypatch):
+def _jobs(value=None) -> int:
+    return settings.resolve(CampaignConfig(jobs=value)).jobs
+
+
+def test_jobs_env_resolution(monkeypatch):
     import os
 
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert default_jobs() == 1
+    assert _jobs() == 1
     monkeypatch.setenv("REPRO_JOBS", "6")
-    assert default_jobs() == 6
+    assert _jobs() == 6
     monkeypatch.setenv("REPRO_JOBS", "0")  # 0 = auto: one worker per CPU
-    assert default_jobs() == (os.cpu_count() or 1)
+    assert _jobs() == (os.cpu_count() or 1)
     monkeypatch.setenv("REPRO_JOBS", "-3")
-    assert default_jobs() == 1
+    assert _jobs() == 1
 
 
-def test_default_jobs_misparse_warns_once(monkeypatch):
-    from repro.faultinjection import parallel
-
+def test_jobs_misparse_warns_once(monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "not-a-number")
-    monkeypatch.setattr(parallel, "_WARNED_JOBS_MISPARSE", False)
+    monkeypatch.setattr(settings, "_warned", set())
     with pytest.warns(RuntimeWarning, match="REPRO_JOBS"):
-        assert default_jobs() == 1
+        assert _jobs() == 1
     # Only the first misparse warns; later calls fall back silently.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert default_jobs() == 1
+        assert _jobs() == 1
 
 
-def test_resolve_jobs_explicit_wins(monkeypatch):
+def test_jobs_explicit_wins(monkeypatch):
     import os
 
     monkeypatch.setenv("REPRO_JOBS", "6")
-    assert resolve_jobs(2) == 2
-    assert resolve_jobs(None) == 6
-    assert resolve_jobs(0) == (os.cpu_count() or 1)  # explicit auto
+    assert _jobs(2) == 2
+    assert _jobs() == 6
+    assert _jobs(0) == (os.cpu_count() or 1)  # explicit auto
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert resolve_jobs(None) == 1
+    assert _jobs() == 1
 
 
 def test_chunk_size_bounds():

@@ -16,6 +16,7 @@ import signal
 
 import pytest
 
+from repro import durable
 from repro.faultinjection import (
     CampaignConfig,
     Checkpoint,
@@ -30,6 +31,7 @@ from repro.faultinjection import parallel as parallel_mod
 from repro.faultinjection import resilience as resilience_mod
 from repro.faultinjection.outcomes import TrialResult
 from repro.obs.events import read_events, resilience_log_path
+from repro.settings import resolve
 from repro.workloads.registry import get_workload
 from repro.faultinjection.outcomes import Outcome
 
@@ -118,7 +120,7 @@ def test_quarantine_file_keeps_all_evidence(tmp_path):
     for body in ("first", "second"):
         victim = tmp_path / "entry.json"
         victim.write_text(body)
-        assert resilience_mod.quarantine_file(victim) is not None
+        assert durable.quarantine_file(victim) is not None
     names = sorted(p.name for p in (tmp_path / "quarantine").iterdir())
     assert names == ["entry.json", "entry.json.1"]
 
@@ -451,20 +453,27 @@ def test_failed_parallel_campaign_leaves_no_shards(tmp_path, prepared_g721):
 # ---------------------------------------------------------------------------
 
 
-def test_default_policy_reads_env(monkeypatch):
-    policy = resilience_mod.default_policy()
+def test_policy_reads_env(monkeypatch):
+    def env_policy(**explicit):
+        return resolve(ResiliencePolicy(**explicit))
+
+    policy = env_policy()
     assert policy.enabled and policy.on_worker_failure == "retry"
     monkeypatch.setenv("REPRO_RESILIENCE", "serial")
-    assert resilience_mod.default_policy().on_worker_failure == "serial"
+    assert env_policy().on_worker_failure == "serial"
+    assert env_policy().enabled
     monkeypatch.setenv("REPRO_RESILIENCE", "0")
-    assert not resilience_mod.default_policy().enabled
+    assert not env_policy().enabled
+    assert env_policy(enabled=True).enabled  # explicit wins
     monkeypatch.setenv("REPRO_RESILIENCE", "1")
     monkeypatch.setenv("REPRO_MAX_RETRIES", "7")
     monkeypatch.setenv("REPRO_TRIAL_DEADLINE", "1.5")
     monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "3")
-    policy = resilience_mod.default_policy()
+    policy = env_policy()
     assert (policy.max_retries, policy.trial_deadline_seconds,
             policy.checkpoint_every) == (7, 1.5, 3)
+    # A campaign left without a policy resolves this one.
+    assert resolve(CampaignConfig()).resilience == policy
 
 
 def test_invalid_worker_failure_policy_rejected():

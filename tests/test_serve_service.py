@@ -20,7 +20,6 @@ import pytest
 
 from repro.faultinjection.campaign import CampaignConfig, prepare, run_campaign
 from repro.faultinjection.diskcache import campaign_key
-from repro.faultinjection.resilience import default_policy
 from repro.obs.heartbeat import effective_status, pid_alive
 from repro.obs.top import render_service, watch
 from repro.serve.client import (
@@ -34,6 +33,7 @@ from repro.serve.service import Service, ServiceConfig
 from repro.serve.spec import CampaignSpec
 from repro.serve.worker import EXIT_FAILED, EXIT_INTERRUPTED, job_paths
 from repro.serve import service as service_mod
+from repro.settings import ENV_NAMES
 from repro.workloads.registry import get_workload
 
 
@@ -41,13 +41,7 @@ from repro.workloads.registry import get_workload
 def _clean_serve_env(monkeypatch):
     """Service behaviour comes from explicit config here, not the caller's
     shell; the disk cache is off unless a test opts in."""
-    for name in (
-        "REPRO_OBS", "REPRO_OBS_TIMING", "REPRO_TRACE", "REPRO_HEARTBEAT",
-        "REPRO_CHECKPOINT", "REPRO_CHECKPOINT_DIR", "REPRO_CHECKPOINT_EVERY",
-        "REPRO_RESILIENCE", "REPRO_MAX_RETRIES", "REPRO_TRIAL_DEADLINE",
-        "REPRO_FAULT_MODEL", "REPRO_TRIALS", "REPRO_JOBS", "REPRO_CACHE_DIR",
-        "REPRO_SERVE_WORKERS", "REPRO_SERVE_DEPTH", "REPRO_SERVE_RETRIES",
-    ):
+    for name in ENV_NAMES:
         monkeypatch.delenv(name, raising=False)
     monkeypatch.setenv("REPRO_CACHE", "0")
 
@@ -72,7 +66,6 @@ def _reference_result(spec: CampaignSpec) -> dict:
         trials=spec.trials, seed=spec.seed, jobs=spec.jobs,
         swap_train_test=spec.swap_train_test,
         fault_model=spec.fault_model or "single_bit",
-        resilience=default_policy(),
     )
     prepared = prepare(get_workload(spec.workload), spec.scheme, config)
     return run_campaign(
@@ -126,7 +119,6 @@ def test_obs_log_byte_identical_to_direct_run(tmp_path):
     ref_log = tmp_path / "ref.jsonl"
     config = CampaignConfig(
         trials=spec.trials, seed=spec.seed, obs_log=str(ref_log),
-        resilience=default_policy(),
     )
     prepared = prepare(get_workload(spec.workload), spec.scheme, config)
     run_campaign(prepared.workload, spec.scheme, config, prepared=prepared)
@@ -365,7 +357,7 @@ def test_sigkill_service_resume_is_byte_identical(tmp_path, spec_jobs):
             trials=spec.trials, seed=spec.seed, jobs=spec.jobs,
             swap_train_test=spec.swap_train_test,
             fault_model=spec.fault_model or "single_bit",
-            obs_log=str(ref_log), resilience=default_policy(),
+            obs_log=str(ref_log),
         )
         prepared = prepare(get_workload(spec.workload), spec.scheme, config)
         reference = run_campaign(

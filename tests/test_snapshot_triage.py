@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import settings
 from repro.analysis import compute_liveness
 from repro.faultinjection.campaign import (
     CampaignConfig,
@@ -39,7 +40,6 @@ _EVERY = 200
 def _fastpath(monkeypatch):
     """Snapshots require the compiled fast path; force it on for this file."""
     monkeypatch.setenv("REPRO_FASTPATH", "1")
-    monkeypatch.delenv("REPRO_SNAPSHOT", raising=False)
     monkeypatch.delenv("REPRO_SNAPSHOT_EVERY", raising=False)
     monkeypatch.delenv("REPRO_TRIAGE", raising=False)
 
@@ -234,23 +234,29 @@ def test_recorder_caps_snapshot_count(tiff_snapshots):
 
 
 def test_resolve_snapshot_every(monkeypatch):
-    resolve = snapshot_mod.resolve_snapshot_every
+    def resolve(value):
+        config = CampaignConfig(snapshot_every=value)
+        return settings.resolve(config).snapshot_every
+
     assert resolve(500) == 500          # explicit wins over any env
     assert resolve(0) == 0
     monkeypatch.setenv("REPRO_SNAPSHOT_EVERY", "123")
     assert resolve(None) == 123
     assert resolve(0) == 0
+    monkeypatch.setattr(settings, "_warned", set())
     monkeypatch.setenv("REPRO_SNAPSHOT_EVERY", "garbage")
-    assert resolve(None) == snapshot_mod.AUTO
-    monkeypatch.delenv("REPRO_SNAPSHOT_EVERY")
-    monkeypatch.setenv("REPRO_SNAPSHOT", "0")
+    with pytest.warns(RuntimeWarning, match="REPRO_SNAPSHOT_EVERY"):
+        assert resolve(None) == snapshot_mod.AUTO
+    monkeypatch.setenv("REPRO_SNAPSHOT_EVERY", "off")
     assert resolve(None) == 0           # kill switch
-    monkeypatch.delenv("REPRO_SNAPSHOT")
+    monkeypatch.delenv("REPRO_SNAPSHOT_EVERY")
     assert resolve(None) == snapshot_mod.AUTO
 
 
 def test_resolve_triage(monkeypatch):
-    resolve = snapshot_mod.resolve_triage
+    def resolve(value):
+        return settings.resolve(CampaignConfig(triage=value)).triage
+
     monkeypatch.delenv("REPRO_TRIAGE", raising=False)
     assert resolve(None) is True        # on by default
     assert resolve(False) is False
@@ -266,7 +272,7 @@ def test_auto_cadence():
 
 
 def test_env_kill_switch_disables_capture(monkeypatch):
-    monkeypatch.setenv("REPRO_SNAPSHOT", "0")
+    monkeypatch.setenv("REPRO_SNAPSHOT_EVERY", "0")
     workload = get_workload("tiff2bw")
     cfg = CampaignConfig(trials=2, seed=1)
     prepared = prepare(workload, "dup", cfg)

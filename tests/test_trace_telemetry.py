@@ -20,7 +20,6 @@ from dataclasses import replace
 import pytest
 
 from repro.faultinjection.campaign import CampaignConfig, prepare, run_campaign
-from repro.faultinjection.diskcache import campaign_key
 from repro.faultinjection.outcomes import Outcome, TrialResult
 from repro.faultinjection.progress import ProgressPrinter
 from repro.faultinjection.resilience import Checkpoint, save_checkpoint
@@ -30,27 +29,25 @@ from repro.obs.heartbeat import (
     HEARTBEAT_SCHEMA_VERSION,
     HeartbeatWriter,
     read_heartbeat,
-    resolve_heartbeat,
 )
 from repro.obs.report import LogReport
 from repro.obs.top import render_heartbeat, watch
 from repro.obs.trace import (
     load_trace,
     render_summary,
-    resolve_trace,
     summarize_trace,
     validate_trace,
 )
+from repro.settings import ENV_NAMES, resolve
 from repro.workloads.registry import get_workload
 
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    """Fast path on, every telemetry/prefix env knob off, tracer reset."""
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
-    for var in ("REPRO_SNAPSHOT", "REPRO_SNAPSHOT_EVERY", "REPRO_TRIAGE",
-                "REPRO_TRACE", "REPRO_HEARTBEAT", "REPRO_OBS"):
+    """Fast path on, every other env knob unset, tracer reset."""
+    for var in ENV_NAMES:
         monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("REPRO_FASTPATH", "1")
     yield
     trace_mod.activate(None)
 
@@ -59,8 +56,7 @@ def _clean_env(monkeypatch):
 def prepared_g721():
     """One shared prepared workload for every campaign in this file."""
     os.environ["REPRO_FASTPATH"] = "1"
-    for var in ("REPRO_SNAPSHOT", "REPRO_SNAPSHOT_EVERY", "REPRO_TRIAGE",
-                "REPRO_TRACE"):
+    for var in ("REPRO_SNAPSHOT_EVERY", "REPRO_TRIAGE", "REPRO_TRACE"):
         os.environ.pop(var, None)
     workload = get_workload("g721dec")
     prepared = prepare(workload, "dup_valchk", _base_config())
@@ -129,16 +125,6 @@ def test_trace_differential_byte_identical(tmp_path, prepared_g721):
     assert heartbeat["status"] == "done"
     assert heartbeat["trials_done"] == base_cfg.trials
     assert sum(heartbeat["outcomes"].values()) == base_cfg.trials
-
-
-def test_cache_key_ignores_telemetry(prepared_g721):
-    """trace/heartbeat paths must not fragment the campaign cache."""
-    cfg = _base_config()
-    key = campaign_key(prepared_g721.module, "g721dec", "dup_valchk", cfg)
-    traced = replace(cfg, trace="/tmp/spans.json", heartbeat="/tmp/hb.json")
-    assert campaign_key(
-        prepared_g721.module, "g721dec", "dup_valchk", traced
-    ) == key
 
 
 def test_checkpoint_bytes_identical_with_tracing(tmp_path, prepared_g721):
@@ -232,14 +218,18 @@ def test_null_tracer_is_inert(tmp_path):
 
 
 def test_resolve_trace_precedence(monkeypatch):
+    def trace(value):
+        return resolve(CampaignConfig(trace=value)).trace
+
     monkeypatch.delenv("REPRO_TRACE", raising=False)
-    assert resolve_trace(None) is None
-    assert resolve_trace("explicit.json") == "explicit.json"
+    assert trace(None) == ""
+    assert trace("explicit.json") == "explicit.json"
     monkeypatch.setenv("REPRO_TRACE", "from-env.json")
-    assert resolve_trace(None) == "from-env.json"
-    assert resolve_trace("explicit.json") == "explicit.json"
+    assert trace(None) == "from-env.json"
+    assert trace("explicit.json") == "explicit.json"
+    assert trace("") == ""  # explicit off wins
     monkeypatch.setenv("REPRO_TRACE", "off")
-    assert resolve_trace(None) is None
+    assert trace(None) == ""
 
 
 def test_sidecar_flush_and_merge(tmp_path):
@@ -311,12 +301,15 @@ def test_heartbeat_rate_limit(tmp_path):
 
 
 def test_heartbeat_missing_file_and_resolve(tmp_path, monkeypatch):
+    def heartbeat(value):
+        return resolve(CampaignConfig(heartbeat=value)).heartbeat
+
     assert read_heartbeat(tmp_path / "nope.json") is None
     monkeypatch.delenv("REPRO_HEARTBEAT", raising=False)
-    assert resolve_heartbeat(None) is None
-    assert resolve_heartbeat("x.json") == "x.json"
+    assert heartbeat(None) == ""
+    assert heartbeat("x.json") == "x.json"
     monkeypatch.setenv("REPRO_HEARTBEAT", "env.json")
-    assert resolve_heartbeat(None) == "env.json"
+    assert heartbeat(None) == "env.json"
 
 
 # ---------------------------------------------------------------------------
