@@ -259,11 +259,13 @@ def _capture_golden_state(
 ):
     """Second, instrumented golden run: capture snapshots and/or occupancy.
 
-    Returns ``(snapshots, occupancy)``.  Snapshot capture is skipped when
-    snapshotting is disabled (``snapshot_every=0``) or the auto heuristic
-    deems the golden run too short to pay for the extra capture run;
-    occupancy capture is skipped unless the campaign's fault model consumes
-    occupancy data (:data:`~repro.sim.memfaults.OCCUPANCY_MODELS`).  When
+    Returns ``(snapshots, occupancy)``; the snapshot store also keeps the
+    golden run's end state for the re-convergence cut-off.  Snapshot
+    capture is skipped when snapshotting is disabled (``snapshot_every=0``)
+    or the auto heuristic deems the golden run too short to pay for the
+    extra capture run; occupancy capture is skipped unless the campaign's
+    fault model consumes occupancy data
+    (:data:`~repro.sim.memfaults.OCCUPANCY_MODELS`).  When
     both are wanted they share ONE instrumented pass via
     :class:`~repro.sim.memfaults.FusedCapture`, so a memory-model prepare
     pays only the load/store wrapper overhead on top of the snapshot run —
@@ -321,14 +323,17 @@ def _capture_golden_state(
         )
     if capture_result.instructions != golden_instructions:
         return None, None  # pragma: no cover - determinism tripwire
+    output_names = workload.output_names(module)
     snapshots = None
     if snap_recorder is not None and len(snap_recorder.store):
         snapshots = snap_recorder.store
+        # What a trial cut off at re-convergence ends with.
+        snapshots.end = snapshot_mod.GoldenEnd(
+            capture_interp, capture_result, output_names
+        )
     occupancy = None
     if occ_recorder is not None:
-        occupancy = occ_recorder.finalize(
-            workload.output_names(module), golden_instructions
-        )
+        occupancy = occ_recorder.finalize(output_names, golden_instructions)
     return snapshots, occupancy
 
 
@@ -367,10 +372,12 @@ def run_trial(
     does not disable them), the trial fast-forwards from the nearest snapshot
     before its injection cycle instead of simulating the shared prefix; with
     triage on, a flip proven dead at injection time short-circuits straight
-    to Masked.  Both are bit-invisible: the returned TrialResult is identical
+    to Masked, and a trial whose state re-converges with a golden snapshot
+    ends there.  All are bit-invisible: the returned TrialResult is identical
     to a from-scratch run's.  ``stats``, when given, accumulates
     ``restores`` / ``replay_cycles_saved`` / ``triaged_masked`` /
-    ``triaged_dead_memory`` counts.
+    ``triaged_dead_memory`` / ``converged`` / ``converged_cycles_saved``
+    counts.
 
     ``model`` names the :class:`~repro.sim.faults.FaultModel` to inject
     (always a concrete model — the campaign resolves ``chaos`` per plan).
@@ -456,7 +463,8 @@ def _classify_trial(
     stats: Optional[Dict[str, int]],
 ) -> TrialResult:
     workload = prepared.workload
-    restore = None
+    golden_fits = limit >= prepared.golden_instructions
+    restore = converge = None
     if (
         prepared.snapshots is not None
         and interp.fastpath
@@ -468,6 +476,11 @@ def _classify_trial(
             stats["replay_cycles_saved"] = (
                 stats.get("replay_cycles_saved", 0) + restore.cycle
             )
+        # The re-convergence cut-off rides the triage switch for every
+        # model: a matching state proves the rest of the run golden, and
+        # like a Masked verdict that needs the golden run to fit the budget.
+        if config.triage and golden_fits:
+            converge = prepared.snapshots
 
     # Dead-flip triage is sound for single-site models with a deadness
     # proof: register liveness for ``single_bit``, the occupancy map for the
@@ -477,7 +490,7 @@ def _classify_trial(
     triage = (
         config.triage
         and plan.model in TRIAGEABLE_FAULT_MODELS
-        and limit >= prepared.golden_instructions
+        and golden_fits
     )
     tracer = trace_mod.current()
     try:
@@ -491,6 +504,7 @@ def _classify_trial(
                 max_instructions=limit,
                 restore_from=restore,
                 triage=triage,
+                converge=converge,
             )
         finally:
             if tracer.enabled:
@@ -530,6 +544,12 @@ def _classify_trial(
         outcome = _symptom_outcome(trap, plan, config)
         return _trial_from_trap(interp, plan, outcome, trap)
 
+    if interp.converged_at is not None and stats is not None:
+        stats["converged"] = stats.get("converged", 0) + 1
+        stats["converged_cycles_saved"] = (
+            stats.get("converged_cycles_saved", 0)
+            + prepared.golden_instructions - interp.converged_at
+        )
     with tracer.span("classify", cat="trial"):
         trial = _base_trial(interp, plan)
         identical = all(
@@ -773,7 +793,8 @@ def _record_campaign_metrics(registry, result: CampaignResult,
 def _record_prefix_stats(
     config: CampaignConfig, result: CampaignResult, stats: Dict[str, int]
 ) -> None:
-    """Surface shared-prefix execution stats: registry counters plus one
+    """Surface shared-prefix execution stats (snapshot restores, triage
+    verdicts, re-convergence cut-offs): registry counters plus one
     ``prefix_sharing`` event in the ``<log>.resilience`` sidecar.
 
     Kept out of the main obs log on purpose: trial events are byte-identical
@@ -793,6 +814,10 @@ def _record_prefix_stats(
     registry.counter("campaign.triaged_dead_memory").inc(
         stats.get("triaged_dead_memory", 0)
     )
+    registry.counter("campaign.converged").inc(stats.get("converged", 0))
+    registry.counter("campaign.converged_cycles_saved").inc(
+        stats.get("converged_cycles_saved", 0)
+    )
     if config.obs_log:
         obs_events.append_sidecar_event(
             config.obs_log,
@@ -803,6 +828,8 @@ def _record_prefix_stats(
                 replay_cycles_saved=stats.get("replay_cycles_saved", 0),
                 triaged_masked=stats.get("triaged_masked", 0),
                 triaged_dead_memory=stats.get("triaged_dead_memory", 0),
+                converged=stats.get("converged", 0),
+                converged_cycles_saved=stats.get("converged_cycles_saved", 0),
             ),
         )
 
@@ -971,7 +998,8 @@ def run_campaign(
             ]
             stats = {
                 "restores": 0, "replay_cycles_saved": 0, "triaged_masked": 0,
-                "triaged_dead_memory": 0,
+                "triaged_dead_memory": 0, "converged": 0,
+                "converged_cycles_saved": 0,
             }
             if config.jobs > 1 and len(pending) > 1:
                 _run_parallel_portion(

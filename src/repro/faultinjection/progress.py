@@ -65,7 +65,9 @@ class ProgressPrinter:
         }
         self.done = 0
         self._start = time.perf_counter()
-        self._last_print = 0.0
+        # -inf, not 0.0: perf_counter() may count from boot, and the first
+        # trial must print even on a host up for less than min_interval.
+        self._last_print = float("-inf")
         #: value of ``done`` at the last emitted line (-1: nothing emitted)
         self._emitted_done = -1
         #: rolling trials/sec (EMA over inter-emit windows; None until the

@@ -110,6 +110,8 @@ def run_with_recovery(
         outputs = dict(prepared.golden_outputs)
         total = golden_instructions
     else:
+        # A trial cut off at re-convergence lands here too: its interpreter
+        # already holds the golden run's end state and cycle count.
         outputs = {
             name: np.asarray(interp.read_global(name))
             for name in prepared.golden_outputs

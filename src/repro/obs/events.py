@@ -198,15 +198,20 @@ def prefix_sharing_event(
     replay_cycles_saved: int = 0,
     triaged_masked: int = 0,
     triaged_dead_memory: int = 0,
+    converged: int = 0,
+    converged_cycles_saved: int = 0,
 ) -> Dict:
     """Shared-prefix execution totals for one campaign.
 
     ``restores`` counts trials that fast-forwarded from a golden-run
     snapshot, ``replay_cycles_saved`` sums the pre-injection cycles those
     restores skipped, ``triaged_masked`` counts trials short-circuited to
-    ``Masked`` by the dead-flip triage pass, and ``triaged_dead_memory``
-    counts memory-model trials proven dead by the occupancy map.  Pure
-    functions of the campaign configuration + plans, hence timestamp-free.
+    ``Masked`` by the dead-flip triage pass, ``triaged_dead_memory``
+    counts memory-model trials proven dead by the occupancy map,
+    ``converged`` counts trials cut off where their state re-converged
+    with a golden snapshot, and ``converged_cycles_saved`` sums the golden
+    cycles those cut-offs skipped.  Pure functions of the campaign
+    configuration + plans, hence timestamp-free.
     """
     return {
         "event": "prefix_sharing",
@@ -217,6 +222,8 @@ def prefix_sharing_event(
         "replay_cycles_saved": replay_cycles_saved,
         "triaged_masked": triaged_masked,
         "triaged_dead_memory": triaged_dead_memory,
+        "converged": converged,
+        "converged_cycles_saved": converged_cycles_saved,
     }
 
 

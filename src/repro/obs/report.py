@@ -224,7 +224,8 @@ class LogReport:
     def _prefix_totals(self) -> Dict[str, int]:
         totals = {
             "restores": 0, "replay_cycles_saved": 0, "triaged_masked": 0,
-            "triaged_dead_memory": 0,
+            "triaged_dead_memory": 0, "converged": 0,
+            "converged_cycles_saved": 0,
         }
         for event in self.prefix_sharing:
             for key in totals:
@@ -400,11 +401,17 @@ class LogReport:
             if totals["triaged_dead_memory"]:
                 w(f"  triaged dead memory:  "
                   f"{totals['triaged_dead_memory']:10d}")
+            if totals["converged"]:
+                w(f"  converged:            {totals['converged']:10d}")
+                w(f"  converged cycles saved: "
+                  f"{totals['converged_cycles_saved']:8d}")
             for event in self.prefix_sharing:
+                converged = event.get("converged", 0)
                 w(f"  - {event.get('workload')}/{event.get('scheme')}: "
                   f"{event.get('restores', 0)} restores, "
                   f"{event.get('replay_cycles_saved', 0)} cycles saved, "
-                  f"{event.get('triaged_masked', 0)} triaged masked")
+                  f"{event.get('triaged_masked', 0)} triaged masked"
+                  + (f", {converged} converged" if converged else ""))
         if not self.trials:
             w("no trial events found")
             return "\n".join(lines)

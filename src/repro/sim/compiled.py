@@ -89,7 +89,7 @@ __all__ = [
     "CompiledBlock",
     "CompiledFunction",
     "CompiledModule",
-    "compile_module",
+    "compile_variants",
     "module_token",
     "superblock_stats",
 ]
@@ -1060,13 +1060,18 @@ def _fill_block(cb: CompiledBlock, cf: CompiledFunction, cm: CompiledModule,
     cb.phi_fallback = (_build_commit(firsts, phis, fb0, track, hooked), n)
 
 
-def compile_module(module: Module, track: bool, hooked: bool) -> CompiledModule:
-    """Return (building and caching as needed) the compiled form of ``module``.
+def compile_variants(
+    module: Module, hooked: bool, tracks: Tuple[bool, ...]
+) -> Tuple[CompiledModule, ...]:
+    """Return (building and caching as needed) the compiled forms of
+    ``module``, one per entry of ``tracks``.
 
     ``track`` bakes in register-file bookkeeping (fault-injection runs);
     ``hooked`` bakes in value-hook dispatch (profiling/tracing runs).  The
     cache lives on the module object and is invalidated whenever the structure
-    token changes — i.e. after any in-place transform.
+    token changes — i.e. after any in-place transform.  The token walk runs
+    once per call, shared by every variant asked for (an injection run needs
+    the tracked and the untracked one).
     """
     if "Frame" not in _ENV:
         from .interpreter import Frame
@@ -1078,6 +1083,14 @@ def compile_module(module: Module, track: bool, hooked: bool) -> CompiledModule:
     if cache is None or cache.get("token") != token:
         cache = {"token": token}
         module._compiled_cache = cache
+    return tuple(
+        _cached_variant(module, cache, token, pinned, track, hooked)
+        for track in tracks
+    )
+
+
+def _cached_variant(module: Module, cache: Dict, token: Tuple, pinned: List,
+                    track: bool, hooked: bool) -> CompiledModule:
     variant = (track, hooked)
     cm = cache.get(variant)
     registry = _obs_registry()

@@ -57,7 +57,7 @@ from ..ir.types import F32, FloatType, IntType, PointerType
 from ..ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
 from ..obs.metrics import global_registry as _obs_registry
 from . import ops
-from .compiled import STOP, UNWIND, CompiledBlock, compile_module
+from .compiled import STOP, UNWIND, CompiledBlock, compile_variants
 from .config import SimConfig
 from .events import (
     ArithmeticTrap,
@@ -73,7 +73,14 @@ from .events import (
 from .faults import InjectionPlan, InjectionRecord, flip_bit, get_fault_model
 from .memory import Memory, Segment
 from .regfile import RegisterFile
-from .snapshot import Snapshot, SnapshotRecorder, TriageMasked, value_dead_after
+from .snapshot import (
+    ConvergenceWatch,
+    Snapshot,
+    SnapshotRecorder,
+    SnapshotStore,
+    TriageMasked,
+    value_dead_after,
+)
 from .timing import TimingModel
 
 _MISSING = object()
@@ -215,6 +222,9 @@ class Interpreter:
         self._rf_base = 0
         #: short-circuit provably-dead flips to TriageMasked (trial runs only)
         self._triage = False
+        #: golden snapshot cycle at which the last run re-converged with the
+        #: golden run and was cut off (see ConvergenceWatch), else None
+        self.converged_at: Optional[int] = None
         self._resume_cb = None
         self._resume_idx = 0
         self._ret_value: object = None
@@ -372,6 +382,7 @@ class Interpreter:
         restore_from: Optional[Snapshot] = None,
         capture: Optional[SnapshotRecorder] = None,
         triage: bool = False,
+        converge: Optional[SnapshotStore] = None,
     ) -> RunResult:
         """Execute ``entry`` to completion.
 
@@ -390,10 +401,14 @@ class Interpreter:
         :class:`~repro.sim.snapshot.Snapshot` (bit-identical by
         construction); ``capture`` records snapshots during a fault-free run;
         ``triage`` short-circuits provably-dead flips by raising
-        :class:`~repro.sim.snapshot.TriageMasked`.  All three are fast-path
-        features: on the reference loop (or with a value hook, whose
-        callbacks would be skipped over the restored prefix) they are
-        silently ignored, preserving from-scratch semantics.
+        :class:`~repro.sim.snapshot.TriageMasked`; ``converge`` ends an
+        injection run at the first of those golden snapshots its state
+        re-converges with (:class:`~repro.sim.snapshot.ConvergenceWatch`;
+        the caller guarantees ``max_instructions`` covers the golden run).
+        All four are fast-path features: on the reference loop (or with a
+        value hook, whose callbacks would be skipped over the restored
+        prefix) they are silently ignored, preserving from-scratch
+        semantics.
         """
         fn = self.module.function(entry)
         if len(args) != len(fn.args):
@@ -404,16 +419,22 @@ class Interpreter:
         if not use_fast or self.value_hook is not None:
             restore_from = None
             capture = None
+            converge = None
         if restore_from is not None and (
             injection is None or restore_from.cycle >= injection.cycle
         ):
             restore_from = None
+        if injection is None or capture is not None or (
+            converge is not None and converge.end is None
+        ):
+            converge = None
         self._triage = bool(triage) and injection is not None
+        self.converged_at = None
         registry = _obs_registry()
         if not registry.enabled:
             return self._dispatch_contained(
                 use_fast, fn, args, inputs, injection, max_instructions,
-                capture, restore_from,
+                capture, restore_from, converge,
             )
         # Observability: per-run accounting only (never per-instruction), so
         # the instrumented path stays within noise of the bare one.  Both
@@ -424,7 +445,7 @@ class Interpreter:
             with registry.timer(f"sim.run.{path}").time():
                 result = self._dispatch_contained(
                     use_fast, fn, args, inputs, injection, max_instructions,
-                    capture, restore_from,
+                    capture, restore_from, converge,
                 )
         except SimTrap as trap:
             registry.counter(f"sim.trap.{trap.__class__.__name__}").inc()
@@ -447,6 +468,7 @@ class Interpreter:
         max_instructions: int,
         capture: Optional[SnapshotRecorder],
         restore_from: Optional[Snapshot],
+        converge: Optional[SnapshotStore] = None,
     ) -> RunResult:
         """Dispatch to a run loop inside the crash-containment boundary.
 
@@ -462,7 +484,7 @@ class Interpreter:
             if use_fast:
                 return self._run_compiled(
                     fn, args, inputs, injection, max_instructions,
-                    capture, restore_from,
+                    capture, restore_from, converge,
                 )
             return self._run_reference(
                 fn, args, inputs, injection, max_instructions
@@ -843,6 +865,7 @@ class Interpreter:
         max_instructions: int,
         capture: Optional[SnapshotRecorder] = None,
         restore: Optional[Snapshot] = None,
+        converge: Optional[SnapshotStore] = None,
     ) -> RunResult:
         """Drive the pre-compiled step closures (see :mod:`repro.sim.compiled`).
 
@@ -859,22 +882,28 @@ class Interpreter:
         cycle, so this is harmless).  ``restore`` replaces the from-scratch
         prologue with a deep-copied snapshot of the golden run, resuming at
         its recorded compiled block; tracked variants are compiled either
-        way, so snapshot block references stay valid here.
+        way, so snapshot block references stay valid here.  ``converge``
+        takes the capture hook's place in an injection run: the same due
+        test compares the trial with each golden snapshot it reaches once
+        the fault has landed, and a match ends the run in the golden run's
+        end state.
         """
         track = injection is not None or capture is not None
         hooked = self.value_hook is not None
-        cm = compile_module(self.module, track, hooked)
-        self._cm = cm
         # Injection *commits* at most once; everything the tracked variant
         # records after that instant is dead bookkeeping, so the loop swaps in
         # the untracked variant the moment the fault lands (for a batched lane
         # sweep: the moment the final lane's fault lands — the rolled-back
         # strikes before it leave ``injection_record`` unset and keep tracking
         # alive for the next lane's register-file materialization).
-        self._untracked_cm = (
-            compile_module(self.module, False, hooked)
-            if injection is not None else None
-        )
+        if injection is not None:
+            cm, self._untracked_cm = compile_variants(
+                self.module, hooked, (True, False)
+            )
+        else:
+            (cm,) = compile_variants(self.module, hooked, (track,))
+            self._untracked_cm = None
+        self._cm = cm
         self._rf_log = []
         self._rf_base = 0
         self._max_depth = self.config.max_call_depth
@@ -910,12 +939,18 @@ class Interpreter:
         code = cb.code
         fused = cb.fused
         vals = frame.values
+        if converge is not None:
+            capture = ConvergenceWatch(converge, inject_cycle, self._occupancy)
         snap_due = capture.next_due if capture is not None else (1 << 62)
 
         try:
             while True:
                 if snap_due <= cycle:
                     snap_due = capture.take(self, cb, idx, cycle)
+                    if snap_due < 0:
+                        # Re-converged: the watch installed the golden end.
+                        cycle = self.cycle
+                        break
                 sb = fused[idx]
                 if sb is not None and cycle + sb[1] <= max_instructions and (
                     inject_cycle < 0 or cycle + sb[1] < inject_cycle

@@ -8,13 +8,15 @@ module adds that axis in two halves:
   ``prepare()``, fused with the snapshot-capture run via
   :class:`FusedCapture` when both are wanted) wraps the fast path's
   load/store address translation and records, per 32-bit word of every
-  mapped segment, when it was first written and last read — plus periodic
-  *liveness boundaries* (cycle, access-sequence-number pairs) and, at each
-  boundary, which lines of the modelled L1D are resident.  The result is an
-  :class:`OccupancyMap`: enough to (a) draw injection targets uniformly over
-  *occupied* words instead of blind address-space probing, (b) prove a word
-  dead at a given injection cycle (no read at-or-after it), and (c) model a
-  resident cache line being struck.
+  mapped segment, when it was first and last written and last read — plus
+  periodic *liveness boundaries* (cycle, access-sequence-number pairs) and,
+  at each boundary, which lines of the modelled L1D are resident.  The
+  result is an :class:`OccupancyMap`: enough to (a) draw injection targets
+  uniformly over *occupied* words instead of blind address-space probing,
+  (b) prove a word dead at a given injection cycle (no read at-or-after
+  it), (c) prove an output word settled (neither read nor written
+  at-or-after a cycle), which the re-convergence cut-off needs, and (d)
+  model a resident cache line being struck.
 
 * **Injection helpers.**  The shared occupied-word draw, record filling,
   and dead-hit triage used by the memory-hierarchy fault models
@@ -108,7 +110,7 @@ class OccupancyRecorder:
         self._asn = [0]
         self.last_read: Dict[int, int] = {}
         self.first_write: Dict[int, int] = {}
-        self.written: set = set()
+        self.last_write: Dict[int, int] = {}
         self.boundaries: List[Tuple[int, int]] = [(0, 0)]
         self.resident: List[Tuple[int, ...]] = [()]
         self.segment_spans: List[Tuple[str, int, int]] = []
@@ -139,7 +141,7 @@ class OccupancyRecorder:
         asn = self._asn
         last_read = self.last_read
         first_write = self.first_write
-        written = self.written
+        last_write = self.last_write
         cshift = self.cache.line_shift
         touch_line = self.cache.touch_line
 
@@ -179,9 +181,9 @@ class OccupancyRecorder:
                 last = (off + size - 1) >> 2
                 while True:
                     word = b + w
-                    if word not in written:
-                        written.add(word)
+                    if word not in last_write:
                         first_write[word] = a
+                    last_write[word] = a
                     if w >= last:
                         break
                     w += 1
@@ -223,7 +225,8 @@ class OccupancyRecorder:
 
         Output-segment words are *always live*: the harness reads them after
         the run through ``read_array`` (which the wrappers never see), so no
-        access-based proof can ever declare them dead.
+        access-based proof can ever declare them dead.  For them the map
+        keeps the last access instead, read or write.
         """
         outputs = set(output_names)
         always_live: List[int] = []
@@ -231,9 +234,15 @@ class OccupancyRecorder:
             if name in outputs:
                 always_live.extend(range(word_base, word_base + words))
         live_set = set(always_live)
-        occupied = (set(self.last_read) | self.written) - live_set
+        last_read = self.last_read
+        last_write = self.last_write
+        output_last_access = {
+            w: max(last_read.get(w, 0), last_write.get(w, 0))
+            for w in always_live if w in last_read or w in last_write
+        }
+        occupied = (set(last_read) | set(last_write)) - live_set
         sorted_words = sorted(occupied)
-        sorted_asns = [self.last_read.get(w, 0) for w in sorted_words]
+        sorted_asns = [last_read.get(w, 0) for w in sorted_words]
         # Terminal boundary, past every injectable cycle: contributes the
         # end-of-run cache residency to the AVF stats but is never selected
         # by a deadness lookup (reads during the final cycle would postdate
@@ -253,6 +262,7 @@ class OccupancyRecorder:
             first_writes=dict(self.first_write),
             cache_line_shift=self.cache.line_shift,
             cache_total_lines=self.cache.total_lines,
+            output_last_access=output_last_access,
         )
 
 
@@ -316,6 +326,7 @@ class OccupancyMap:
         first_writes: Dict[int, int],
         cache_line_shift: int,
         cache_total_lines: int,
+        output_last_access: Dict[int, int],
     ) -> None:
         self.golden_instructions = golden_instructions
         self.segment_spans = segment_spans
@@ -330,6 +341,8 @@ class OccupancyMap:
         self.first_writes = first_writes
         self.cache_line_shift = cache_line_shift
         self.cache_total_lines = cache_total_lines
+        #: output word -> access number of its last read or write
+        self.output_last_access = output_last_access
 
     # -- deadness / draws --------------------------------------------------------
 
@@ -354,6 +367,16 @@ class OccupancyMap:
         if i == len(self.sorted_words) or self.sorted_words[i] != word:
             return True
         return self.sorted_asns[i] <= self.asn_bound(cycle)
+
+    def is_output(self, word: int) -> bool:
+        return word in self._always_live_set
+
+    def output_settled(self, word: int, cycle: int) -> bool:
+        """True when the golden run neither reads nor writes output
+        ``word`` at-or-after ``cycle`` (same conservative cutoff as
+        :meth:`is_dead`), so whatever it holds then is what the run ends
+        with."""
+        return self.output_last_access.get(word, 0) <= self.asn_bound(cycle)
 
     def occupied_count(self) -> int:
         return len(self.always_live) + len(self.sorted_words)

@@ -22,19 +22,32 @@ This module removes that redundancy in two stages:
   provably-dead flip leaves execution identical to the golden run (which
   completed, trap-free, within any trial's instruction budget).
 
+* **Re-convergence cut-off.**  Once a trial's fault has fully landed, each
+  golden snapshot it reaches at the same cycle and resume point is compared
+  with its state (:class:`ConvergenceWatch`, :meth:`Snapshot.converged`).
+  When they agree — bit-identical frames, same stack and layout, and memory
+  equal apart from words the golden run never reads again or output words
+  it never touches again — the rest of the trial *is* the golden run, so it
+  ends there with the golden run's end state (:class:`GoldenEnd`) and the
+  trial's own bytes in those output words.
+
+Snapshots store each segment compactly, as its bytes up to the last non-zero
+byte plus its size (the 1 MiB stack segment is usually all zero).
+
 Configuration (``CampaignConfig`` fields, see :mod:`repro.settings`):
 
 * ``snapshot_every=0`` / ``REPRO_SNAPSHOT_EVERY=0`` disables snapshotting
   entirely; ``N`` / ``--snapshot-every N`` sets an explicit cadence; the
   default (:data:`AUTO`) derives one from the golden length;
-* ``triage=False`` / ``REPRO_TRIAGE=0`` disables triage.
+* ``triage=False`` / ``REPRO_TRIAGE=0`` disables triage and the cut-off.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..analysis.liveness import LivenessInfo
 from ..ir.basicblock import BasicBlock
@@ -47,6 +60,8 @@ from .regfile import RegisterFile
 
 __all__ = [
     "AUTO",
+    "ConvergenceWatch",
+    "GoldenEnd",
     "Snapshot",
     "SnapshotRecorder",
     "SnapshotStore",
@@ -66,6 +81,8 @@ _MIN_AUTO_EVERY = 1_000
 _MIN_AUTO_GOLDEN = 4_000
 #: hard cap on stored snapshots (memory bound; cadence is rounded up to fit)
 MAX_SNAPSHOTS = 512
+#: a ``next_due`` that never comes
+_NEVER = 1 << 62
 
 
 class TriageMasked(Exception):
@@ -148,14 +165,79 @@ def value_dead_after(
 # ---------------------------------------------------------------------------
 
 
-def _copy_segment(seg: Segment) -> Segment:
-    """Deep-copy a segment without re-zeroing its backing store."""
-    clone = Segment.__new__(Segment)
-    clone.name = seg.name
-    clone.base = seg.base
-    clone.size = seg.size
-    clone.data = bytearray(seg.data)
-    return clone
+#: shared all-zero buffer behind every compact segment's tail (grown on demand)
+_zeros = memoryview(bytes(SEGMENT_STRIDE))
+
+
+def _zero_view(size: int) -> memoryview:
+    global _zeros
+    if len(_zeros) < size:
+        _zeros = memoryview(bytes(size))
+    return _zeros[:size]
+
+
+#: one segment as a snapshot keeps it: ``(name, base, size, head)``, where
+#: ``head`` is the data up to its last non-zero word and the rest is zero
+CompactSegment = Tuple[str, int, int, bytes]
+
+
+def _compact_segment(seg: Segment) -> CompactSegment:
+    data, size = seg.data, seg.size
+    zeros = _zero_view(size)
+    # Bisect for the zero tail with memcmp (``rstrip`` walks a 1 MiB stack
+    # byte by byte): data[hi:] is all zero, data[lo:] is not.
+    lo, hi = -1, size
+    while hi - lo > 4:
+        mid = max(lo + 1, (lo + (hi - lo) // 2) & ~3)
+        if data.endswith(zeros[:size - mid]):
+            hi = mid
+        else:
+            lo = mid
+    return seg.name, seg.base, size, bytes(data[:hi])
+
+
+def _expand_segment(compact: CompactSegment) -> Segment:
+    """A full-size segment holding ``compact``'s bytes."""
+    name, base, size, head = compact
+    seg = Segment.__new__(Segment)
+    seg.name = name
+    seg.base = base
+    seg.size = size
+    seg.data = bytearray(size)
+    seg.data[:len(head)] = head
+    return seg
+
+
+def _differing_words(
+    data: bytearray, compact: CompactSegment
+) -> Iterator[int]:
+    """Offsets, ascending, of the 4-byte words where ``data`` differs from
+    ``compact``.  Bisects with in-place ``startswith`` compares (memcmp), so
+    an equal segment costs one pass and no copy of the zero tail."""
+    size = compact[2]
+    head = memoryview(compact[3])
+    n = len(head)
+    zeros = _zero_view(size)
+
+    def same(lo: int, hi: int) -> bool:
+        if hi <= n:
+            return data.startswith(head[lo:hi], lo)
+        if lo >= n:
+            return data.startswith(zeros[:hi - lo], lo)
+        return (data.startswith(head[lo:], lo)
+                and data.startswith(zeros[:hi - n], n))
+
+    ranges = [(0, size)]
+    while ranges:
+        lo, hi = ranges.pop()
+        if same(lo, hi):
+            continue
+        if hi - lo <= 4:
+            yield lo
+            continue
+        mid = max(lo + 4, (lo + (hi - lo) // 2) & ~3)
+        ranges.append((mid, hi))
+        ranges.append((lo, mid))
 
 
 def _clone_frame(template, values: Dict) -> object:
@@ -258,7 +340,8 @@ class Snapshot:
     ``rf_base`` older writes were dropped (they can no longer occupy a slot),
     and each kept entry references either a stack frame by position or a
     shared inactive stub (the frame had already returned — by construction
-    nothing ever mutates such a frame).
+    nothing ever mutates such a frame).  Memory is stored as one
+    :data:`CompactSegment` per mapped segment, in address order.
     """
 
     __slots__ = (
@@ -296,12 +379,11 @@ class Snapshot:
         snap.rf_base = interp._rf_base
 
         memory = interp.memory
-        segments: List[Segment] = []
+        segments: List[CompactSegment] = []
         seen: Dict[int, int] = {}
-        for seg in memory._segments.values():
-            if id(seg) not in seen:
-                seen[id(seg)] = len(segments)
-                segments.append(_copy_segment(seg))
+        for seg in memory.unique_segments():
+            seen[id(seg)] = len(segments)
+            segments.append(_compact_segment(seg))
         snap.segments = segments
         snap.global_index = [
             (name, seen[id(seg)])
@@ -338,7 +420,7 @@ class Snapshot:
         interp._frame = frames[-1]
 
         memory = Memory()
-        segments = [_copy_segment(s) for s in self.segments]
+        segments = [_expand_segment(s) for s in self.segments]
         for seg in segments:
             span = (seg.size + SEGMENT_STRIDE - 1) >> SEGMENT_SHIFT
             start = seg.base >> SEGMENT_SHIFT
@@ -375,6 +457,128 @@ class Snapshot:
         interp._sbk = 0
         return self.cb, self.idx, self.cycle
 
+    def converged(
+        self, interp, cb, idx: int, occupancy
+    ) -> Optional[List[Tuple[Segment, int]]]:
+        """Has ``interp``, at a loop top at this snapshot's cycle, re-converged
+        with the golden run?  Returns None if not, else the ``(segment,
+        offset)`` output words whose trial bytes differ but last.
+
+        The rest of the trial is the rest of the golden run when everything
+        the golden run will still read is equal here:
+
+        * resume point, call stack, blocks, return linkage, and every frame
+          value bit-identical (by type and float bits: ``-0.0`` is not
+          ``0.0``).  ``Frame.index`` is left out: the fast path syncs it only
+          for callers and at injection, and reads it only at injection;
+        * stack pointer and segment layout;
+        * memory, except words the golden run never reads again
+          (``occupancy.is_dead``) and output words it neither reads nor
+          writes again (``occupancy.output_settled``) — those keep the
+          trial's bytes to the end.  Without an occupancy map memory must
+          match exactly.
+
+        Compiled blocks compare by IR block: a trial past its injection runs
+        the untracked variant, the snapshot was taken on the tracked one.
+        """
+        if idx != self.idx or cb.block is not self.cb.block:
+            return None
+        if (interp._stack_sp != self.stack_sp
+                or interp._stack_limit != self.stack_limit):
+            return None
+        frames = interp._frames
+        if len(frames) != len(self.frames):
+            return None
+        for frame, tmpl, values in zip(frames, self.frames, self.frame_values):
+            if not (_same_linkage(frame, tmpl)
+                    and _same_values(frame.values, values)):
+                return None
+        memory = interp.memory
+        segments = memory.unique_segments()
+        if (memory._next_index != self.next_index
+                or len(segments) != len(self.segments)):
+            return None
+        spans = occupancy.segment_spans if occupancy is not None else ()
+        keep: List[Tuple[Segment, int]] = []
+        for i, (seg, compact) in enumerate(zip(segments, self.segments)):
+            name, base, size, _head = compact
+            if seg.name != name or seg.base != base or seg.size != size:
+                return None
+            for offset in _differing_words(seg.data, compact):
+                if i >= len(spans) or spans[i][0] != name:
+                    return None
+                _, word_base, words = spans[i]
+                if (offset >> 2) >= words:
+                    return None  # a trailing partial word has no liveness
+                word = word_base + (offset >> 2)
+                if occupancy.is_output(word):
+                    if not occupancy.output_settled(word, self.cycle):
+                        return None
+                    keep.append((seg, offset))
+                elif not occupancy.is_dead(word, self.cycle):
+                    return None
+        return keep
+
+
+def _same_linkage(frame, tmpl) -> bool:
+    """Same activation: function, blocks, call site and return linkage."""
+    ret_cb = frame.ret_cb
+    return (
+        frame.function is tmpl.function
+        and frame.block is tmpl.block
+        and frame.prev_block is tmpl.prev_block
+        and frame.call_instr is tmpl.call_instr
+        and frame.stack_mark == tmpl.stack_mark
+        and frame.active == tmpl.active
+        and frame.ret_idx == tmpl.ret_idx
+        and frame.ret_has_result == tmpl.ret_has_result
+        and frame.ret_key == tmpl.ret_key
+        and (ret_cb.block if ret_cb is not None else None)
+        is (tmpl.ret_cb.block if tmpl.ret_cb is not None else None)
+    )
+
+
+def _same_values(values: Dict, golden: Dict) -> bool:
+    """Bit-identical value bindings.
+
+    ``==`` already separates every pair of non-equal values and, through
+    its identity shortcut, only lets a NaN through when it is the golden
+    object itself; what it leaves are same-valued bindings of another type
+    (``1`` vs ``1.0``) and zeros of opposite sign.
+    """
+    if values != golden:
+        return False
+    for key, g in golden.items():
+        v = values[key]
+        if v.__class__ is not g.__class__:
+            return False
+        if (g.__class__ is float and g == 0.0
+                and math.copysign(1.0, v) != math.copysign(1.0, g)):
+            return False
+    return True
+
+
+class GoldenEnd:
+    """How the golden run ended: the state a re-converged trial ends in.
+
+    ``outputs`` holds the final bytes of every output segment; guard
+    counters let a cut-off trial add the golden run's remaining guard
+    evaluations and (noisy, hence disabled) guard failures to its own.
+    """
+
+    __slots__ = ("instructions", "return_value", "guard_evaluations",
+                 "guard_failures", "outputs")
+
+    def __init__(self, interp, result, output_names) -> None:
+        self.instructions = result.instructions
+        self.return_value = result.return_value
+        self.guard_evaluations = result.guard_stats.evaluations
+        self.guard_failures = dict(result.guard_stats.failures_by_guard)
+        self.outputs = {
+            name: bytes(interp.global_segments[name].data)
+            for name in output_names
+        }
+
 
 class SnapshotStore:
     """Snapshots of one golden run, ordered by cycle."""
@@ -382,6 +586,9 @@ class SnapshotStore:
     def __init__(self) -> None:
         self.snapshots: List[Snapshot] = []
         self._cycles: List[int] = []
+        #: the golden run's end state (set by ``prepare()``); without it
+        #: trials are never cut off
+        self.end: Optional[GoldenEnd] = None
 
     def add(self, snapshot: Snapshot) -> None:
         self.snapshots.append(snapshot)
@@ -401,6 +608,79 @@ class SnapshotStore:
         if pos == 0:
             return None
         return self.snapshots[pos - 1]
+
+
+def _fault_settled(interp) -> bool:
+    """Has the fault fully landed, with nothing left to fire?"""
+    return (
+        interp.injection_record is not None
+        and not interp._pending_control_fault
+        and interp._stuck_fault is None
+        and interp._stuck_mem_fault is None
+    )
+
+
+class ConvergenceWatch:
+    """Ends a trial at the first golden snapshot it re-converges with.
+
+    Speaks the recorders' ``next_due`` / ``take`` protocol, so the fast
+    path checks it from the loop-top due test it already makes: no
+    per-instruction work.  ``take`` returns -1 once the trial matched a
+    snapshot (:meth:`Snapshot.converged`); the interpreter then holds the
+    golden run's end state — output segments with the golden final bytes
+    and the trial's lasting output words, ``cycle`` at the golden length,
+    the golden return value and guard counts — and ``converged_at`` names
+    the snapshot cycle.  Sound only when the instruction budget covers the
+    golden run; the campaign enables it together with triage.
+    """
+
+    def __init__(self, store: SnapshotStore, inject_cycle: int,
+                 occupancy) -> None:
+        self.snapshots = store.snapshots
+        self.end = store.end
+        self.occupancy = occupancy
+        self._pos = bisect.bisect_left(store._cycles, inject_cycle)
+        self.next_due = self._due()
+
+    def _due(self) -> int:
+        if self._pos < len(self.snapshots):
+            return self.snapshots[self._pos].cycle
+        return _NEVER
+
+    def take(self, interp, cb, idx: int, cycle: int) -> int:
+        snaps = self.snapshots
+        pos = self._pos
+        while pos < len(snaps) and snaps[pos].cycle < cycle:
+            pos += 1
+        if pos < len(snaps) and snaps[pos].cycle == cycle:
+            snap = snaps[pos]
+            pos += 1
+            if _fault_settled(interp):
+                keep = snap.converged(interp, cb, idx, self.occupancy)
+                if keep is not None:
+                    self._finish(interp, snap, keep)
+                    return -1
+        self._pos = pos
+        return self._due()
+
+    def _finish(self, interp, snap: Snapshot,
+                keep: List[Tuple[Segment, int]]) -> None:
+        end = self.end
+        kept = [(seg, off, bytes(seg.data[off:off + 4])) for seg, off in keep]
+        for name, final in end.outputs.items():
+            interp.global_segments[name].data[:] = final
+        for seg, off, raw in kept:
+            seg.data[off:off + 4] = raw
+        stats = interp.guard_stats
+        stats.evaluations += end.guard_evaluations - snap.guard_evaluations
+        failures = stats.failures_by_guard
+        for guard, count in end.guard_failures.items():
+            extra = count - snap.guard_failures.get(guard, 0)
+            if extra:
+                failures[guard] = failures.get(guard, 0) + extra
+        interp._ret_value = end.return_value
+        interp.converged_at = snap.cycle
+        interp.cycle = end.instructions
 
 
 class SnapshotRecorder:
@@ -438,7 +718,7 @@ class SnapshotRecorder:
             del log[:drop]
         self.store.add(Snapshot.capture(interp, cb, idx, cycle))
         if len(self.store) >= self.limit:
-            self.next_due = 1 << 62
+            self.next_due = _NEVER
         else:
             self.next_due = cycle + self.every
         return self.next_due

@@ -134,7 +134,7 @@ class TestOccupancyCapture:
             "golden_instructions", "segment_spans", "total_words",
             "boundary_cycles", "boundary_asns", "resident_lines",
             "always_live", "sorted_words", "sorted_asns", "first_writes",
-            "cache_line_shift", "cache_total_lines",
+            "cache_line_shift", "cache_total_lines", "output_last_access",
         ):
             assert getattr(fused, field) == getattr(dedicated, field), field
 
@@ -193,7 +193,7 @@ class TestAccessSpanRecording:
     def test_eight_byte_store_records_both_words(self):
         seg, rec, _load, store = self._wrappers()
         store(seg.base + 16, 8)
-        assert {4, 5} <= rec.written
+        assert {4, 5} <= rec.last_write.keys()
         assert rec.first_write[4] == rec.first_write[5]
 
     def test_narrow_access_records_exactly_one_word(self):
@@ -201,7 +201,7 @@ class TestAccessSpanRecording:
         load(seg.base + 3, 1)
         store(seg.base + 6, 2)
         assert set(rec.last_read) == {0}
-        assert rec.written == {1}
+        assert set(rec.last_write) == {1}
 
     def test_line_crossing_access_touches_both_lines(self):
         seg, rec, load, _store = self._wrappers()
@@ -338,6 +338,9 @@ class TestMemoryHardening:
             first_writes=dict(prepared_mem.occupancy.first_writes),
             cache_line_shift=prepared_mem.occupancy.cache_line_shift,
             cache_total_lines=prepared_mem.occupancy.cache_total_lines,
+            output_last_access=dict(
+                prepared_mem.occupancy.output_last_access
+            ),
         )
         config = CampaignConfig(seed=5)
         trial = run_trial(
