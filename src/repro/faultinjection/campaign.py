@@ -636,8 +636,8 @@ def run_batch_trials(
     lane (whose scalar trial the sweep itself became), then diverged lanes
     via the scalar fastpath.  Each :class:`TrialResult` is byte-identical to
     :func:`run_trial`'s for the same plan — batch composition only affects
-    wall-clock, never outcomes.  Shared by the serial batched portion and
-    the parallel workers' chunk execution.
+    wall-clock, never outcomes.  The trial executor
+    (:func:`~.parallel._execute_chunk`) calls it for batched chunks.
     """
     from ..sim import batched as batched_mod
 
@@ -741,11 +741,11 @@ def batched_enabled(config: CampaignConfig) -> bool:
 def _chain_heartbeat(heart, on_trial, on_recovery):
     """Wrap the user callbacks so the heartbeat counts trials/incidents.
 
-    The wrapper is itself batch-aware (``heartbeat_trial.batch``): a burst
-    from a batched lane sweep folds into the heartbeat in one bulk call —
-    so its effective-trials/sec EMA sees batch completions × lanes — and is
-    then forwarded whole to a batch-aware inner callback, or per-trial
-    otherwise.
+    The wrapper is itself batch-aware (``heartbeat_trial.batch``): a
+    chunk of trials (a batched lane sweep, a pool chunk) folds into the
+    heartbeat in one bulk call — so its effective-trials/sec EMA sees
+    chunk completions × trials — and is then forwarded whole to a
+    batch-aware inner callback, or per-trial otherwise.
     """
     inner_batch = (
         getattr(on_trial, "batch", None) if on_trial is not None else None
@@ -863,9 +863,8 @@ def _open_checkpointer(
     """Load (or initialise) the campaign's checkpoint, keyed like the disk
     cache so a checkpoint can never be replayed against different code,
     config, or seed.  On a genuine resume the obs log is rolled back to the
-    byte offset recorded before the interrupted campaign started, and stale
-    worker shard files are discarded, so the resumed run rewrites a log
-    byte-identical to an uninterrupted one.
+    byte offset recorded before the interrupted campaign started, so the
+    resumed run rewrites a log byte-identical to an uninterrupted one.
     """
     if not config.checkpoint or not config.resilience.enabled:
         return None
@@ -880,13 +879,11 @@ def _open_checkpointer(
     restored = loaded.completed if loaded is not None else {}
     obs_offset = resilience_mod.obs_log_size(config.obs_log)
     if restored:
-        if config.obs_log:
-            if loaded.obs_log == config.obs_log:
-                resilience_mod.truncate_obs_log(
-                    config.obs_log, loaded.obs_log_offset
-                )
-                obs_offset = loaded.obs_log_offset
-            obs_events.discard_shards(config.obs_log)
+        if config.obs_log and loaded.obs_log == config.obs_log:
+            resilience_mod.truncate_obs_log(
+                config.obs_log, loaded.obs_log_offset
+            )
+            obs_offset = loaded.obs_log_offset
         rlog.emit(
             "checkpoint_load",
             note=(f"resuming from checkpoint: {len(restored)}/"
@@ -910,6 +907,92 @@ def _open_checkpointer(
     )
 
 
+class _TrialSink:
+    """Takes every finished trial of one campaign, whatever ran it.
+
+    Restored, in-process, pool and serial-fallback trials all arrive as
+    :class:`~.parallel.ChunkResult` values.  Per chunk, the sink stores each
+    trial by plan index and records it in the checkpoint, logs the chunk's
+    watchdog anomalies, folds its stats (and a pool worker's counters and
+    spans), fires ``on_trial`` — one ``on_trial.batch`` call per chunk when
+    the callback has one — and writes trial events as soon as the completed
+    prefix of the plan grows.  A serial log therefore streams, and every
+    mode writes the same bytes in plan order.
+    """
+
+    def __init__(self, plans, writer, checkpointer, rlog, on_trial) -> None:
+        self.plans = plans
+        self.writer = writer
+        self.checkpointer = checkpointer
+        self.rlog = rlog
+        self.on_trial = on_trial
+        self.on_batch = getattr(on_trial, "batch", None)
+        self.trials: Dict[int, TrialResult] = {}
+        self.stats = {
+            "restores": 0, "replay_cycles_saved": 0, "triaged_masked": 0,
+            "triaged_dead_memory": 0, "converged": 0,
+            "converged_cycles_saved": 0,
+        }
+        self._wall_ms: Dict[int, float] = {}
+        self._logged = 0
+
+    def __call__(self, chunk) -> None:
+        for index, trial, wall_ms in chunk.completions:
+            self.trials[index] = trial
+            if wall_ms is not None:
+                self._wall_ms[index] = wall_ms
+            if self.checkpointer is not None:
+                self.checkpointer.record(index, trial)
+        for anomaly in chunk.anomalies:
+            kind = anomaly.pop("kind")
+            self.rlog.emit(kind, note=f"{kind}: trial {anomaly['i']}",
+                           **anomaly)
+        for key, value in (chunk.stats or {}).items():
+            self.stats[key] = self.stats.get(key, 0) + value
+        if chunk.counters:
+            registry = global_registry()
+            for name, value in chunk.counters.items():
+                registry.counter(name).inc(value)
+        if chunk.spans:
+            trace_mod.current().extend(chunk.spans)
+        if self.on_batch is not None:
+            self.on_batch([trial for _, trial, _ in chunk.completions])
+        elif self.on_trial is not None:
+            for _, trial, _ in chunk.completions:
+                self.on_trial(trial)
+        if self.writer is not None:
+            while self._logged in self.trials:
+                index = self._logged
+                self.writer.emit(obs_events.trial_event(
+                    index, self.plans[index], self.trials[index],
+                    wall_ms=self._wall_ms.pop(index, None),
+                ))
+                self._logged += 1
+
+
+def _run_trials(prepared, plans, restored, config, sink, rlog) -> None:
+    """Feed every trial of the campaign to ``sink``: restored trials first,
+    then the pending ones — across the worker pool when ``config.jobs > 1``,
+    else in-process one trial per chunk (``config.batch`` trials when
+    batched), so progress and checkpoint cadence stay per trial."""
+    from . import parallel
+
+    if restored:
+        sink(parallel.ChunkResult(
+            [(index, restored[index], None) for index in sorted(restored)]
+        ))
+    pending = [
+        (index, plan) for index, plan in enumerate(plans)
+        if index not in restored
+    ]
+    if config.jobs > 1 and len(pending) > 1:
+        parallel.run_trials_parallel(prepared, pending, config, sink, rlog)
+        return
+    size = config.batch if batched_enabled(config) else 1
+    for at in range(0, len(pending), size):
+        sink(parallel._execute_chunk(prepared, config, pending[at:at + size]))
+
+
 def run_campaign(
     workload: Workload,
     scheme: str,
@@ -921,8 +1004,10 @@ def run_campaign(
     """Run a full statistical fault-injection campaign.
 
     ``on_trial`` is invoked once per finished trial (in completion order,
-    which under ``config.jobs > 1`` may differ from plan order) — intended
-    for progress reporting; the returned result is always in plan order.
+    which under ``config.jobs > 1`` may differ from plan order; a callback
+    with a ``batch`` attribute gets one ``on_trial.batch(trials)`` call per
+    executed chunk instead) — intended for progress reporting; the returned
+    result is always in plan order.
     ``on_recovery`` receives a short human-readable line per recovery action
     (checkpoint load, chunk retry, serial fallback, quarantine).
 
@@ -931,8 +1016,8 @@ def run_campaign(
 
     When ``config.obs_log`` (or ``REPRO_OBS``) names a path, a structured
     JSONL event log is appended there: a ``campaign_begin`` header, one
-    ``trial`` record per plan (in plan order — parallel workers write shard
-    files the parent folds back in), and a ``campaign_end`` footer whose
+    ``trial`` record per plan (in plan order, written by this process
+    whichever process ran the trial), and a ``campaign_end`` footer whose
     tallies match the returned result.  With per-trial timing off (default)
     the log is byte-identical for any ``jobs`` value.
 
@@ -988,40 +1073,17 @@ def run_campaign(
         if config.obs_log:
             writer = obs_events.EventLogWriter(config.obs_log)
         start = time.perf_counter()
-        completed_ok = False
         try:
             if writer is not None:
                 writer.emit(obs_events.campaign_begin_event(result))
-            pending = [
-                (index, plan) for index, plan in enumerate(plans)
-                if index not in restored
-            ]
-            stats = {
-                "restores": 0, "replay_cycles_saved": 0, "triaged_masked": 0,
-                "triaged_dead_memory": 0, "converged": 0,
-                "converged_cycles_saved": 0,
-            }
-            if config.jobs > 1 and len(pending) > 1:
-                _run_parallel_portion(
-                    prepared, plans, pending, restored, config, result,
-                    writer, checkpointer, rlog, on_trial, stats,
-                )
-            elif batched_enabled(config) and len(pending) > 1:
-                _run_serial_batched_portion(
-                    prepared, plans, restored, config, result,
-                    writer, checkpointer, rlog, on_trial, stats,
-                )
-            else:
-                _run_serial_portion(
-                    prepared, plans, restored, config, result,
-                    writer, checkpointer, rlog, on_trial, stats,
-                )
-            _record_prefix_stats(config, result, stats)
-            _record_batched_stats(config, result, stats)
+            sink = _TrialSink(plans, writer, checkpointer, rlog, on_trial)
+            _run_trials(prepared, plans, restored, config, sink, rlog)
+            result.trials.extend(sink.trials[i] for i in range(len(plans)))
+            _record_prefix_stats(config, result, sink.stats)
+            _record_batched_stats(config, result, sink.stats)
             _record_occupancy_event(config, result, prepared)
             if writer is not None:
                 writer.emit(obs_events.campaign_end_event(result))
-            completed_ok = True
         except BaseException:
             # Persist every trial that did finish, so the interrupted
             # campaign (KeyboardInterrupt, lost pool, reboot) is resumable.
@@ -1031,11 +1093,6 @@ def run_campaign(
         finally:
             if writer is not None:
                 writer.close()
-            # Orphaned worker shard files must never outlive a failed
-            # campaign: a later campaign sharing the log would merge them
-            # out of context.
-            if not completed_ok and config.obs_log:
-                obs_events.discard_shards(config.obs_log)
         if checkpointer is not None:
             checkpointer.clear()
         registry = global_registry()
@@ -1050,90 +1107,6 @@ def run_campaign(
         if heart is not None:
             heart.finish("done" if campaign_ok else "failed")
     return result
-
-
-def _run_serial_portion(
-    prepared, plans, restored, config, result, writer, checkpointer, rlog,
-    on_trial, stats=None,
-) -> None:
-    """In-process execution, restored trials interleaved in plan order."""
-    timed = config.obs_timing and writer is not None
-    for index, plan in enumerate(plans):
-        previous = restored.get(index)
-        if previous is not None:
-            trial, wall_ms = previous, None
-        else:
-            t0 = time.perf_counter() if timed else 0.0
-            trial, anomalies = resilience_mod.run_trial_guarded(
-                prepared, index, plan.cycle, plan.bit, plan.seed, config,
-                stats=stats, model=plan.model,
-            )
-            wall_ms = (time.perf_counter() - t0) * 1e3 if timed else None
-            for anomaly in anomalies:
-                kind = anomaly.pop("kind")
-                rlog.emit(kind, note=f"{kind}: trial {index}", **anomaly)
-            if checkpointer is not None:
-                checkpointer.record(index, trial)
-        result.trials.append(trial)
-        if writer is not None:
-            writer.emit(
-                obs_events.trial_event(index, plan, trial, wall_ms=wall_ms)
-            )
-        if on_trial is not None:
-            on_trial(trial)
-
-
-def _run_serial_batched_portion(
-    prepared, plans, restored, config, result, writer, checkpointer, rlog,
-    on_trial, stats=None,
-) -> None:
-    """Serial batched-lane execution: ``config.batch`` lanes per sweep.
-
-    Trials complete in batch order (masked lanes of a sweep first, then its
-    peeled scalar reruns), so — like the parallel-resume path — trial
-    events are regenerated in plan order after execution rather than
-    streamed, keeping the log byte-identical to the scalar serial run.
-    Batched mode never records ``wall_ms``: per-trial wall-clock has no
-    meaning for a lane whose verdict came from a shared sweep (the same
-    reason a resumed ``jobs>1`` log drops it).  Completion callbacks fire
-    per finished *trial* in bursts of one batch; a batch-aware callback
-    (``on_trial.batch``) receives each burst whole so throughput EMAs see
-    batch completions × lanes, not batch count.
-    """
-    pending = [
-        (index, plan) for index, plan in enumerate(plans)
-        if index not in restored
-    ]
-    trials_by_index = dict(restored)
-    notify_batch = (
-        getattr(on_trial, "batch", None) if on_trial is not None else None
-    )
-    if on_trial is not None:
-        for index in sorted(restored):
-            on_trial(restored[index])
-    size = config.batch
-    for at in range(0, len(pending), size):
-        finished = run_batch_trials(
-            prepared, pending[at:at + size], config, stats=stats
-        )
-        for index, trial, anomalies in finished:
-            for anomaly in anomalies:
-                kind = anomaly.pop("kind")
-                rlog.emit(kind, note=f"{kind}: trial {index}", **anomaly)
-            trials_by_index[index] = trial
-            if checkpointer is not None:
-                checkpointer.record(index, trial)
-        if notify_batch is not None:
-            notify_batch([trial for _, trial, _ in finished])
-        elif on_trial is not None:
-            for _, trial, _ in finished:
-                on_trial(trial)
-    result.trials.extend(trials_by_index[i] for i in range(len(plans)))
-    if writer is not None:
-        for index, plan in enumerate(plans):
-            writer.emit(
-                obs_events.trial_event(index, plan, trials_by_index[index])
-            )
 
 
 def _record_batched_stats(
@@ -1181,53 +1154,3 @@ def _record_batched_stats(
                 divergence=divergence,
             ),
         )
-
-
-def _run_parallel_portion(
-    prepared, plans, pending, restored, config, result, writer, checkpointer,
-    rlog, on_trial, stats=None,
-) -> None:
-    """Pool execution of the pending trials (worker recovery inside
-    :func:`~.parallel.run_trials_parallel`).
-
-    On a fresh campaign this is the streaming path of PR 1/2: workers write
-    per-chunk event shards, the parent folds them back in plan order.  On a
-    *resume*, restored trials are scattered through the plan, so shard
-    concatenation can no longer reproduce plan order; instead workers run
-    with the log disabled and the parent regenerates every trial event (a
-    pure function of plan + result) in plan order after the pool drains —
-    byte-identical to the streaming log.
-    """
-    from .parallel import run_trials_parallel
-
-    resuming = bool(restored)
-    worker_config = replace(config, obs_log="") if resuming else config
-    trials_by_index = dict(restored)
-
-    def on_result(index: int, trial: TrialResult) -> None:
-        trials_by_index[index] = trial
-        if checkpointer is not None:
-            checkpointer.record(index, trial)
-
-    if on_trial is not None:
-        for index in sorted(restored):
-            on_trial(restored[index])
-    run_trials_parallel(
-        prepared,
-        [plan for _, plan in pending],
-        worker_config,
-        on_trial=on_trial,
-        indices=[index for index, _ in pending],
-        on_result=on_result,
-        rlog=rlog,
-        stats=stats,
-    )
-    result.trials.extend(trials_by_index[i] for i in range(len(plans)))
-    if writer is not None:
-        if resuming:
-            for index, plan in enumerate(plans):
-                writer.emit(
-                    obs_events.trial_event(index, plan, trials_by_index[index])
-                )
-        else:
-            obs_events.merge_shards(writer)

@@ -1,4 +1,4 @@
-"""Parallel trial execution for fault-injection campaigns.
+"""Trial execution for fault-injection campaigns, in-process or pooled.
 
 Design (see ``docs/PERFORMANCE.md``):
 
@@ -8,6 +8,16 @@ Design (see ``docs/PERFORMANCE.md``):
   trial runs under its own private :class:`random.Random` seeded from the
   plan.  Workers therefore share no RNG state, and a ``jobs=N`` campaign is
   bit-identical to ``jobs=1``.
+
+* **One trial loop, one way back.** :func:`_execute_chunk` runs a chunk of
+  ``(index, plan)`` trials, scalar or batched, and returns a
+  :class:`ChunkResult`; it writes no file.  Serial campaigns call it
+  in-process; pool workers call it through :func:`_run_chunk`, which adds
+  the spans the worker's tracer buffered and the worker's metric-counter
+  increments.  The pickled chunk result is the only way worker output
+  reaches the parent, whose campaign sink stores trials by plan index and
+  writes the obs log in plan order — so the log is byte-identical for any
+  ``jobs``.
 
 * **Per-worker prepared workloads.** A :class:`PreparedWorkload` holds a live
   IR module, memoised liveness/compiled-code caches, and numpy goldens —
@@ -22,8 +32,7 @@ Design (see ``docs/PERFORMANCE.md``):
 
 * **Chunked dispatch.** Trials are submitted as index-tagged chunks (a few
   dozen trials each) to amortise task-dispatch overhead; completed chunks
-  stream back for progress callbacks, and results are re-ordered by the
-  original plan index before returning.
+  stream back to the sink in completion order.
 
 * **Worker-failure recovery** (see ``docs/RESILIENCE.md``).  A SIGKILLed or
   OOM-killed worker breaks the whole :class:`ProcessPoolExecutor`; instead
@@ -40,17 +49,45 @@ Design (see ``docs/PERFORMANCE.md``):
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..obs import trace as trace_mod
+from ..obs.metrics import enable_global, global_registry
 from ..sim.faults import InjectionPlan
 from . import resilience as resilience_mod
-from .campaign import CampaignConfig, PreparedWorkload, prepare
+from .campaign import (
+    CampaignConfig,
+    PreparedWorkload,
+    batched_enabled,
+    prepare,
+    run_batch_trials,
+)
 from .outcomes import TrialResult
 
-__all__ = ["run_trials_parallel"]
+__all__ = ["ChunkResult", "run_trials_parallel"]
+
+
+class ChunkResult(NamedTuple):
+    """Everything one executed chunk of trials hands to the campaign sink."""
+
+    #: ``(index, trial, wall_ms)`` per trial, in completion order;
+    #: ``wall_ms`` is None unless the campaign times trials into its obs log
+    completions: List[Tuple[int, TrialResult, Optional[float]]]
+    #: watchdog events (trial timeout / quarantine) for the resilience log
+    anomalies: Sequence[Dict] = ()
+    #: shared-prefix and batched-lane counts to fold into campaign totals
+    stats: Optional[Dict[str, int]] = None
+    #: trace events a pool worker buffered (in-process chunks record into
+    #: the parent's tracer directly)
+    spans: Sequence[Dict] = ()
+    #: metric-counter increments made in a pool worker — deltas, not
+    #: totals: a forked worker starts with a copy of the parent's counts
+    counters: Optional[Dict[str, int]] = None
 
 
 def _prepared_key(name: str, scheme: str, config: CampaignConfig) -> Tuple:
@@ -88,154 +125,85 @@ def _worker_prepared(
 
 #: (name, scheme, config) for the campaign this worker serves — shipped once
 #: per worker via the pool initializer instead of once per chunk, so chunk
-#: submissions pickle only the bare (index, cycle, bit, seed) tuples.
+#: submissions pickle only the (index, plan) pairs.
 _WORKER_CAMPAIGN: Optional[Tuple[str, str, CampaignConfig]] = None
 
 
-def _init_worker(name: str, scheme: str, config: CampaignConfig) -> None:
+def _init_worker(name: str, scheme: str, config: CampaignConfig,
+                 metrics_enabled: bool) -> None:
     global _WORKER_CAMPAIGN
     _WORKER_CAMPAIGN = (name, scheme, config)
+    # A spawned worker would read REPRO_OBS afresh; follow the parent.
+    enable_global(metrics_enabled)
 
 
 def _execute_chunk(
     prepared: PreparedWorkload,
     config: CampaignConfig,
-    chunk: Sequence[Tuple[int, int, int, int, str]],
-) -> Tuple[List[Tuple[int, TrialResult]], List[Dict], Dict[str, int]]:
-    """Run one chunk of (index, cycle, bit, seed, model) trials.
+    chunk: Sequence[Tuple[int, InjectionPlan]],
+) -> ChunkResult:
+    """Run one chunk of ``(index, plan)`` trials — the campaign's only
+    trial loop, shared by serial campaigns, pool workers
+    (:func:`_run_chunk`) and the parent's serial fallback.
 
-    Returns ``(results, anomalies, stats)`` — anomalies are watchdog events
-    (trial timeout / quarantine) collected by
-    :func:`~.resilience.run_trial_guarded` for the parent to log, and stats
-    are the chunk's shared-prefix counters (snapshot restores, replay cycles
-    saved, triaged-masked trials) for the parent to fold into the campaign
-    totals.  When the campaign has an observability log configured, the
-    chunk's trial events are also written to a shard file next to the log
-    (named by the chunk's first plan index); the parent concatenates shards
-    in plan order after the pool drains, making the merged log
-    byte-identical to a serial run's (see :mod:`repro.obs.events`).
-
-    Shared between the worker entry point (:func:`_run_chunk`) and the
-    parent's serial-fallback path, so degraded execution behaves exactly
-    like a worker would have.
-
-    When the campaign is traced, the chunk runs under a ``chunk`` span and
-    its buffered spans are flushed to this process's ``<trace>.spans-<pid>``
-    sidecar afterwards — the parent folds every sidecar into the exported
-    trace, so Perfetto shows one track per worker process.
+    Scalar trials run under the wall-clock watchdog
+    (:func:`~.resilience.run_trial_guarded`), timed when the campaign logs
+    per-trial wall-clock.  With batched lanes on, a chunk of several trials
+    sweeps ``config.batch`` lanes at a time instead and records no
+    ``wall_ms``: per-trial wall-clock has no meaning for a lane whose
+    verdict came from a shared sweep.  A lane's verdict never depends on
+    which lanes share its sweep, so chunking is invisible in the trials.
     """
-    tracer = trace_mod.activate(config.trace)
-    try:
-        with tracer.span(
-            "chunk", cat="chunk", first=chunk[0][0], size=len(chunk)
-        ):
-            return _execute_chunk_trials(prepared, config, chunk)
-    finally:
-        tracer.flush_sidecar()
-
-
-def _execute_chunk_trials(
-    prepared: PreparedWorkload,
-    config: CampaignConfig,
-    chunk: Sequence[Tuple[int, int, int, int, str]],
-) -> Tuple[List[Tuple[int, TrialResult]], List[Dict], Dict[str, int]]:
-    from .campaign import batched_enabled
-
+    completions: List[Tuple[int, TrialResult, Optional[float]]] = []
+    anomalies: List[Dict] = []
+    stats: Dict[str, int] = {}
     if batched_enabled(config) and len(chunk) > 1:
-        return _execute_chunk_batched(prepared, config, chunk)
-    anomalies: List[Dict] = []
-    stats: Dict[str, int] = {}
-    if not config.obs_log:
-        results = []
-        for index, cycle, bit, seed, model in chunk:
-            trial, notes = resilience_mod.run_trial_guarded(
-                prepared, index, cycle, bit, seed, config, stats=stats,
-                model=model,
-            )
-            results.append((index, trial))
-            anomalies.extend(notes)
-        return results, anomalies, stats
-    import time
-
-    from ..obs import events as obs_events
-
-    results = []
-    events = []
-    for index, cycle, bit, seed, model in chunk:
-        t0 = time.perf_counter() if config.obs_timing else 0.0
+        size = config.batch
+        for at in range(0, len(chunk), size):
+            for index, trial, notes in run_batch_trials(
+                prepared, chunk[at:at + size], config, stats=stats
+            ):
+                completions.append((index, trial, None))
+                anomalies.extend(notes)
+        return ChunkResult(completions, anomalies, stats)
+    timed = config.obs_timing and bool(config.obs_log)
+    for index, plan in chunk:
+        start = time.perf_counter() if timed else 0.0
         trial, notes = resilience_mod.run_trial_guarded(
-            prepared, index, cycle, bit, seed, config, stats=stats,
-            model=model,
+            prepared, index, plan.cycle, plan.bit, plan.seed, config,
+            stats=stats, model=plan.model,
         )
-        wall_ms = (
-            (time.perf_counter() - t0) * 1e3 if config.obs_timing else None
-        )
-        results.append((index, trial))
+        wall_ms = (time.perf_counter() - start) * 1e3 if timed else None
+        completions.append((index, trial, wall_ms))
         anomalies.extend(notes)
-        events.append(
-            obs_events.trial_event(
-                index,
-                InjectionPlan(cycle=cycle, bit=bit, seed=seed, model=model),
-                trial, wall_ms=wall_ms,
-            )
-        )
-    obs_events.write_shard(config.obs_log, chunk[0][0], events)
-    return results, anomalies, stats
+    return ChunkResult(completions, anomalies, stats)
 
 
-def _execute_chunk_batched(
-    prepared: PreparedWorkload,
-    config: CampaignConfig,
-    chunk: Sequence[Tuple[int, int, int, int, str]],
-) -> Tuple[List[Tuple[int, TrialResult]], List[Dict], Dict[str, int]]:
-    """Batched-lane execution of one chunk (``config.batch`` lanes/sweep).
+def _run_chunk(chunk: Sequence[Tuple[int, InjectionPlan]]) -> ChunkResult:
+    """Worker entry: run one chunk under a ``chunk`` span.
 
-    A lane's verdict never depends on which lanes share its sweep, so
-    sub-batching a chunk produces trials byte-identical to the serial
-    batched portion's (and the scalar paths').  Trial events are sorted
-    back into plan order before the shard write — shards must concatenate
-    into the serial log byte for byte.  Batched mode never records
-    ``wall_ms`` (see ``_run_serial_batched_portion``).
+    The result also carries the spans this worker buffered and the counter
+    increments it made, so a worker writes no file: the parent appends the
+    spans (each keeps its worker pid, so Perfetto shows one track per
+    worker) and folds the counters into its own registry.
     """
-    from .campaign import run_batch_trials
-
-    anomalies: List[Dict] = []
-    stats: Dict[str, int] = {}
-    items = [
-        (index, InjectionPlan(cycle=cycle, bit=bit, seed=seed, model=model))
-        for index, cycle, bit, seed, model in chunk
-    ]
-    results: List[Tuple[int, TrialResult]] = []
-    size = config.batch
-    for at in range(0, len(items), size):
-        for index, trial, notes in run_batch_trials(
-            prepared, items[at:at + size], config, stats=stats
-        ):
-            results.append((index, trial))
-            anomalies.extend(notes)
-    results.sort(key=lambda item: item[0])
-    if config.obs_log:
-        from ..obs import events as obs_events
-
-        plan_by_index = dict(items)
-        obs_events.write_shard(
-            config.obs_log,
-            chunk[0][0],
-            [
-                obs_events.trial_event(index, plan_by_index[index], trial)
-                for index, trial in results
-            ],
-        )
-    return results, anomalies, stats
-
-
-def _run_chunk(
-    chunk: Sequence[Tuple[int, int, int, int, str]],
-) -> Tuple[List[Tuple[int, TrialResult]], List[Dict], Dict[str, int]]:
-    """Worker entry: resolve the per-process prepared workload and run."""
     name, scheme, config = _WORKER_CAMPAIGN  # type: ignore[misc]
     prepared = _worker_prepared(name, scheme, config)
-    return _execute_chunk(prepared, config, chunk)
+    tracer = trace_mod.activate(config.trace)
+    registry = global_registry()
+    before = registry.counts()
+    with tracer.span(
+        "chunk", cat="chunk", first=chunk[0][0], size=len(chunk)
+    ):
+        result = _execute_chunk(prepared, config, chunk)
+    # A counter first created in this chunk travels even at zero, as it
+    # would exist in-process.
+    counters = {
+        key: value - before.get(key, 0)
+        for key, value in registry.counts().items()
+        if value != before.get(key)
+    }
+    return result._replace(spans=tracer.drain(), counters=counters)
 
 
 def _chunk_size(n_trials: int, jobs: int) -> int:
@@ -246,25 +214,18 @@ def _chunk_size(n_trials: int, jobs: int) -> int:
 
 def run_trials_parallel(
     prepared: PreparedWorkload,
-    plans: Sequence[InjectionPlan],
+    items: Sequence[Tuple[int, InjectionPlan]],
     config: CampaignConfig,
-    on_trial: Optional[Callable[[TrialResult], None]] = None,
-    indices: Optional[Sequence[int]] = None,
-    on_result: Optional[Callable[[int, TrialResult], None]] = None,
+    sink: Callable[[ChunkResult], None],
     rlog: Optional[resilience_mod.ResilienceLogger] = None,
-    stats: Optional[Dict[str, int]] = None,
-) -> List[TrialResult]:
-    """Execute pre-drawn trial plans across ``config.jobs`` worker processes.
+) -> None:
+    """Execute ``(index, plan)`` trials across ``config.jobs`` worker
+    processes.
 
-    ``config`` must be resolved (:func:`repro.settings.resolve`).  Returns
-    results in plan order; ``on_trial`` fires in completion order,
-    ``on_result`` fires alongside it with the original plan index (the
-    campaign layer uses it to checkpoint completed trials).  ``indices``
-    lets a resumed campaign run a subset of its plans under their original
-    plan indices.  With ``config.obs_log`` set, workers leave per-chunk
-    event shard files next to the log;
-    :func:`~repro.faultinjection.campaign.run_campaign` merges them —
-    direct callers must merge (or discard) shards themselves.
+    ``config`` must be resolved (:func:`repro.settings.resolve`).  Each
+    finished chunk's :class:`ChunkResult` goes to ``sink`` in completion
+    order — chunks the pool ran and chunks the serial fallback ran alike;
+    ordering trials by plan index is the sink's job.
 
     A broken pool (killed worker) is handled per ``config.resilience``:
     lost chunks are resubmitted to a fresh pool with exponential backoff,
@@ -274,36 +235,14 @@ def run_trials_parallel(
     """
     global _FORK_PREPARED
     jobs = config.jobs
-    if indices is None:
-        indices = range(len(plans))
-    tagged = [
-        (index, plan.cycle, plan.bit, plan.seed, plan.model)
-        for index, plan in zip(indices, plans)
-    ]
-    size = _chunk_size(len(tagged), jobs)
-    pending: Dict[int, List[Tuple[int, int, int, int, str]]] = {
-        ordinal: tagged[i:i + size]
-        for ordinal, i in enumerate(range(0, len(tagged), size))
+    size = _chunk_size(len(items), jobs)
+    pending: Dict[int, Sequence[Tuple[int, InjectionPlan]]] = {
+        ordinal: items[i:i + size]
+        for ordinal, i in enumerate(range(0, len(items), size))
     }
     name, scheme = prepared.workload.name, prepared.scheme
     policy = config.resilience
     rlog = rlog or resilience_mod.ResilienceLogger(config.obs_log)
-
-    results: Dict[int, TrialResult] = {}
-
-    def consume(chunk_results, anomalies, chunk_stats) -> None:
-        for anomaly in anomalies:
-            kind = anomaly.pop("kind")
-            rlog.emit(kind, note=f"{kind}: trial {anomaly.get('i')}", **anomaly)
-        if stats is not None:
-            for key, value in chunk_stats.items():
-                stats[key] = stats.get(key, 0) + value
-        for index, trial in chunk_results:
-            results[index] = trial
-            if on_result is not None:
-                on_result(index, trial)
-            if on_trial is not None:
-                on_trial(trial)
 
     def run_serial_fallback() -> None:
         trace_mod.current().instant(
@@ -318,7 +257,7 @@ def run_trials_parallel(
             trials=sum(len(c) for c in pending.values()),
         )
         for ordinal in sorted(pending):
-            consume(*_execute_chunk(prepared, config, pending[ordinal]))
+            sink(_execute_chunk(prepared, config, pending[ordinal]))
         pending.clear()
 
     attempt = 0
@@ -360,7 +299,8 @@ def run_trials_parallel(
                 with ProcessPoolExecutor(
                     max_workers=min(jobs, len(pending)),
                     initializer=_init_worker,
-                    initargs=(name, scheme, config),
+                    initargs=(name, scheme, config,
+                              global_registry().enabled),
                 ) as pool:
                     futures = {
                         pool.submit(_run_chunk, chunk): ordinal
@@ -369,14 +309,12 @@ def run_trials_parallel(
                     for future in as_completed(futures):
                         ordinal = futures[future]
                         try:
-                            chunk_results, anomalies, chunk_stats = (
-                                future.result()
-                            )
+                            chunk_result = future.result()
                         except BrokenProcessPool as err:
                             last_error = err
                             continue
                         del pending[ordinal]
-                        consume(chunk_results, anomalies, chunk_stats)
+                        sink(chunk_result)
             except BrokenProcessPool as err:
                 last_error = err
             if pending:
@@ -395,5 +333,3 @@ def run_trials_parallel(
                 )
     finally:
         _FORK_PREPARED = None
-    ordered = [results[index] for index in indices]
-    return ordered

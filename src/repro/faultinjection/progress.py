@@ -89,7 +89,7 @@ class ProgressPrinter:
             self._emit(now)
 
     def batch(self, trials) -> None:
-        """Account a burst of trials from one batched lane sweep at once.
+        """Account a burst of trials from one executed chunk at once.
 
         Equivalent to calling the printer once per trial, except the rate
         check runs after the whole burst is folded in.  That keeps the EMA

@@ -142,31 +142,22 @@ class ResilienceLogger:
 
     The sidecar (``<obs_log>.resilience``) is separate from the main trial
     log on purpose: recovery actions only happen on failures, so folding
-    them into the trial log would break its byte-identity guarantee.  Lines
-    are appended with ``O_APPEND`` semantics, so parent and (worker) writers
-    never interleave within a line.  ``echo`` is an optional callable given
-    a short human-readable description of each action (the CLIs wire it to
-    the progress printer).
+    them into the trial log would break its byte-identity guarantee.
+    ``echo`` is an optional callable given a short human-readable
+    description of each action (the CLIs wire it to the progress printer).
     """
 
     def __init__(self, obs_log: Optional[str] = None,
                  echo: Optional[Callable[[str], None]] = None) -> None:
-        self.path = (
-            obs_events.resilience_log_path(obs_log) if obs_log else None
-        )
+        self.obs_log = obs_log
         self.echo = echo
 
     def emit(self, kind: str, note: str = "", **fields) -> None:
         global_registry().counter(f"resilience.{kind}").inc()
-        if self.path is not None:
-            event = obs_events.resilience_event(kind, **fields)
-            try:
-                parent = os.path.dirname(os.path.abspath(self.path))
-                os.makedirs(parent, exist_ok=True)
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(obs_events.encode_event(event))
-            except OSError:  # pragma: no cover - audit log is best effort
-                pass
+        if self.obs_log:
+            obs_events.append_sidecar_event(
+                self.obs_log, obs_events.resilience_event(kind, **fields)
+            )
         if self.echo is not None and note:
             self.echo(note)
 

@@ -15,7 +15,6 @@ from .events import (
     campaign_begin_event,
     campaign_end_event,
     encode_event,
-    merge_shards,
     read_events,
     read_events_detailed,
     trial_event,
@@ -55,7 +54,7 @@ __all__ = [
     "Tracer",
     "activate", "cache_hit_event", "campaign_begin_event",
     "campaign_end_event", "current", "encode_event", "enable_global",
-    "global_registry", "load_trace", "merge_shards", "percentile",
+    "global_registry", "load_trace", "percentile",
     "read_events", "read_events_detailed", "read_heartbeat",
     "render_heartbeat", "render_summary", "reset_global", "summarize_trace",
     "trial_event", "validate_trace", "watch",

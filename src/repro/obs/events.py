@@ -3,8 +3,8 @@
 One line per event, canonically encoded (sorted keys, no whitespace), so the
 log of a deterministic campaign is itself deterministic: with per-trial
 timing disabled (the default), a ``jobs=N`` campaign produces a
-**byte-identical** log to the serial run — parallel workers write per-chunk
-shard files and the parent concatenates them in plan order.
+**byte-identical** log to the serial run — pool workers hand their trials
+back to the campaign parent, which writes every trial event in plan order.
 
 Event kinds (every record carries ``"v": SCHEMA_VERSION``):
 
@@ -61,13 +61,11 @@ __all__ = [
     "campaign_end_event",
     "append_sidecar_event",
     "encode_event",
-    "merge_shards",
     "prefix_sharing_event",
     "read_events",
     "read_events_detailed",
     "resilience_event",
     "resilience_log_path",
-    "shard_path",
     "trial_event",
 ]
 
@@ -340,10 +338,6 @@ class EventLogWriter:
     def emit(self, event: Dict) -> None:
         self._fh.write(encode_event(event))
 
-    def write_raw(self, text: str) -> None:
-        """Append pre-encoded lines (shard merging)."""
-        self._fh.write(text)
-
     def flush(self) -> None:
         self._fh.flush()
 
@@ -357,62 +351,6 @@ class EventLogWriter:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def shard_path(log_path: str, first_index: int) -> str:
-    """Shard file written by the worker owning the chunk at ``first_index``.
-
-    Zero-padded so lexicographic order equals plan order; chunks are
-    contiguous index ranges, so concatenating sorted shards reproduces the
-    serial log byte for byte.
-    """
-    return f"{log_path}.shard-{first_index:010d}"
-
-
-def write_shard(log_path: str, first_index: int,
-                events: Iterable[Dict]) -> None:
-    """Worker side: write one chunk's trial events to its shard file."""
-    with open(shard_path(log_path, first_index), "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(encode_event(event))
-
-
-def merge_shards(writer: EventLogWriter) -> int:
-    """Parent side: fold all shard files into the log, in plan order.
-
-    Returns the number of shards merged; shard files are removed.  Best
-    effort on removal — a shard that cannot be deleted is still merged.
-    """
-    directory = os.path.dirname(os.path.abspath(writer.path)) or "."
-    prefix = os.path.basename(writer.path) + ".shard-"
-    try:
-        names = sorted(n for n in os.listdir(directory) if n.startswith(prefix))
-    except OSError:
-        return 0
-    for name in names:
-        full = os.path.join(directory, name)
-        with open(full, encoding="utf-8") as fh:
-            writer.write_raw(fh.read())
-        try:
-            os.unlink(full)
-        except OSError:  # pragma: no cover - best effort
-            pass
-    return len(names)
-
-
-def discard_shards(log_path: str) -> None:
-    """Remove stray shard files (cleanup after a failed parallel campaign)."""
-    directory = os.path.dirname(os.path.abspath(log_path)) or "."
-    prefix = os.path.basename(log_path) + ".shard-"
-    try:
-        names = [n for n in os.listdir(directory) if n.startswith(prefix)]
-    except OSError:  # pragma: no cover - best effort
-        return
-    for name in names:
-        try:
-            os.unlink(os.path.join(directory, name))
-        except OSError:  # pragma: no cover - best effort
-            pass
 
 
 # ---------------------------------------------------------------------------

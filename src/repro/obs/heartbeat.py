@@ -100,11 +100,12 @@ class HeartbeatWriter:
     def trials(self, outcomes) -> None:
         """Account a whole burst of completed trials at once.
 
-        Batched lane sweeps finish many trials in one step.  Folding them
-        in one call (instead of per-trial ``trial`` calls) keeps the rate
-        estimate honest: the burst's own trials are inside the window the
-        instantaneous rate is sampled over, so the EMA reflects effective
-        trials/sec — lanes per second, not sweeps per second.
+        A chunk (a batched lane sweep, a pool worker's chunk) finishes many
+        trials in one step.  Folding them in one call (instead of
+        per-trial ``trial`` calls) keeps the rate estimate honest: the
+        burst's own trials are inside the window the instantaneous rate is
+        sampled over, so the EMA reflects effective trials/sec — trials per
+        second, not chunks per second.
         """
         for outcome in outcomes:
             self.done += 1

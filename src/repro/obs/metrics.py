@@ -226,6 +226,10 @@ class MetricsRegistry:
             found = self._histograms[name] = Histogram(name)
         return found
 
+    def counts(self) -> Dict[str, int]:
+        """Current value of every counter, by name."""
+        return {name: c.value for name, c in self._counters.items()}
+
     def instruments(self) -> Iterator[Tuple[str, object]]:
         yield from self._counters.items()
         yield from self._timers.items()

@@ -28,14 +28,14 @@ Design rules (the house determinism invariant):
   ``REPRO_TRACE``/``--trace`` configured a path, so the instrumentation can
   live permanently in the campaign engine.
 * **Wall-clock data never touches results.**  Spans are written to the trace
-  file (and worker sidecar files) only — campaign results, the main obs
-  JSONL log, cache keys, and checkpoints are byte-identical with tracing on
-  or off, for any jobs count (differential tests enforce this).
+  file only — campaign results, the main obs JSONL log, cache keys, and
+  checkpoints are byte-identical with tracing on or off, for any jobs count
+  (differential tests enforce this).
 * **Workers fold into the parent stream by pid.**  Worker processes buffer
-  their spans and flush them to ``<trace>.spans-<pid>`` JSONL sidecars after
-  each chunk; the parent merges every sidecar at export, and each event
-  keeps the pid it was recorded under, so Perfetto shows one track per
-  worker process.
+  their spans and hand them back with each chunk's result
+  (:mod:`repro.faultinjection.parallel`); the parent appends them to its own
+  buffer, and each event keeps the pid it was recorded under, so Perfetto
+  shows one track per worker process.
 
 Timestamps come from ``time.perf_counter_ns()`` (CLOCK_MONOTONIC), which is
 system-wide on the supported platforms, so parent and worker spans share one
@@ -134,8 +134,8 @@ class _NullTracer:
                      **args) -> None:
         pass
 
-    def flush_sidecar(self) -> None:
-        pass
+    def drain(self) -> List[Dict]:
+        return []
 
     def export(self) -> None:
         pass
@@ -198,74 +198,28 @@ class Tracer:
         with self._lock:
             self.events.append(event)
 
-    # -- worker sidecars ---------------------------------------------------
+    # -- worker spans ------------------------------------------------------
 
-    def sidecar_path(self) -> str:
-        return f"{self.path}.spans-{os.getpid()}"
-
-    def flush_sidecar(self) -> None:
-        """Move the buffered events into this process's span sidecar.
-
-        Workers call this after each chunk; the parent folds every sidecar
-        back into the exported trace.  Best effort: a full disk must never
-        fail a campaign.
-        """
+    def drain(self) -> List[Dict]:
+        """Remove and return the buffered events (a worker, after a chunk)."""
         with self._lock:
             events, self.events = self.events, []
-        if not events:
-            return
-        try:
-            parent = os.path.dirname(os.path.abspath(self.sidecar_path()))
-            os.makedirs(parent, exist_ok=True)
-            with open(self.sidecar_path(), "a", encoding="utf-8") as fh:
-                for event in events:
-                    fh.write(json.dumps(event, sort_keys=True) + "\n")
-        except OSError:  # pragma: no cover - tracing is best effort
-            with self._lock:
-                self.events = events + self.events
+        return events
 
-    def _merge_sidecars(self) -> None:
-        """Fold every ``<path>.spans-*`` sidecar into the buffer (parent)."""
-        directory = os.path.dirname(os.path.abspath(self.path)) or "."
-        prefix = os.path.basename(self.path) + ".spans-"
-        try:
-            names = sorted(
-                n for n in os.listdir(directory) if n.startswith(prefix)
-            )
-        except OSError:  # pragma: no cover - best effort
-            return
-        merged: List[Dict] = []
-        for name in names:
-            full = os.path.join(directory, name)
-            try:
-                with open(full, encoding="utf-8") as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        try:
-                            event = json.loads(line)
-                        except ValueError:
-                            continue  # torn write from a killed worker
-                        if isinstance(event, dict):
-                            merged.append(event)
-                os.unlink(full)
-            except OSError:  # pragma: no cover - best effort
-                continue
-        if merged:
-            with self._lock:
-                self.events.extend(merged)
+    def extend(self, events: Iterable[Dict]) -> None:
+        """Append events a worker recorded (the parent, per chunk)."""
+        with self._lock:
+            self.events.extend(events)
 
     # -- export ------------------------------------------------------------
 
     def export(self) -> Optional[str]:
         """Write the Chrome trace-event JSON file (atomic replace).
 
-        Merges worker sidecars first and keeps the merged buffer, so a
-        process running several traced campaigns against one path exports a
-        cumulative trace.  Returns the path written, or None on failure.
+        Keeps the buffer, so a process running several traced campaigns
+        against one path exports a cumulative trace.  Returns the path
+        written, or None on failure.
         """
-        self._merge_sidecars()
         with self._lock:
             events = list(self.events)
         pids = sorted({e.get("pid") for e in events if "pid" in e})

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from collections import Counter
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from repro.faultinjection import (
     run_campaign,
 )
 from repro.obs import metrics as obs_metrics
+from repro.obs import trace as trace_mod
 from repro.obs.events import read_events
 from repro.obs.metrics import MetricsRegistry
 from repro.settings import resolve
@@ -107,6 +109,27 @@ def test_serial_and_parallel_logs_byte_identical(tmp_path, prepared_tiff):
     assert parallel.trials == serial.trials
     assert parallel_log.read_bytes() == serial_log.read_bytes()
     assert not list(tmp_path.glob("*.shard-*"))  # all shards merged + removed
+
+
+def test_pool_workers_write_no_files(tmp_path, prepared_tiff):
+    """Workers hand their trials and spans back with each chunk's result:
+    mid-run, a traced and logged ``jobs=2`` campaign's directory holds only
+    the log — no per-chunk shard or per-worker span files."""
+    config, prepared = prepared_tiff
+    cfg = replace(
+        config, trials=48, jobs=2, obs_log=str(tmp_path / "log.jsonl"),
+        trace=str(tmp_path / "trace.json"),
+    )
+    listings = []
+    try:
+        run_campaign(
+            prepared.workload, "dup_valchk", cfg, prepared=prepared,
+            on_trial=lambda trial: listings.append(os.listdir(tmp_path)),
+        )
+    finally:
+        trace_mod.activate(None)
+    assert len(listings) == cfg.trials
+    assert all(names == ["log.jsonl"] for names in listings), listings[-1]
 
 
 def test_obs_env_var_enables_logging(tmp_path, monkeypatch, prepared_tiff):

@@ -12,11 +12,8 @@ from repro.obs.events import (
     campaign_begin_event,
     campaign_end_event,
     encode_event,
-    merge_shards,
     read_events,
-    shard_path,
     trial_event,
-    write_shard,
 )
 from repro.sim.faults import InjectionPlan
 
@@ -149,29 +146,3 @@ def test_reader_preserves_unknown_versions(tmp_path):
     events, skipped = read_events(path)
     assert skipped == 0
     assert events[0]["v"] == 999
-
-
-# ---------------------------------------------------------------------------
-# shards
-# ---------------------------------------------------------------------------
-
-
-def test_shard_names_sort_in_plan_order(tmp_path):
-    base = str(tmp_path / "log.jsonl")
-    indices = [0, 32, 64, 9999999]
-    names = [shard_path(base, i) for i in indices]
-    assert names == sorted(names)
-
-
-def test_write_and_merge_shards_in_plan_order(tmp_path):
-    base = str(tmp_path / "log.jsonl")
-    # written out of order, merged back in plan order
-    write_shard(base, 2, [{"event": "trial", "v": 1, "i": 2}])
-    write_shard(base, 0, [{"event": "trial", "v": 1, "i": 0}])
-    write_shard(base, 1, [{"event": "trial", "v": 1, "i": 1}])
-    with EventLogWriter(base) as writer:
-        merged = merge_shards(writer)
-    assert merged == 3
-    events, _ = read_events(base)
-    assert [e["i"] for e in events] == [0, 1, 2]
-    assert not list(tmp_path.glob("*.shard-*"))  # shards cleaned up

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.faultinjection import (
     run_campaign,
 )
 from repro.faultinjection.parallel import _chunk_size
+from repro.obs import metrics as obs_metrics
 from repro.workloads.registry import get_workload
 
 
@@ -78,6 +80,32 @@ def test_parallel_bit_identical_to_serial(prepared_g721):
     # TrialResult is a dataclass: == compares every field of every trial.
     assert parallel.trials == serial.trials
     assert parallel.counts() == serial.counts()
+
+
+def test_worker_counters_reach_the_parent_registry():
+    """Counters bumped inside pool workers come back as per-chunk deltas, so
+    a ``jobs=2`` campaign leaves the same simulator and memory-fault
+    counters in the parent's registry as a ``jobs=1`` campaign."""
+    config = CampaignConfig(trials=40, seed=2014, fault_model="memory_word")
+    prepared = prepare(get_workload("tiff2bw"), "dup", config)
+
+    def counters(jobs):
+        registry = obs_metrics.enable_global()
+        registry.reset()
+        run_campaign(prepared.workload, "dup", replace(config, jobs=jobs),
+                     prepared=prepared)
+        return {
+            name: value for name, value in registry.snapshot().items()
+            if name.startswith(("sim.", "memfault.")) and isinstance(value, int)
+        }
+
+    try:
+        serial = counters(1)
+        assert serial["sim.instructions"] > 0
+        assert serial["sim.runs.fastpath"] == config.trials
+        assert counters(2) == serial
+    finally:
+        obs_metrics.reset_global()
 
 
 def test_on_trial_called_once_per_trial(prepared_g721):

@@ -197,6 +197,29 @@ def test_interrupted_campaign_resumes_byte_identical(
     assert all(e["event"] != "resilience" for e in main_events)
 
 
+def test_parallel_resume_times_the_trials_it_runs(tmp_path, prepared_g721):
+    """With ``obs_timing`` on, a ``jobs=2`` resume logs ``wall_ms`` on every
+    trial it ran and on none it restored, as a ``jobs=1`` resume does."""
+    _, prepared = prepared_g721
+
+    def config(jobs):
+        return CampaignConfig(
+            trials=40, seed=7, jobs=jobs, obs_log=str(tmp_path / "log.jsonl"),
+            obs_timing=True, checkpoint=str(tmp_path / "ckpt.json"),
+            resilience=_policy(checkpoint_every=1),
+        )
+
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign(prepared.workload, "dup_valchk", config(1),
+                     prepared=prepared, on_trial=_InterruptAfter(12))
+    run_campaign(prepared.workload, "dup_valchk", config(2),
+                 prepared=prepared)
+    events, _ = read_events(tmp_path / "log.jsonl")
+    trials = [e for e in events if e["event"] == "trial"]
+    assert [e["i"] for e in trials] == list(range(40))
+    assert [e["i"] for e in trials if "wall_ms" in e] == list(range(12, 40))
+
+
 def test_completed_campaign_matches_unchecked_run(tmp_path, prepared_g721):
     """Checkpointing an undisturbed campaign must not perturb it."""
     config, prepared = prepared_g721

@@ -212,7 +212,6 @@ def test_null_tracer_is_inert(tmp_path):
     with tracer.span("anything", cat="x", a=1) as span:
         span.add(b=2)
     tracer.instant("mark")
-    tracer.flush_sidecar()
     tracer.export()
     assert os.listdir(tmp_path) == []
 
@@ -230,24 +229,6 @@ def test_resolve_trace_precedence(monkeypatch):
     assert trace("") == ""  # explicit off wins
     monkeypatch.setenv("REPRO_TRACE", "off")
     assert trace(None) == ""
-
-
-def test_sidecar_flush_and_merge(tmp_path):
-    """A (simulated) worker's sidecar folds back into the exported trace."""
-    path = str(tmp_path / "trace.json")
-    tracer = trace_mod.Tracer(path)
-    with tracer.span("chunk", cat="chunk"):
-        pass
-    tracer.flush_sidecar()
-    assert os.path.exists(tracer.sidecar_path())
-    assert tracer.events == []
-
-    with tracer.span("campaign", cat="campaign"):
-        pass
-    assert tracer.export() == path
-    assert not os.path.exists(tracer.sidecar_path())
-    names = {e["name"] for e in load_trace(path)["traceEvents"]}
-    assert {"chunk", "campaign"} <= names
 
 
 # ---------------------------------------------------------------------------
