@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .. import settings
 from ..settings import resolve as resolve_settings
@@ -60,8 +60,6 @@ class ExperimentSettings:
     jobs: Optional[int] = field(
         default=None, metadata=settings.tags(settings.JOBS)
     )
-    #: per-trial progress callback threaded into every campaign
-    on_trial: Optional[Callable] = None
     #: print a rate-limited live progress line per campaign (stderr)
     progress: bool = False
     #: structured JSONL trial event log appended to by every campaign
@@ -156,19 +154,18 @@ class ExperimentCache:
                             f"checkpoint-{disk_key[:16]}.json",
                         ),
                     )
-                on_trial = self.settings.on_trial
                 printer = None
                 on_recovery = None
-                if on_trial is None and self.settings.progress:
+                if self.settings.progress:
                     from ..faultinjection.progress import ProgressPrinter
 
-                    on_trial = printer = ProgressPrinter(
+                    printer = ProgressPrinter(
                         config.trials, label=f"{name}/{scheme}"
                     )
                     on_recovery = printer.note
                 result = run_campaign(
                     prepared.workload, scheme, config, prepared=prepared,
-                    on_trial=on_trial, on_recovery=on_recovery,
+                    on_trial=printer, on_recovery=on_recovery,
                 )
                 if printer is not None:
                     printer.finish()

@@ -106,9 +106,9 @@ class CampaignConfig:
     checkpoint: Optional[str] = field(
         default=None, metadata=settings.tags(settings.CHECKPOINT, result=False)
     )
-    #: recovery policy (worker-failure handling, retry budget, per-trial
-    #: wall-clock watchdog, checkpoint cadence): recovery changes *how*
-    #: trials get executed, never what they compute.
+    #: recovery policy (on/off switch, retry budget, per-trial wall-clock
+    #: watchdog, checkpoint cadence): recovery changes *how* trials get
+    #: executed, never what they compute.
     resilience: Optional[ResiliencePolicy] = field(
         default=None,
         metadata=settings.tags(result=False, nested=ResiliencePolicy),
@@ -163,6 +163,8 @@ class CampaignConfig:
                 and model not in FAULT_MODELS):
             known = ", ".join(CONCRETE_FAULT_MODELS + (CHAOS_FAULT_MODEL,))
             raise ValueError(f"unknown fault model {model!r} (known: {known})")
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
 
 
 @dataclass
@@ -374,10 +376,8 @@ def run_trial(
     triage on, a flip proven dead at injection time short-circuits straight
     to Masked, and a trial whose state re-converges with a golden snapshot
     ends there.  All are bit-invisible: the returned TrialResult is identical
-    to a from-scratch run's.  ``stats``, when given, accumulates
-    ``restores`` / ``replay_cycles_saved`` / ``triaged_masked`` /
-    ``triaged_dead_memory`` / ``converged`` / ``converged_cycles_saved``
-    counts.
+    to a from-scratch run's.  ``stats``, when given, accumulates the
+    :data:`~repro.obs.events.PREFIX_STATS` counts.
 
     ``model`` names the :class:`~repro.sim.faults.FaultModel` to inject
     (always a concrete model — the campaign resolves ``chaos`` per plan).
@@ -804,32 +804,13 @@ def _record_prefix_stats(
     if not any(stats.values()):
         return
     registry = global_registry()
-    registry.counter("snapshot.restores").inc(stats.get("restores", 0))
-    registry.counter("snapshot.replay_cycles_saved").inc(
-        stats.get("replay_cycles_saved", 0)
-    )
-    registry.counter("campaign.triaged_masked").inc(
-        stats.get("triaged_masked", 0)
-    )
-    registry.counter("campaign.triaged_dead_memory").inc(
-        stats.get("triaged_dead_memory", 0)
-    )
-    registry.counter("campaign.converged").inc(stats.get("converged", 0))
-    registry.counter("campaign.converged_cycles_saved").inc(
-        stats.get("converged_cycles_saved", 0)
-    )
+    for name, counter in obs_events.PREFIX_STATS:
+        registry.counter(counter).inc(stats.get(name, 0))
     if config.obs_log:
         obs_events.append_sidecar_event(
             config.obs_log,
             obs_events.prefix_sharing_event(
-                result.workload,
-                result.scheme,
-                restores=stats.get("restores", 0),
-                replay_cycles_saved=stats.get("replay_cycles_saved", 0),
-                triaged_masked=stats.get("triaged_masked", 0),
-                triaged_dead_memory=stats.get("triaged_dead_memory", 0),
-                converged=stats.get("converged", 0),
-                converged_cycles_saved=stats.get("converged_cycles_saved", 0),
+                result.workload, result.scheme, stats
             ),
         )
 
@@ -928,11 +909,7 @@ class _TrialSink:
         self.on_trial = on_trial
         self.on_batch = getattr(on_trial, "batch", None)
         self.trials: Dict[int, TrialResult] = {}
-        self.stats = {
-            "restores": 0, "replay_cycles_saved": 0, "triaged_masked": 0,
-            "triaged_dead_memory": 0, "converged": 0,
-            "converged_cycles_saved": 0,
-        }
+        self.stats = {name: 0 for name, _ in obs_events.PREFIX_STATS}
         self._wall_ms: Dict[int, float] = {}
         self._logged = 0
 

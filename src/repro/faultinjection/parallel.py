@@ -266,12 +266,9 @@ def run_trials_parallel(
     try:
         while pending:
             if attempt > 0:
-                if not policy.enabled or policy.on_worker_failure == "fail":
+                if not policy.enabled:
                     raise last_error
-                if (
-                    policy.on_worker_failure == "serial"
-                    or attempt > policy.max_retries
-                ):
+                if attempt > policy.max_retries:
                     run_serial_fallback()
                     break
                 # Jitter is seeded from the campaign's identity so many

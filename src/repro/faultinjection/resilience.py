@@ -7,10 +7,10 @@ a crashed worker, a runaway trial, or a corrupt on-disk artifact must not
 abort the whole campaign and discard every completed trial.  This module
 provides the pieces; :mod:`.campaign` and :mod:`.parallel` integrate them.
 
-* :class:`ResiliencePolicy` — the recovery knobs (worker-failure policy,
-  retry budget and backoff, per-trial wall-clock deadline, checkpoint
-  cadence), resolved once in the campaign parent from ``REPRO_RESILIENCE``
-  and friends (:mod:`repro.settings`) so workers inherit the exact same
+* :class:`ResiliencePolicy` — the recovery knobs (on/off switch, retry
+  budget and backoff, per-trial wall-clock deadline, checkpoint cadence),
+  resolved once in the campaign parent from ``REPRO_RESILIENCE`` and
+  friends (:mod:`repro.settings`) so workers inherit the exact same
   decision.
 
 * **Checkpointing** (:class:`Checkpointer`, :func:`save_checkpoint`,
@@ -81,9 +81,6 @@ __all__ = [
 #: bump on any change to the checkpoint file layout
 CHECKPOINT_SCHEMA_VERSION = 1
 
-#: accepted ``on_worker_failure`` policies
-WORKER_FAILURE_POLICIES = settings.WORKER_FAILURE.choices
-
 
 # ---------------------------------------------------------------------------
 # policy
@@ -102,12 +99,8 @@ class ResiliencePolicy:
     enabled: Optional[bool] = field(
         default=None, metadata=settings.tags(settings.RESILIENCE)
     )
-    #: reaction to a lost worker/chunk: 'retry' (backoff, then serial),
-    #: 'serial' (immediate in-process fallback), or 'fail' (propagate)
-    on_worker_failure: Optional[str] = field(
-        default=None, metadata=settings.tags(settings.WORKER_FAILURE)
-    )
     #: pool re-creation attempts before degrading to serial execution
+    #: (0 degrades at once)
     max_retries: Optional[int] = field(
         default=None, metadata=settings.tags(settings.MAX_RETRIES)
     )
@@ -122,14 +115,6 @@ class ResiliencePolicy:
     checkpoint_every: Optional[int] = field(
         default=None, metadata=settings.tags(settings.CHECKPOINT_EVERY)
     )
-
-    def __post_init__(self) -> None:
-        if (self.on_worker_failure is not None
-                and self.on_worker_failure not in WORKER_FAILURE_POLICIES):
-            raise ValueError(
-                f"on_worker_failure must be one of {WORKER_FAILURE_POLICIES},"
-                f" got {self.on_worker_failure!r}"
-            )
 
 
 # ---------------------------------------------------------------------------

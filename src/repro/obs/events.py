@@ -26,9 +26,16 @@ Event kinds (every record carries ``"v": SCHEMA_VERSION``):
   actions only occur on failures, so keeping them out of the main log is
   what preserves its byte-identity guarantee;
 * ``prefix_sharing`` — per-campaign shared-prefix execution totals
-  (snapshot restores, replay cycles saved, triaged-masked trials, see
-  :mod:`repro.sim.snapshot`).  Also written to the sidecar log: the main
-  trial log must stay byte-identical with snapshotting on or off.
+  (:data:`PREFIX_STATS`: snapshot restores, triage verdicts, re-convergence
+  cut-offs, see :mod:`repro.sim.snapshot`);
+* ``occupancy`` — per-structure residency of a memory-model campaign's
+  golden run, the denominator side of the AVF report;
+* ``batched`` — per-campaign batched lane-sweep totals (see
+  :mod:`repro.sim.batched`).
+
+The last three are written to the sidecar log too: the main trial log must
+stay byte-identical with snapshots, triage, the occupancy pass and batching
+on or off.
 
 Reading is *corrupt-line tolerant*: a truncated or garbled line (e.g. a
 campaign killed mid-write) is counted and skipped, never fatal.  Unknown
@@ -55,6 +62,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 __all__ = [
     "SCHEMA_VERSION",
     "EventLogWriter",
+    "PREFIX_STATS",
     "batched_event",
     "cache_hit_event",
     "campaign_begin_event",
@@ -189,40 +197,36 @@ def resilience_event(kind: str, **fields) -> Dict:
     return event
 
 
-def prefix_sharing_event(
-    workload: str,
-    scheme: str,
-    restores: int = 0,
-    replay_cycles_saved: int = 0,
-    triaged_masked: int = 0,
-    triaged_dead_memory: int = 0,
-    converged: int = 0,
-    converged_cycles_saved: int = 0,
-) -> Dict:
-    """Shared-prefix execution totals for one campaign.
+#: the shared-prefix stats of one campaign, each with its registry counter:
+#: snapshot restores and the replay cycles they skipped, trials triaged
+#: dead (a register flip, then a memory hit), and trials cut off at
+#: re-convergence and the golden cycles that skipped
+PREFIX_STATS: Tuple[Tuple[str, str], ...] = (
+    ("restores", "snapshot.restores"),
+    ("replay_cycles_saved", "snapshot.replay_cycles_saved"),
+    ("triaged_masked", "campaign.triaged_masked"),
+    ("triaged_dead_memory", "campaign.triaged_dead_memory"),
+    ("converged", "campaign.converged"),
+    ("converged_cycles_saved", "campaign.converged_cycles_saved"),
+)
 
-    ``restores`` counts trials that fast-forwarded from a golden-run
-    snapshot, ``replay_cycles_saved`` sums the pre-injection cycles those
-    restores skipped, ``triaged_masked`` counts trials short-circuited to
-    ``Masked`` by the dead-flip triage pass, ``triaged_dead_memory``
-    counts memory-model trials proven dead by the occupancy map,
-    ``converged`` counts trials cut off where their state re-converged
-    with a golden snapshot, and ``converged_cycles_saved`` sums the golden
-    cycles those cut-offs skipped.  Pure functions of the campaign
-    configuration + plans, hence timestamp-free.
+
+def prefix_sharing_event(
+    workload: str, scheme: str, stats: Dict[str, int]
+) -> Dict:
+    """Shared-prefix execution totals (:data:`PREFIX_STATS`) of one campaign.
+
+    Pure functions of the campaign configuration + plans, hence
+    timestamp-free.
     """
-    return {
+    event = {
         "event": "prefix_sharing",
         "v": SCHEMA_VERSION,
         "workload": workload,
         "scheme": scheme,
-        "restores": restores,
-        "replay_cycles_saved": replay_cycles_saved,
-        "triaged_masked": triaged_masked,
-        "triaged_dead_memory": triaged_dead_memory,
-        "converged": converged,
-        "converged_cycles_saved": converged_cycles_saved,
     }
+    event.update((name, stats.get(name, 0)) for name, _ in PREFIX_STATS)
+    return event
 
 
 def batched_event(

@@ -21,9 +21,9 @@ parseable status:
       "pid": 12345, "updated_unix": 1733787000.123
     }
 
-This is the pre-work for the ``repro.serve`` campaign service (ROADMAP):
-the submit/status/results API will stream exactly this document.  Watch it
-live with ``python -m repro.obs top <file>``.
+Watch it live with ``python -m repro.obs top <file>``.  The campaign
+service (:mod:`repro.serve`) gives each job's campaign one of these files
+and writes its own ``service.json`` document for the service as a whole.
 
 Configured via ``CampaignConfig.heartbeat`` (``--heartbeat`` or
 ``REPRO_HEARTBEAT=/path/to/status.json``); off by default.  Like every

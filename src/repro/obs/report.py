@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import os
 
-from .events import read_events_detailed, resilience_log_path
+from .events import PREFIX_STATS, read_events_detailed, resilience_log_path
 
 __all__ = ["LogReport", "percentile"]
 
@@ -222,11 +222,7 @@ class LogReport:
         return dict(sorted(counts.items()))
 
     def _prefix_totals(self) -> Dict[str, int]:
-        totals = {
-            "restores": 0, "replay_cycles_saved": 0, "triaged_masked": 0,
-            "triaged_dead_memory": 0, "converged": 0,
-            "converged_cycles_saved": 0,
-        }
+        totals = {name: 0 for name, _ in PREFIX_STATS}
         for event in self.prefix_sharing:
             for key in totals:
                 totals[key] += int(event.get(key, 0) or 0)

@@ -26,6 +26,7 @@ import json
 import sys
 import time
 
+from .. import settings
 from . import client
 from .queue import JobState
 from .spec import DEFAULT_TENANT, CampaignSpec
@@ -34,14 +35,9 @@ from .worker import execute_job
 
 
 def _cmd_run(args) -> int:
-    config = ServiceConfig(
-        args.root,
-        workers=args.workers,
-        max_depth=args.max_depth,
-        max_job_retries=args.max_retries,
-        backoff_seconds=args.backoff,
-        inline=args.inline,
-        until_idle=args.until_idle,
+    config = settings.from_args(
+        ServiceConfig, args, root=args.root, backoff_seconds=args.backoff,
+        inline=args.inline, until_idle=args.until_idle,
     )
     return Service(config).run()
 
@@ -182,14 +178,7 @@ def main(argv=None) -> int:
     run = sub.add_parser("run", help="run the service loop (foreground)")
     run.add_argument("--root", required=True,
                      help="service root directory (journal, inbox, jobs)")
-    run.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="concurrent jobs (default: REPRO_SERVE_WORKERS/2)")
-    run.add_argument("--max-depth", type=int, default=None, metavar="N",
-                     help="admission bound on queued+running jobs "
-                          "(default: REPRO_SERVE_DEPTH/256)")
-    run.add_argument("--max-retries", type=int, default=None, metavar="N",
-                     help="failed attempts before poison quarantine "
-                          "(default: REPRO_SERVE_RETRIES/3)")
+    settings.add_flags(run, ServiceConfig)
     run.add_argument("--backoff", type=float,
                      default=ServiceConfig.backoff_seconds, metavar="SECONDS",
                      help="base retry backoff (default %(default)s)")

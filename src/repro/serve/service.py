@@ -82,6 +82,12 @@ SERVICE_HEARTBEAT_KIND = "service"
 #: sentinel exit code for "exit 0 but no result.json" (never a real rc)
 EXIT_FAILED_NO_RESULT = 1001
 
+#: minimum seconds between service heartbeat writes
+HEARTBEAT_INTERVAL = 0.5
+
+#: seconds to wait for SIGTERMed workers before giving up the drain
+DRAIN_GRACE = 30.0
+
 
 @dataclass
 class ServiceConfig:
@@ -109,15 +115,12 @@ class ServiceConfig:
     backoff_seconds: float = 0.5
     #: journal appends between state snapshots
     snapshot_every: int = 50
-    #: idle loop sleep + minimum heartbeat refresh interval
+    #: idle loop sleep
     poll_interval: float = 0.05
-    heartbeat_interval: float = 0.5
     #: run jobs in-process instead of subprocesses (tests, load drives)
     inline: bool = False
     #: exit 0 once every admitted job is terminal and the inbox is empty
     until_idle: bool = False
-    #: seconds to wait for SIGTERMed workers before giving up the drain
-    drain_grace: float = 30.0
 
 
 @dataclass(frozen=True)
@@ -509,7 +512,7 @@ class Service:
             pass
 
     def _finish_drain(self) -> int:
-        deadline = time.monotonic() + self.config.drain_grace
+        deadline = time.monotonic() + DRAIN_GRACE
         while self.live and time.monotonic() < deadline:
             self._reap()
             time.sleep(self.config.poll_interval)
@@ -567,8 +570,7 @@ class Service:
     def write_heartbeat(self, status: str = "running",
                         force: bool = False) -> None:
         now = time.monotonic()
-        if not force and now - self._last_heartbeat < \
-                self.config.heartbeat_interval:
+        if not force and now - self._last_heartbeat < HEARTBEAT_INTERVAL:
             return
         self._last_heartbeat = now
         try:

@@ -21,6 +21,10 @@ unset; ``0``/``off``/``false``/``no`` means off — ``False`` for a switch,
 ``""``, no path).  An unparsable number falls back to the default with one
 ``RuntimeWarning`` per variable.
 
+**Flags.**  The CLIs take one flag per knob-tagged field from
+:func:`add_flags` and build their settings with :func:`from_args`, so a
+knob, its flag and its help text are declared once, here.
+
 **Result tags.**  Every :class:`CampaignConfig` field is tagged
 result-affecting or execution-only; the disk-cache key and the service's
 content key hash exactly the result-affecting ones (:func:`result_fields`),
@@ -42,6 +46,8 @@ __all__ = [
     "KNOBS",
     "Knob",
     "OFF_WORDS",
+    "add_flags",
+    "from_args",
     "resolve",
     "result_fields",
     "tags",
@@ -56,18 +62,20 @@ _warned: set = set()
 
 @dataclass(frozen=True)
 class Knob:
-    """One ``REPRO_*`` variable: its name, its default and its floor.
+    """One ``REPRO_*`` variable: its name, default, floor, help and flag.
 
     The default's type picks the parser: a bool is a switch, an int or a
     float is a number (clamped to ``floor``), and a string is a path or a
-    name (``""`` is no path), or a choice when ``choices`` are given (other
-    words mean the default).
+    name (``""`` is no path).  ``help`` describes the knob and is its
+    flag's help text; ``flag`` is set only when the flag is not the
+    field's name with dashes (:func:`add_flags`).
     """
 
     name: str
     default: Any = ""
     floor: Optional[float] = None
-    choices: Tuple[str, ...] = ()
+    help: str = ""
+    flag: str = ""
 
     def read(self) -> Any:
         """The variable's value under the parse rule."""
@@ -91,9 +99,6 @@ class Knob:
                         stacklevel=3,
                     )
                 return self.default
-        if self.choices:
-            text = text.lower()
-            return text if text in self.choices else self.default
         return self.default if off else text
 
     def normalize(self, value):
@@ -114,63 +119,114 @@ class _WorkerCount(Knob):
 # the table
 # ---------------------------------------------------------------------------
 
-#: simulate on the compiled fast path (``0`` selects the reference
-#: interpreter, the differential oracle)
-FASTPATH = Knob("REPRO_FASTPATH", True)
-#: read and write the on-disk campaign cache
-CACHE = Knob("REPRO_CACHE", True)
-#: campaign cache directory (default ``~/.cache/repro``)
-CACHE_DIR = Knob("REPRO_CACHE_DIR")
-
-#: campaign worker processes
-JOBS = _WorkerCount("REPRO_JOBS", 1)
-#: trials per campaign of an experiment sweep (the paper used 1000)
-TRIALS = Knob("REPRO_TRIALS", 60, floor=1)
-#: fault model injected by every trial
-FAULT_MODEL = Knob("REPRO_FAULT_MODEL", "single_bit")
-#: trial event log path
-OBS = Knob("REPRO_OBS")
-#: per-trial wall-clock times in the event log
-OBS_TIMING = Knob("REPRO_OBS_TIMING", False)
-#: Chrome trace-event output path
-TRACE = Knob("REPRO_TRACE")
-#: live status file path
-HEARTBEAT = Knob("REPRO_HEARTBEAT")
-#: checkpoint file of one campaign
-CHECKPOINT = Knob("REPRO_CHECKPOINT")
-#: directory of per-campaign checkpoint files for experiment sweeps
-CHECKPOINT_DIR = Knob("REPRO_CHECKPOINT_DIR")
-#: golden-run snapshot cadence: 0 off, -1 automatic, N every N cycles
-SNAPSHOT_EVERY = Knob("REPRO_SNAPSHOT_EVERY", -1)
-#: dead-flip and dead-region triage
-TRIAGE = Knob("REPRO_TRIAGE", True)
-#: batched lanes per sweep (0 and 1 are off)
-BATCH = Knob("REPRO_BATCH", 0, floor=0)
-
-#: worker-failure recovery: a switch, and also the policy when it names one
-RESILIENCE = Knob("REPRO_RESILIENCE", True)
-WORKER_FAILURE = Knob(
-    "REPRO_RESILIENCE", "retry", choices=("retry", "serial", "fail")
+FASTPATH = Knob(
+    "REPRO_FASTPATH", True,
+    help="simulate on the compiled fast path; off selects the reference "
+         "interpreter, the differential oracle",
 )
-#: pool re-creations before the serial fallback
-MAX_RETRIES = Knob("REPRO_MAX_RETRIES", 2, floor=0)
-#: per-trial wall-clock watchdog in seconds (0 is off)
-TRIAL_DEADLINE = Knob("REPRO_TRIAL_DEADLINE", 0.0, floor=0.0)
-#: completed trials between checkpoint writes
-CHECKPOINT_EVERY = Knob("REPRO_CHECKPOINT_EVERY", 25, floor=1)
+CACHE = Knob("REPRO_CACHE", True,
+             help="read and write the on-disk campaign cache")
+CACHE_DIR = Knob("REPRO_CACHE_DIR",
+                 help="campaign cache directory (default ~/.cache/repro)")
 
-#: concurrent service jobs
-SERVE_WORKERS = Knob("REPRO_SERVE_WORKERS", 2, floor=1)
-#: service admission bound on queued + running jobs
-SERVE_DEPTH = Knob("REPRO_SERVE_DEPTH", 256, floor=1)
-#: failed attempts before a service job is quarantined
-SERVE_RETRIES = Knob("REPRO_SERVE_RETRIES", 3, floor=1)
+JOBS = _WorkerCount(
+    "REPRO_JOBS", 1,
+    help="campaign worker processes, 0 for one per CPU; results are "
+         "bit-identical for any value",
+)
+TRIALS = Knob(
+    "REPRO_TRIALS", 60, floor=1,
+    help="injection trials per benchmark and scheme; the paper used 1000",
+)
+FAULT_MODEL = Knob(
+    "REPRO_FAULT_MODEL", "single_bit",
+    help="fault model injected by every trial: single_bit is the paper's, "
+         "mem_*, cache_line and stack_frame target the memory hierarchy, "
+         "and chaos draws a model per trial; see docs/FAULT_MODEL.md",
+)
+OBS = Knob(
+    "REPRO_OBS",
+    help="append a JSONL trial event log to this file; inspect it with "
+         "'python -m repro.obs report'",
+)
+OBS_TIMING = Knob(
+    "REPRO_OBS_TIMING", False,
+    help="record per-trial wall-clock times in the event log, which then "
+         "differs from run to run",
+)
+TRACE = Knob(
+    "REPRO_TRACE",
+    help="export wall-clock spans as Chrome trace-event JSON to this "
+         "file; load it at ui.perfetto.dev or summarize it with 'python -m "
+         "repro.obs report --trace'",
+)
+HEARTBEAT = Knob(
+    "REPRO_HEARTBEAT",
+    help="keep a live status JSON file here while the campaign runs; "
+         "watch it with 'python -m repro.obs top'",
+)
+CHECKPOINT = Knob(
+    "REPRO_CHECKPOINT",
+    help="checkpoint completed trials to this file, so an interrupted "
+         "campaign resumes from it",
+)
+CHECKPOINT_DIR = Knob(
+    "REPRO_CHECKPOINT_DIR",
+    help="directory of per-campaign checkpoint files, so an interrupted "
+         "sweep resumes mid-campaign",
+)
+SNAPSHOT_EVERY = Knob(
+    "REPRO_SNAPSHOT_EVERY", -1,
+    help="golden-run snapshot cadence in cycles: 0 off, -1 automatic, N "
+         "every N cycles; results are bit-identical for any value",
+)
+TRIAGE = Knob(
+    "REPRO_TRIAGE", True,
+    help="dead-flip and dead-region triage and the re-convergence cut-off; "
+         "results are bit-identical either way",
+)
+BATCH = Knob(
+    "REPRO_BATCH", 0, floor=0,
+    help="batched lanes per sweep, 0 and 1 off; needs triage; results are "
+         "bit-identical for any value",
+)
+
+RESILIENCE = Knob(
+    "REPRO_RESILIENCE", True, flag="--resilience",
+    help="recover from worker failures: rebuild the pool, then run the "
+         "rest in-process; off re-raises a broken pool",
+)
+MAX_RETRIES = Knob(
+    "REPRO_MAX_RETRIES", 2, floor=0,
+    help="pool rebuilds after a worker dies before the rest runs "
+         "in-process; 0 falls back at once",
+)
+TRIAL_DEADLINE = Knob(
+    "REPRO_TRIAL_DEADLINE", 0.0, floor=0.0, flag="--trial-deadline",
+    help="per-trial wall-clock watchdog in seconds, 0 off; a hung trial "
+         "is requeued once, then quarantined",
+)
+CHECKPOINT_EVERY = Knob(
+    "REPRO_CHECKPOINT_EVERY", 25, floor=1,
+    help="completed trials between checkpoint writes",
+)
+
+SERVE_WORKERS = Knob("REPRO_SERVE_WORKERS", 2, floor=1,
+                     help="concurrent service jobs")
+SERVE_DEPTH = Knob(
+    "REPRO_SERVE_DEPTH", 256, floor=1,
+    help="admission bound on queued and running service jobs",
+)
+SERVE_RETRIES = Knob(
+    "REPRO_SERVE_RETRIES", 3, floor=1, flag="--max-retries",
+    help="failed attempts before a service job is quarantined",
+)
 
 KNOBS: Tuple[Knob, ...] = (
     FASTPATH, CACHE, CACHE_DIR, JOBS, TRIALS, FAULT_MODEL, OBS, OBS_TIMING,
     TRACE, HEARTBEAT, CHECKPOINT, CHECKPOINT_DIR, SNAPSHOT_EVERY, TRIAGE,
-    BATCH, RESILIENCE, WORKER_FAILURE, MAX_RETRIES, TRIAL_DEADLINE,
-    CHECKPOINT_EVERY, SERVE_WORKERS, SERVE_DEPTH, SERVE_RETRIES,
+    BATCH, RESILIENCE, MAX_RETRIES, TRIAL_DEADLINE, CHECKPOINT_EVERY,
+    SERVE_WORKERS, SERVE_DEPTH, SERVE_RETRIES,
 )
 
 #: every environment variable the program reads
@@ -226,6 +282,58 @@ def _tagged_fields(cls) -> Tuple[Tuple[str, Optional[Knob], Any], ...]:
         if f.metadata.get("knob") is not None
         or f.metadata.get("nested") is not None
     )
+
+
+# ---------------------------------------------------------------------------
+# command-line flags
+# ---------------------------------------------------------------------------
+
+
+def add_flags(parser, cls) -> None:
+    """Give an argparse ``parser`` one flag per knob-tagged field of ``cls``.
+
+    Nested settings get theirs too.  Every flag defaults to ``None``, so an
+    absent flag leaves its field to the environment (:func:`resolve`); a
+    switch takes ``--x`` and ``--no-x``.
+    """
+    # Imported here, not at the top: every process that runs trials
+    # imports this module, and only the CLIs parse arguments.
+    import argparse
+
+    for name, knob, nested in _tagged_fields(cls):
+        if knob is None:
+            add_flags(parser, nested)
+            continue
+        default = knob.default
+        if isinstance(default, bool):
+            kind = {"action": argparse.BooleanOptionalAction}
+            shown = "on" if default else "off"
+        else:
+            kind = {"type": type(default)}
+            shown = default or "off"
+        parser.add_argument(
+            _flag(name, knob), default=None, **kind,
+            help=f"{knob.help} (default: {knob.name} or {shown})",
+        )
+
+
+def from_args(cls, args, **given):
+    """``cls`` built from ``given`` and the flags of :func:`add_flags`.
+
+    A flag left out stays ``None``, for :func:`resolve` to fill.
+    """
+    flagged = {}
+    for name, knob, nested in _tagged_fields(cls):
+        if knob is None:
+            flagged[name] = from_args(nested, args)
+        else:
+            dest = _flag(name, knob)[2:].replace("-", "_")
+            flagged[name] = getattr(args, dest)
+    return cls(**given, **flagged)
+
+
+def _flag(name: str, knob: Knob) -> str:
+    return knob.flag or "--" + name.replace("_", "-")
 
 
 def result_fields(cls) -> Tuple[str, ...]:

@@ -31,3 +31,12 @@ class TestFiCli:
         assert main(["tiff2bw", "original", "--trials", "3",
                      "--swap-inputs"]) == 0
         assert "3 trials" in capsys.readouterr().out
+
+    def test_rejects_trials_below_one(self, capsys):
+        for trials in ("0", "-3"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["tiff2bw", "original", "--trials", trials])
+            assert exit_info.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert f"trials must be at least 1, got {trials}" in err

@@ -292,16 +292,14 @@ def test_broken_pool_degrades_to_serial(tmp_path, prepared_g721, monkeypatch):
     )
     monkeypatch.setattr(parallel_mod, "_run_chunk", _always_crash_run_chunk)
     log = tmp_path / "log.jsonl"
-    cfg = _worker_failure_config(
-        config, log, _policy(on_worker_failure="serial")
-    )
+    cfg = _worker_failure_config(config, log, _policy(max_retries=0))
     result = run_campaign(prepared.workload, "dup_valchk", cfg,
                           prepared=prepared)
     assert result.trials == reference.trials
     sidecar_events, _ = read_events(resilience_log_path(str(log)))
-    assert "serial_fallback" in [
+    assert [
         e["kind"] for e in sidecar_events if e["event"] == "resilience"
-    ]
+    ] == ["worker_failure", "serial_fallback"]
 
 
 def test_broken_pool_fail_policy_propagates(prepared_g721, monkeypatch):
@@ -309,9 +307,7 @@ def test_broken_pool_fail_policy_propagates(prepared_g721, monkeypatch):
 
     config, prepared = prepared_g721
     monkeypatch.setattr(parallel_mod, "_run_chunk", _always_crash_run_chunk)
-    cfg = _worker_failure_config(
-        config, None, _policy(on_worker_failure="fail")
-    )
+    cfg = _worker_failure_config(config, None, _policy(enabled=False))
     with pytest.raises(BrokenProcessPool):
         run_campaign(prepared.workload, "dup_valchk", cfg, prepared=prepared)
 
@@ -480,10 +476,6 @@ def test_policy_reads_env(monkeypatch):
     def env_policy(**explicit):
         return resolve(ResiliencePolicy(**explicit))
 
-    policy = env_policy()
-    assert policy.enabled and policy.on_worker_failure == "retry"
-    monkeypatch.setenv("REPRO_RESILIENCE", "serial")
-    assert env_policy().on_worker_failure == "serial"
     assert env_policy().enabled
     monkeypatch.setenv("REPRO_RESILIENCE", "0")
     assert not env_policy().enabled
@@ -497,11 +489,6 @@ def test_policy_reads_env(monkeypatch):
             policy.checkpoint_every) == (7, 1.5, 3)
     # A campaign left without a policy resolves this one.
     assert resolve(CampaignConfig()).resilience == policy
-
-
-def test_invalid_worker_failure_policy_rejected():
-    with pytest.raises(ValueError):
-        ResiliencePolicy(on_worker_failure="panic")
 
 
 def test_backoff_delay_caps():

@@ -150,8 +150,6 @@ def test_parse_rule(monkeypatch):
         (settings.SNAPSHOT_EVERY, "-1", -1),
         (settings.MAX_RETRIES, "-4", 0),      # clamped to the floor
         (settings.TRIAL_DEADLINE, "1.5", 1.5),
-        (settings.WORKER_FAILURE, "Serial", "serial"),
-        (settings.WORKER_FAILURE, "1", "retry"),  # not a choice: default
         (settings.FAULT_MODEL, "off", "single_bit"),
     )
     for knob, text, expected in cases:
