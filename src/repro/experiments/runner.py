@@ -17,6 +17,7 @@ repeated figure/benchmark invocations skip recomputation entirely.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
@@ -154,21 +155,10 @@ class ExperimentCache:
                             f"checkpoint-{disk_key[:16]}.json",
                         ),
                     )
-                printer = None
-                on_recovery = None
-                if self.settings.progress:
-                    from ..faultinjection.progress import ProgressPrinter
-
-                    printer = ProgressPrinter(
-                        config.trials, label=f"{name}/{scheme}"
-                    )
-                    on_recovery = printer.note
                 result = run_campaign(
                     prepared.workload, scheme, config, prepared=prepared,
-                    on_trial=printer, on_recovery=on_recovery,
+                    progress=sys.stderr if self.settings.progress else None,
                 )
-                if printer is not None:
-                    printer.finish()
                 self.disk_cache.put(disk_key, result)
             self._campaigns[key] = result
         return self._campaigns[key]

@@ -10,7 +10,6 @@ from .campaign import (
 )
 from .diskcache import CACHE_SCHEMA_VERSION, CampaignCache, campaign_key
 from .parallel import run_trials_parallel
-from .progress import ProgressPrinter
 from .recovery import RecoveryResult, run_with_recovery
 from .resilience import (
     Checkpoint,
@@ -30,7 +29,6 @@ __all__ = [
     "CampaignResult", "Outcome", "TrialResult",
     "CACHE_SCHEMA_VERSION", "CampaignCache", "campaign_key",
     "run_trials_parallel",
-    "ProgressPrinter",
     "RecoveryResult", "run_with_recovery",
     "Checkpoint", "Checkpointer", "HarnessTimeout", "ResilienceLogger",
     "ResiliencePolicy", "load_checkpoint", "save_checkpoint",

@@ -24,7 +24,6 @@ from ..obs.metrics import enable_global
 from ..transforms.pipeline import SCHEMES
 from ..workloads.registry import BENCHMARK_NAMES, get_workload
 from .campaign import CampaignConfig, run_campaign
-from .progress import ProgressPrinter
 from .stats import margin_of_error
 
 
@@ -56,19 +55,10 @@ def main(argv=None) -> int:
         parser.error(str(err))
     if config.obs_log:
         enable_global()
-    on_trial = None
-    on_recovery = None
-    if not args.quiet:
-        on_trial = ProgressPrinter(
-            config.trials, label=f"{args.workload}/{args.scheme}"
-        )
-        on_recovery = on_trial.note
     result = run_campaign(
-        get_workload(args.workload), args.scheme, config, on_trial=on_trial,
-        on_recovery=on_recovery,
+        get_workload(args.workload), args.scheme, config,
+        progress=None if args.quiet else sys.stderr,
     )
-    if on_trial is not None:
-        on_trial.finish()
 
     error = margin_of_error(result.num_trials)
     print(f"{args.workload} [{args.scheme}] — {result.num_trials} trials "

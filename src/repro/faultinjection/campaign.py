@@ -18,7 +18,7 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -738,42 +738,6 @@ def batched_enabled(config: CampaignConfig) -> bool:
     return config.batch > 1 and config.triage
 
 
-def _chain_heartbeat(heart, on_trial, on_recovery):
-    """Wrap the user callbacks so the heartbeat counts trials/incidents.
-
-    The wrapper is itself batch-aware (``heartbeat_trial.batch``): a
-    chunk of trials (a batched lane sweep, a pool chunk) folds into the
-    heartbeat in one bulk call — so its effective-trials/sec EMA sees
-    chunk completions × trials — and is then forwarded whole to a
-    batch-aware inner callback, or per-trial otherwise.
-    """
-    inner_batch = (
-        getattr(on_trial, "batch", None) if on_trial is not None else None
-    )
-
-    def heartbeat_trial(trial: TrialResult) -> None:
-        heart.trial(trial.outcome.value)
-        if on_trial is not None:
-            on_trial(trial)
-
-    def heartbeat_batch(trials) -> None:
-        heart.trials([trial.outcome.value for trial in trials])
-        if inner_batch is not None:
-            inner_batch(trials)
-        elif on_trial is not None:
-            for trial in trials:
-                on_trial(trial)
-
-    heartbeat_trial.batch = heartbeat_batch
-
-    def heartbeat_recovery(line: str) -> None:
-        heart.incident()
-        if on_recovery is not None:
-            on_recovery(line)
-
-    return heartbeat_trial, heartbeat_recovery
-
-
 def _record_campaign_metrics(registry, result: CampaignResult,
                              seconds: float) -> None:
     """Fold one finished campaign into the process-wide metrics registry."""
@@ -895,19 +859,20 @@ class _TrialSink:
     :class:`~.parallel.ChunkResult` values.  Per chunk, the sink stores each
     trial by plan index and records it in the checkpoint, logs the chunk's
     watchdog anomalies, folds its stats (and a pool worker's counters and
-    spans), fires ``on_trial`` — one ``on_trial.batch`` call per chunk when
-    the callback has one — and writes trial events as soon as the completed
-    prefix of the plan grows.  A serial log therefore streams, and every
-    mode writes the same bytes in plan order.
+    spans), counts the chunk in the live status in one step, fires
+    ``on_trial`` once per trial, and writes trial events as soon as the
+    completed prefix of the plan grows.  A serial log therefore streams, and
+    every mode writes the same bytes in plan order.
     """
 
-    def __init__(self, plans, writer, checkpointer, rlog, on_trial) -> None:
+    def __init__(self, plans, writer, checkpointer, rlog, status,
+                 on_trial) -> None:
         self.plans = plans
         self.writer = writer
         self.checkpointer = checkpointer
         self.rlog = rlog
+        self.status = status
         self.on_trial = on_trial
-        self.on_batch = getattr(on_trial, "batch", None)
         self.trials: Dict[int, TrialResult] = {}
         self.stats = {name: 0 for name, _ in obs_events.PREFIX_STATS}
         self._wall_ms: Dict[int, float] = {}
@@ -932,9 +897,10 @@ class _TrialSink:
                 registry.counter(name).inc(value)
         if chunk.spans:
             trace_mod.current().extend(chunk.spans)
-        if self.on_batch is not None:
-            self.on_batch([trial for _, trial, _ in chunk.completions])
-        elif self.on_trial is not None:
+        self.status.add(
+            trial.outcome.value for _, trial, _ in chunk.completions
+        )
+        if self.on_trial is not None:
             for _, trial, _ in chunk.completions:
                 self.on_trial(trial)
         if self.writer is not None:
@@ -976,17 +942,16 @@ def run_campaign(
     config: Optional[CampaignConfig] = None,
     prepared: Optional[PreparedWorkload] = None,
     on_trial: Optional[Callable[[TrialResult], None]] = None,
-    on_recovery: Optional[Callable[[str], None]] = None,
+    progress: Optional[TextIO] = None,
 ) -> CampaignResult:
     """Run a full statistical fault-injection campaign.
 
-    ``on_trial`` is invoked once per finished trial (in completion order,
-    which under ``config.jobs > 1`` may differ from plan order; a callback
-    with a ``batch`` attribute gets one ``on_trial.batch(trials)`` call per
-    executed chunk instead) — intended for progress reporting; the returned
+    ``on_trial`` is invoked once per finished trial, in completion order,
+    which under ``config.jobs > 1`` may differ from plan order; the returned
     result is always in plan order.
-    ``on_recovery`` receives a short human-readable line per recovery action
-    (checkpoint load, chunk retry, serial fallback, quarantine).
+    ``progress`` is a stream (the CLIs pass stderr) that gets a
+    rate-limited live progress line and, at once, a short line per recovery
+    action (checkpoint load, chunk retry, serial fallback, quarantine).
 
     ``config`` is resolved once here (:func:`repro.settings.resolve`), so
     every worker runs under the parent's decisions.
@@ -1008,20 +973,18 @@ def run_campaign(
     When ``config.trace`` (or ``REPRO_TRACE``) names a path, hierarchical
     wall-clock spans are exported there as Chrome trace-event JSON at
     campaign end; ``config.heartbeat`` (or ``REPRO_HEARTBEAT``) maintains a
-    live status file for ``python -m repro.obs top``.  Both are pure
-    sidecars: results, the main obs log, cache keys, and checkpoints are
-    byte-identical with them on or off (see ``docs/OBSERVABILITY.md``).
+    live status file for ``python -m repro.obs top``, fed by the same tally
+    as the ``progress`` line.  Both are pure sidecars: results, the main
+    obs log, cache keys, and checkpoints are byte-identical with them on or
+    off (see ``docs/OBSERVABILITY.md``).
     """
     config = settings.resolve(config or CampaignConfig())
     tracer = trace_mod.activate(config.trace)
-    heart = None
-    if config.heartbeat:
-        heart = heartbeat_mod.HeartbeatWriter(
-            config.heartbeat, workload=workload.name, scheme=scheme,
-            total=config.trials,
-        )
-        on_trial, on_recovery = _chain_heartbeat(heart, on_trial, on_recovery)
-        heart.begin()
+    status = heartbeat_mod.LiveStatus(
+        workload.name, scheme, config.trials,
+        path=config.heartbeat, stream=progress,
+    )
+    status.begin()
     campaign_span = tracer.span(
         "campaign", cat="campaign", workload=workload.name, scheme=scheme,
         trials=config.trials, jobs=config.jobs,
@@ -1032,7 +995,9 @@ def run_campaign(
         prepared = prepared or prepare(workload, scheme, config)
         _ensure_occupancy(prepared, config)
         plans = draw_plans(config, prepared)
-        rlog = resilience_mod.ResilienceLogger(config.obs_log, echo=on_recovery)
+        rlog = resilience_mod.ResilienceLogger(
+            config.obs_log, echo=status.incident
+        )
         checkpointer = _open_checkpointer(prepared, config, rlog)
         restored = (
             dict(checkpointer.completed) if checkpointer is not None else {}
@@ -1053,7 +1018,9 @@ def run_campaign(
         try:
             if writer is not None:
                 writer.emit(obs_events.campaign_begin_event(result))
-            sink = _TrialSink(plans, writer, checkpointer, rlog, on_trial)
+            sink = _TrialSink(
+                plans, writer, checkpointer, rlog, status, on_trial
+            )
             _run_trials(prepared, plans, restored, config, sink, rlog)
             result.trials.extend(sink.trials[i] for i in range(len(plans)))
             _record_prefix_stats(config, result, sink.stats)
@@ -1081,8 +1048,7 @@ def run_campaign(
     finally:
         campaign_span.__exit__(None, None, None)
         tracer.export()
-        if heart is not None:
-            heart.finish("done" if campaign_ok else "failed")
+        status.finish("done" if campaign_ok else "failed")
     return result
 
 

@@ -39,9 +39,8 @@ Design (see ``docs/PERFORMANCE.md``):
   of aborting the campaign, the chunks that never reported back are
   resubmitted to a fresh pool with exponential backoff (deterministically
   jittered per campaign, so fleets of campaigns under ``repro.serve`` never
-  retry in lockstep), and once the retry
-  budget is exhausted (or immediately, under the ``serial`` policy) the
-  residual trials degrade to in-process serial execution.  Trial plans are
+  retry in lockstep), and once the retry budget is exhausted the residual
+  trials degrade to in-process serial execution.  Trial plans are
   pre-drawn, so a retried or serially-executed chunk computes bit-identical
   results — recovery is invisible in the campaign outcome and visible only
   in the resilience audit log.

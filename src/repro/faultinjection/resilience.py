@@ -129,7 +129,7 @@ class ResilienceLogger:
     log on purpose: recovery actions only happen on failures, so folding
     them into the trial log would break its byte-identity guarantee.
     ``echo`` is an optional callable given a short human-readable
-    description of each action (the CLIs wire it to the progress printer).
+    description of each action (a campaign wires it to its live status).
     """
 
     def __init__(self, obs_log: Optional[str] = None,

@@ -21,7 +21,7 @@ from .events import (
 )
 from .heartbeat import (
     HEARTBEAT_SCHEMA_VERSION,
-    HeartbeatWriter,
+    LiveStatus,
     read_heartbeat,
 )
 from .metrics import (
@@ -50,7 +50,7 @@ from .trace import (
 __all__ = [
     "HEARTBEAT_SCHEMA_VERSION", "SCHEMA_VERSION", "TRACE_SCHEMA_VERSION",
     "Counter", "Histogram", "MetricsRegistry", "Timer",
-    "EventLogWriter", "HeartbeatWriter", "LogReport", "TraceSummary",
+    "EventLogWriter", "LiveStatus", "LogReport", "TraceSummary",
     "Tracer",
     "activate", "cache_hit_event", "campaign_begin_event",
     "campaign_end_event", "current", "encode_event", "enable_global",

@@ -27,7 +27,7 @@ import sys
 import time
 from typing import Dict, Optional, TextIO
 
-from .heartbeat import effective_status, read_heartbeat
+from .heartbeat import effective_status, format_eta, read_heartbeat
 from .metrics import global_registry
 
 __all__ = ["render_heartbeat", "render_service", "watch"]
@@ -36,15 +36,6 @@ __all__ = ["render_heartbeat", "render_service", "watch"]
 _STALE_AFTER = 10.0
 
 _BAR_WIDTH = 30
-
-
-def _fmt_eta(seconds: Optional[float]) -> str:
-    if seconds is None:
-        return "--:--"
-    seconds = int(seconds)
-    if seconds >= 3600:
-        return f"{seconds // 3600}:{seconds % 3600 // 60:02d}:{seconds % 60:02d}"
-    return f"{seconds // 60:02d}:{seconds % 60:02d}"
 
 
 def _status_line(doc: Dict, now_unix: float) -> str:
@@ -76,7 +67,7 @@ def render_heartbeat(doc: Dict, now_unix: Optional[float] = None) -> str:
         f"rate: {doc.get('trials_per_sec', 0)} trials/s overall"
         + (f", {doc['trials_per_sec_ema']} ema"
            if doc.get("trials_per_sec_ema") is not None else "")
-        + f"  eta {_fmt_eta(doc.get('eta_seconds'))}"
+        + f"  eta {format_eta(doc.get('eta_seconds'))}"
         + f"  elapsed {doc.get('elapsed_seconds', 0)}s",
     ]
     outcomes = doc.get("outcomes") or {}

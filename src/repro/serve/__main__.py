@@ -27,6 +27,7 @@ import sys
 import time
 
 from .. import settings
+from ..obs.heartbeat import effective_status
 from . import client
 from .queue import JobState
 from .spec import DEFAULT_TENANT, CampaignSpec
@@ -110,7 +111,7 @@ def _cmd_status(args) -> int:
         sys.stdout.write("\n")
         return 0
     if doc is not None:
-        print(f"service: status={doc.get('status')} pid={doc.get('pid')} "
+        print(f"service: status={effective_status(doc)} pid={doc.get('pid')} "
               f"depth={doc.get('depth')}/{doc.get('max_depth')} "
               f"workers={doc.get('workers_busy')}/{doc.get('workers')}")
     counts = state.counts()

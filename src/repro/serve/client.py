@@ -17,12 +17,12 @@ live service process:
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from typing import Dict, Optional
 
 from ..durable import write_json_atomic
+from ..obs.heartbeat import read_heartbeat
 from .journal import load_state_snapshot, read_journal
 from .queue import Job, JobState, QueueState
 from .spec import DEFAULT_TENANT, CampaignSpec
@@ -74,12 +74,10 @@ def load_queue_state(root) -> QueueState:
 
 
 def service_status(root) -> Optional[Dict]:
-    """The service heartbeat document, or None when never started."""
-    try:
-        with open(service_paths(root).heartbeat, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError):
-        return None
+    """The service heartbeat document as stored, or None when never
+    started.  Its ``status`` is not demoted when the service died; render it
+    through :func:`~repro.obs.heartbeat.effective_status`."""
+    return read_heartbeat(service_paths(root).heartbeat)
 
 
 def _resolve_primary(state: QueueState, job: Job) -> Job:

@@ -4,7 +4,7 @@ The acceptance bar: a campaign run with an obs log produces a JSONL record
 stream whose per-trial outcome tallies exactly match the returned
 :class:`CampaignResult`, with ``jobs=N`` logs byte-identical to ``jobs=1``;
 disk-cache hits emit ``cache_hit`` provenance instead of going dark; and the
-progress printer flushes its final line on completion.
+live status's progress line flushes its final line on completion.
 """
 
 from __future__ import annotations
@@ -22,15 +22,13 @@ from repro.faultinjection import (
     CampaignCache,
     CampaignConfig,
     Outcome,
-    ProgressPrinter,
-    TrialResult,
     prepare,
     run_campaign,
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as trace_mod
 from repro.obs.events import read_events
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.heartbeat import LiveStatus, read_heartbeat
 from repro.settings import resolve
 from repro.workloads.registry import get_workload
 
@@ -276,12 +274,8 @@ def test_legacy_unwrapped_cache_entry_still_readable(tmp_path, prepared_tiff):
 
 
 # ---------------------------------------------------------------------------
-# progress printer
+# progress line
 # ---------------------------------------------------------------------------
-
-
-def _trial(outcome=Outcome.MASKED):
-    return TrialResult(outcome=outcome, injection_cycle=1, bit=0)
 
 
 def test_progress_finish_flushes_unprinted_tail():
@@ -289,52 +283,51 @@ def test_progress_finish_flushes_unprinted_tail():
     # total overestimates the executed trials (partially cached sweep), and
     # the rate limit swallows every line after the first: without finish()
     # the last trials would go silently unprinted.
-    printer = ProgressPrinter(total=100, stream=stream, min_interval=3600.0)
+    status = LiveStatus("w", "s", 100, stream=stream, line_interval=3600.0)
     for _ in range(5):
-        printer(_trial())
+        status.add(["Masked"])
     assert "[1/100]" in stream.getvalue()
     assert "[5/100]" not in stream.getvalue()
-    printer.finish()
+    status.finish()
     assert "[5/100]" in stream.getvalue()
     assert "(done)" in stream.getvalue()
 
 
 def test_progress_finish_is_idempotent():
     stream = io.StringIO()
-    printer = ProgressPrinter(total=2, stream=stream, min_interval=0.0)
-    printer(_trial())
-    printer(_trial())
+    status = LiveStatus("w", "s", 2, stream=stream, line_interval=0.0)
+    status.add(["Masked"])
+    status.add(["Masked"])
     before = stream.getvalue()
-    printer.finish()
-    printer.finish()
+    status.finish()
+    status.finish()
     assert stream.getvalue() == before  # final state already printed
 
 
 def test_progress_finish_no_output_for_zero_trials():
     stream = io.StringIO()
-    printer = ProgressPrinter(total=10, stream=stream)
-    printer.finish()
+    status = LiveStatus("w", "s", 10, stream=stream)
+    status.finish()
     assert stream.getvalue() == ""
 
 
-def test_progress_routes_through_metrics_registry():
-    registry = MetricsRegistry()
+def test_progress_tallies_match_heartbeat_in_outcome_order(tmp_path):
+    """One tally feeds both views: the line lists outcomes in ``Outcome``
+    order, the file sorts them by name, and a failed campaign's unprinted
+    tail ends ``(failed)``."""
     stream = io.StringIO()
-    printer = ProgressPrinter(total=3, stream=stream, registry=registry)
-    printer(_trial(Outcome.MASKED))
-    printer(_trial(Outcome.SWDETECT))
-    printer(_trial(Outcome.SWDETECT))
-    snap = registry.snapshot()
-    assert snap["progress.trials"] == 3
-    assert snap["progress.outcome.SWDetect"] == 2
-    assert snap["progress.outcome.Masked"] == 1
-    assert printer.counts[Outcome.SWDETECT] == 2
-
-
-def test_progress_replaces_disabled_registry():
-    printer = ProgressPrinter(
-        total=1, stream=io.StringIO(),
-        registry=MetricsRegistry(enabled=False),
-    )
-    printer(_trial())
-    assert printer.counts[Outcome.MASKED] == 1
+    path = tmp_path / "hb.json"
+    status = LiveStatus("w", "s", 10, path=str(path), stream=stream,
+                        line_interval=3600.0)
+    status.add([o.value for o in reversed(Outcome)])
+    status.add(["SWDetect"])
+    assert len(stream.getvalue().splitlines()) == 1
+    status.finish("failed")
+    line = stream.getvalue().splitlines()[-1]
+    assert line.startswith("  w/s: [6/10] ")
+    assert line.endswith(" masked=1 hw=1 sw=2 fail=1 usdc=1 (failed)")
+    doc = read_heartbeat(path)
+    assert doc["status"] == "failed"
+    assert doc["outcomes"] == {
+        "Failure": 1, "HWDetect": 1, "Masked": 1, "SWDetect": 2, "USDC": 1,
+    }

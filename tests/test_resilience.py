@@ -10,9 +10,11 @@ only in the ``<log>.resilience`` sidecar and the ``resilience.*`` metrics.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import signal
+from dataclasses import replace
 
 import pytest
 
@@ -31,6 +33,7 @@ from repro.faultinjection import parallel as parallel_mod
 from repro.faultinjection import resilience as resilience_mod
 from repro.faultinjection.outcomes import TrialResult
 from repro.obs.events import read_events, resilience_log_path
+from repro.obs.heartbeat import read_heartbeat
 from repro.settings import resolve
 from repro.workloads.registry import get_workload
 from repro.faultinjection.outcomes import Outcome
@@ -195,6 +198,39 @@ def test_interrupted_campaign_resumes_byte_identical(
     main_events, skipped = read_events(log)
     assert skipped == 0
     assert all(e["event"] != "resilience" for e in main_events)
+
+
+@pytest.mark.parametrize("resume_jobs", [1, 2])
+def test_resume_note_reaches_progress_and_heartbeat(
+    tmp_path, prepared_g721, resume_jobs
+):
+    """A recovery note inside ``run_campaign`` is printed on the progress
+    stream and counted as an incident in the heartbeat, and both views end
+    on the full tally."""
+    _, prepared = prepared_g721
+    cfg = CampaignConfig(
+        trials=30, seed=7, jobs=1, checkpoint=str(tmp_path / "ckpt.json"),
+        resilience=_policy(checkpoint_every=1),
+    )
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign(prepared.workload, "dup_valchk", cfg,
+                     prepared=prepared, on_trial=_InterruptAfter(5))
+
+    beat = tmp_path / "hb.json"
+    stream = io.StringIO()
+    run_campaign(
+        prepared.workload, "dup_valchk",
+        replace(cfg, jobs=resume_jobs, heartbeat=str(beat)),
+        prepared=prepared, progress=stream,
+    )
+    lines = stream.getvalue().splitlines()
+    assert ("  g721dec/dup_valchk: resuming from checkpoint: 5/30 trials "
+            "already complete") in lines
+    doc = read_heartbeat(beat)
+    assert doc["status"] == "done"
+    assert doc["trials_done"] == 30
+    assert doc["resilience_incidents"] == 1
+    assert lines[-1].lstrip().startswith("g721dec/dup_valchk: [30/30]")
 
 
 def test_parallel_resume_times_the_trials_it_runs(tmp_path, prepared_g721):

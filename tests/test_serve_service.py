@@ -554,3 +554,19 @@ def test_render_service_marks_dead_service_stale(tmp_path):
                   "trials_total": 6, "attempts": 0}],
     })
     assert "stale" in frame and "dead" in frame
+
+
+def test_status_cli_marks_dead_service_stale(tmp_path, capsys):
+    """``repro.serve status`` must not report a SIGKILLed service as
+    running; the stored document stays raw for pollers."""
+    from repro.serve.__main__ import main as serve_main
+
+    (tmp_path / "service.json").write_text(json.dumps({
+        "kind": "service", "status": "running", "pid": _dead_pid(),
+        "updated_unix": time.time(), "depth": 0, "max_depth": 8,
+        "workers": 2, "workers_busy": 0,
+    }))
+    assert serve_main(["status", "--root", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "service: status=stale " in out
+    assert service_status(tmp_path)["status"] == "running"

@@ -6,7 +6,7 @@ results, the main obs JSONL log, cache keys, and checkpoints are
 byte-identical with them on or off, serial or parallel.  Plus unit coverage
 for the trace schema round-trip, the phase summary's self-time accounting,
 heartbeat atomicity, the ``repro.obs top`` watcher, gzip event logs, and the
-progress printer's EMA/ETA columns.
+progress line's EMA/ETA columns.
 """
 
 from __future__ import annotations
@@ -15,19 +15,19 @@ import gzip
 import io
 import json
 import os
+import re
 from dataclasses import replace
 
 import pytest
 
 from repro.faultinjection.campaign import CampaignConfig, prepare, run_campaign
-from repro.faultinjection.outcomes import Outcome, TrialResult
-from repro.faultinjection.progress import ProgressPrinter
 from repro.faultinjection.resilience import Checkpoint, save_checkpoint
 from repro.obs import events as obs_events
 from repro.obs import trace as trace_mod
 from repro.obs.heartbeat import (
     HEARTBEAT_SCHEMA_VERSION,
-    HeartbeatWriter,
+    LiveStatus,
+    format_eta,
     read_heartbeat,
 )
 from repro.obs.report import LogReport
@@ -238,13 +238,13 @@ def test_resolve_trace_precedence(monkeypatch):
 
 def test_heartbeat_roundtrip(tmp_path):
     path = tmp_path / "hb.json"
-    writer = HeartbeatWriter(str(path), workload="g721dec",
-                             scheme="dup_valchk", total=10, min_interval=0.0)
-    writer.begin()
+    status = LiveStatus("g721dec", "dup_valchk", 10, path=str(path),
+                        file_interval=0.0)
+    status.begin()
     for outcome in ("Masked", "SWDetect", "Masked"):
-        writer.trial(outcome)
-    writer.incident()
-    writer.finish("done")
+        status.add([outcome])
+    status.incident("chunk retry")
+    status.finish("done")
 
     doc = read_heartbeat(path)
     assert doc["v"] == HEARTBEAT_SCHEMA_VERSION
@@ -261,9 +261,9 @@ def test_heartbeat_atomic_no_temp_leftovers(tmp_path):
     """Every update is a complete parseable document and the temp files of
     the atomic replace never survive."""
     path = tmp_path / "hb.json"
-    writer = HeartbeatWriter(str(path), total=50, min_interval=0.0)
+    status = LiveStatus("w", "s", 50, path=str(path), file_interval=0.0)
     for i in range(50):
-        writer.trial("Masked")
+        status.add(["Masked"])
         doc = json.loads(path.read_text())
         assert doc["trials_done"] == i + 1
     assert [n for n in os.listdir(tmp_path) if n != "hb.json"] == []
@@ -271,13 +271,13 @@ def test_heartbeat_atomic_no_temp_leftovers(tmp_path):
 
 def test_heartbeat_rate_limit(tmp_path):
     path = tmp_path / "hb.json"
-    writer = HeartbeatWriter(str(path), total=10, min_interval=3600.0)
-    writer.begin()
-    writer.trial("Masked")
-    writer.trial("Masked")
+    status = LiveStatus("w", "s", 10, path=str(path), file_interval=3600.0)
+    status.begin()
+    status.add(["Masked"])
+    status.add(["Masked"])
     # Inside the interval the file still shows the forced begin() document.
     assert read_heartbeat(path)["trials_done"] == 0
-    writer.finish("done")  # forced, bypasses the limiter
+    status.finish("done")  # forced, bypasses the limiter
     assert read_heartbeat(path)["trials_done"] == 2
 
 
@@ -325,7 +325,7 @@ def test_watch_once_exit_codes(tmp_path):
     assert "no heartbeat" in missing.getvalue()
 
     path = tmp_path / "hb.json"
-    HeartbeatWriter(str(path), workload="w", scheme="s", total=4).begin()
+    LiveStatus("w", "s", 4, path=str(path)).begin()
     present = io.StringIO()
     assert watch(str(path), once=True, stream=present) == 0
     assert "w/s" in present.getvalue()
@@ -333,8 +333,7 @@ def test_watch_once_exit_codes(tmp_path):
 
 def test_watch_until_done(tmp_path):
     path = tmp_path / "hb.json"
-    writer = HeartbeatWriter(str(path), total=4)
-    writer.finish("done")
+    LiveStatus("w", "s", 4, path=str(path)).finish("done")
     stream = io.StringIO()
     assert watch(str(path), interval=0.0, until_done=True, stream=stream) == 0
 
@@ -409,21 +408,16 @@ def test_plain_and_gzip_logs_read_identically(tmp_path, prepared_g721):
 
 
 # ---------------------------------------------------------------------------
-# progress printer EMA / ETA
+# progress line EMA / ETA
 # ---------------------------------------------------------------------------
-
-
-def _masked_trial():
-    return TrialResult(outcome=Outcome.MASKED, injection_cycle=1, bit=0)
 
 
 def test_progress_printer_ema_and_eta():
     stream = io.StringIO()
-    printer = ProgressPrinter(10, label="demo", stream=stream,
-                              min_interval=0.0)
+    status = LiveStatus("demo", "s", 10, stream=stream, line_interval=0.0)
     for _ in range(3):
-        printer(_masked_trial())
-    assert printer.rate_ema is not None and printer.rate_ema > 0
+        status.add(["Masked"])
+    assert status.rate_ema is not None and status.rate_ema > 0
     lines = stream.getvalue().strip().splitlines()
     assert len(lines) == 3
     assert "trials/s" in lines[-1]
@@ -434,23 +428,27 @@ def test_progress_printer_ema_and_eta():
 
 def test_progress_printer_final_line_drops_eta():
     stream = io.StringIO()
-    printer = ProgressPrinter(10, stream=stream, min_interval=3600.0)
+    status = LiveStatus("w", "s", 10, stream=stream, line_interval=3600.0)
     for _ in range(4):
-        printer(_masked_trial())
+        status.add(["Masked"])
     # First trial prints immediately; 2-4 fall inside the rate limit.
     assert len(stream.getvalue().splitlines()) == 1
-    printer.finish()
+    status.finish()
     final = stream.getvalue().splitlines()[-1]
     assert "[4/10]" in final
     assert final.rstrip().endswith("(done)")
     assert "eta" not in final
     before = stream.getvalue()
-    printer.finish()  # idempotent
+    status.finish()  # idempotent
     assert stream.getvalue() == before
 
 
 def test_progress_eta_formatting():
-    fmt = ProgressPrinter._fmt_eta
-    assert fmt(None) == ""
-    assert fmt(65) == " eta 01:05"
-    assert fmt(3 * 3600 + 62) == " eta 3:01:02"
+    """One formatter serves the progress line and ``repro.obs top``."""
+    assert format_eta(None) == "--:--"
+    assert format_eta(65) == "01:05"
+    assert format_eta(3 * 3600 + 62) == "3:01:02"
+    stream = io.StringIO()
+    status = LiveStatus("w", "s", 10, stream=stream, line_interval=0.0)
+    status.add(["Masked"])
+    assert re.search(r" eta \d{2}:\d{2} masked=1$", stream.getvalue())
