@@ -9,6 +9,11 @@ torn file.  Documents that carry an integrity digest use
 :func:`load_verified`: a file that fails to parse or verify is moved into a
 ``quarantine/`` directory next to it (the evidence is kept), reported, and
 treated as absent.  Writes are not fsynced.
+
+Append-only JSONL files (the service journal, plain obs logs and their
+``<log>.resilience`` sidecars) are healed by :func:`truncate_torn_tail`
+before each append, so a line torn by a mid-write crash never swallows the
+next record.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ __all__ = [
     "canonical_sha256",
     "load_verified",
     "quarantine_file",
+    "truncate_torn_tail",
     "write_json_atomic",
 ]
 
@@ -62,6 +68,40 @@ def write_json_atomic(path, document: Any) -> None:
         except OSError:
             pass
         raise
+
+
+def truncate_torn_tail(path) -> None:
+    """Drop a partial (newline-less) final line left by a mid-append crash.
+
+    Readers already discard the torn line, but reopening in append mode
+    would glue the *next* record onto it, so the reader would discard that
+    record too.  Truncating back to the last newline before the first new
+    append keeps every complete record readable.  A missing file is left
+    alone.
+    """
+    try:
+        with open(path, "rb+") as fh:
+            fh.seek(0, os.SEEK_END)
+            end = fh.tell()
+            if end == 0:
+                return
+            fh.seek(end - 1)
+            if fh.read(1) == b"\n":
+                return
+            last_newline = -1
+            pos = end
+            chunk = 1 << 16
+            while pos > 0 and last_newline < 0:
+                start = max(0, pos - chunk)
+                fh.seek(start)
+                data = fh.read(pos - start)
+                idx = data.rfind(b"\n")
+                if idx >= 0:
+                    last_newline = start + idx
+                pos = start
+            fh.truncate(last_newline + 1)
+    except FileNotFoundError:
+        return
 
 
 def quarantine_file(path) -> Optional[str]:

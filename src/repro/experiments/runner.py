@@ -33,7 +33,6 @@ from ..faultinjection.diskcache import CampaignCache, campaign_key
 from ..faultinjection.outcomes import CampaignResult
 from ..faultinjection.resilience import ResilienceLogger, ResiliencePolicy
 from ..obs import events as obs_events
-from ..obs.metrics import global_registry
 from ..profiling.profiler import collect_profiles
 from ..sim.interpreter import Interpreter
 from ..sim.timing import TimingModel
@@ -165,7 +164,6 @@ class ExperimentCache:
 
     def _emit_cache_hit(self, name: str, scheme: str, disk_key: str,
                         meta: Dict) -> None:
-        global_registry().counter("campaign.cache_hits").inc()
         obs_log = self.settings.obs_log
         if not obs_log:
             return

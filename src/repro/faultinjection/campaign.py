@@ -738,22 +738,6 @@ def batched_enabled(config: CampaignConfig) -> bool:
     return config.batch > 1 and config.triage
 
 
-def _record_campaign_metrics(registry, result: CampaignResult,
-                             seconds: float) -> None:
-    """Fold one finished campaign into the process-wide metrics registry."""
-    registry.counter("campaign.campaigns").inc()
-    registry.counter("campaign.trials").inc(result.num_trials)
-    registry.timer("campaign.wall").add_seconds(seconds)
-    latency_hist = registry.histogram("campaign.detection_latency_cycles")
-    for trial in result.trials:
-        registry.counter(f"campaign.outcome.{trial.outcome.value}").inc()
-        latency = trial.detection_latency
-        if latency is not None:
-            latency_hist.observe(latency)
-        if trial.detector_guard is not None:
-            registry.counter(f"campaign.check.{trial.detector_guard}").inc()
-
-
 def _record_prefix_stats(
     config: CampaignConfig, result: CampaignResult, stats: Dict[str, int]
 ) -> None:
@@ -822,6 +806,9 @@ def _open_checkpointer(
         config.checkpoint, key, config.trials, logger=rlog
     )
     restored = loaded.completed if loaded is not None else {}
+    if config.obs_log:
+        # Record a line boundary: the log writer drops a torn tail anyway.
+        obs_events.heal_log(config.obs_log)
     obs_offset = resilience_mod.obs_log_size(config.obs_log)
     if restored:
         if config.obs_log and loaded.obs_log == config.obs_log:
@@ -1014,7 +1001,6 @@ def run_campaign(
         writer = None
         if config.obs_log:
             writer = obs_events.EventLogWriter(config.obs_log)
-        start = time.perf_counter()
         try:
             if writer is not None:
                 writer.emit(obs_events.campaign_begin_event(result))
@@ -1039,11 +1025,6 @@ def run_campaign(
                 writer.close()
         if checkpointer is not None:
             checkpointer.clear()
-        registry = global_registry()
-        if registry.enabled:
-            _record_campaign_metrics(
-                registry, result, time.perf_counter() - start
-            )
         campaign_ok = True
     finally:
         campaign_span.__exit__(None, None, None)

@@ -190,7 +190,7 @@ def _run_chunk(chunk: Sequence[Tuple[int, InjectionPlan]]) -> ChunkResult:
     prepared = _worker_prepared(name, scheme, config)
     tracer = trace_mod.activate(config.trace)
     registry = global_registry()
-    before = registry.counts()
+    before = registry.snapshot()
     with tracer.span(
         "chunk", cat="chunk", first=chunk[0][0], size=len(chunk)
     ):
@@ -199,7 +199,7 @@ def _run_chunk(chunk: Sequence[Tuple[int, InjectionPlan]]) -> ChunkResult:
     # would exist in-process.
     counters = {
         key: value - before.get(key, 0)
-        for key, value in registry.counts().items()
+        for key, value in registry.snapshot().items()
         if value != before.get(key)
     }
     return result._replace(spans=tracer.drain(), counters=counters)

@@ -26,9 +26,7 @@ from .heartbeat import (
 )
 from .metrics import (
     Counter,
-    Histogram,
     MetricsRegistry,
-    Timer,
     enable_global,
     global_registry,
     reset_global,
@@ -49,7 +47,7 @@ from .trace import (
 
 __all__ = [
     "HEARTBEAT_SCHEMA_VERSION", "SCHEMA_VERSION", "TRACE_SCHEMA_VERSION",
-    "Counter", "Histogram", "MetricsRegistry", "Timer",
+    "Counter", "MetricsRegistry",
     "EventLogWriter", "LiveStatus", "LogReport", "TraceSummary",
     "Tracer",
     "activate", "cache_hit_event", "campaign_begin_event",

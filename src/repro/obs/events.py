@@ -49,6 +49,11 @@ compressed log stays byte-deterministic like the plain one.  A truncated
 compressed stream (campaign killed mid-write) is handled like a corrupt
 plain line: the readable prefix is returned and the torn tail is counted
 (see :func:`read_events_detailed`).
+
+Appending *heals* a plain log first: a torn last line left by a killed
+writer is dropped before the next record is written (the writer, and every
+sidecar append), so one crash costs at most the record it tore.  ``.gz``
+logs are not healed.
 """
 
 from __future__ import annotations
@@ -57,7 +62,9 @@ import gzip
 import io
 import json
 import os
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+from .. import durable
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -69,6 +76,7 @@ __all__ = [
     "campaign_end_event",
     "append_sidecar_event",
     "encode_event",
+    "heal_log",
     "prefix_sharing_event",
     "read_events",
     "read_events_detailed",
@@ -300,6 +308,7 @@ def append_sidecar_event(log_path: str, event: Dict) -> None:
     try:
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
+        durable.truncate_torn_tail(path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(encode_event(event))
     except OSError:  # pragma: no cover - diagnostics must not kill campaigns
@@ -315,11 +324,20 @@ def _is_gzip_path(path) -> bool:
     return str(path).endswith(".gz")
 
 
+def heal_log(path) -> None:
+    """Drop a plain log's torn last line; ``.gz`` logs are left as they are."""
+    if not _is_gzip_path(path):
+        durable.truncate_torn_tail(path)
+
+
 class EventLogWriter:
     """Append-only JSONL writer (several campaigns may share one log).
 
-    A ``.gz`` path writes a gzip member per open — appending another later
-    produces a multi-member file, which the reader handles transparently.
+    Opening a plain log first drops a torn last line (a killed writer's
+    partial record, see :func:`repro.durable.truncate_torn_tail`), so the
+    next record starts on a line of its own.  A ``.gz`` path writes a gzip
+    member per open — appending another later produces a multi-member
+    file, which the reader handles transparently.
     The gzip header is stamped with ``mtime=0`` and an empty name so the
     compressed bytes are a pure function of the logged events, preserving
     the byte-identity guarantee for compressed logs.
@@ -337,6 +355,7 @@ class EventLogWriter:
             self._fh = io.TextIOWrapper(self._gz, encoding="utf-8")
         else:
             self._raw = self._gz = None
+            heal_log(path)
             self._fh = open(path, mode, encoding="utf-8")
 
     def emit(self, event: Dict) -> None:
@@ -414,12 +433,3 @@ def read_events_detailed(path) -> Tuple[List[Dict], int, int]:
                 continue
             events.append(record)
     return events, skipped, truncated
-
-
-def iter_trial_events(paths: Iterable) -> Iterator[Dict]:
-    """All ``trial`` events across several logs (corrupt lines ignored)."""
-    for path in paths:
-        events, _ = read_events(path)
-        for event in events:
-            if event.get("event") == "trial":
-                yield event

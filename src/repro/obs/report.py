@@ -23,9 +23,8 @@ Consumes one or more JSONL event logs — plain or gzip-compressed
   architectural vulnerability factor (vulnerable-outcome rate weighted by
   occupied-bit residency).
 
-Exact percentiles are computed from the raw per-trial events (the metrics
-registry's bucketed histograms are for live monitoring; this module is the
-offline analysis path).
+Exact percentiles are computed from the raw per-trial events; this module
+is the only place outcome, check and latency tallies are aggregated.
 """
 
 from __future__ import annotations

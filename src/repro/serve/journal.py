@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import durable
 from ..faultinjection.resilience import ResilienceLogger
+from ..obs.events import encode_event
 
 __all__ = [
     "JOURNAL_SCHEMA_VERSION",
@@ -49,44 +50,6 @@ __all__ = [
 
 #: bump on any change to journal record or snapshot layout
 JOURNAL_SCHEMA_VERSION = 1
-
-
-def _encode_record(record: Dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _truncate_torn_tail(path: str) -> None:
-    """Drop a partial (newline-less) final line left by a mid-append crash.
-
-    Replay already discards the torn line — the transition it described
-    never applied — but reopening in append mode would glue the *next*
-    record onto it, silently losing that record from any later full-journal
-    replay.  Truncating back to the last newline before the first new
-    append keeps the "full replay is always sufficient" contract.
-    """
-    try:
-        with open(path, "rb+") as fh:
-            fh.seek(0, os.SEEK_END)
-            end = fh.tell()
-            if end == 0:
-                return
-            fh.seek(end - 1)
-            if fh.read(1) == b"\n":
-                return
-            last_newline = -1
-            pos = end
-            chunk = 1 << 16
-            while pos > 0 and last_newline < 0:
-                start = max(0, pos - chunk)
-                fh.seek(start)
-                data = fh.read(pos - start)
-                idx = data.rfind(b"\n")
-                if idx >= 0:
-                    last_newline = start + idx
-                pos = start
-            fh.truncate(last_newline + 1)
-    except FileNotFoundError:
-        return
 
 
 class Journal:
@@ -102,7 +65,7 @@ class Journal:
         self.path = os.fspath(path)
         parent = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(parent, exist_ok=True)
-        _truncate_torn_tail(self.path)
+        durable.truncate_torn_tail(self.path)
         self._fh: Optional[io.TextIOWrapper] = open(
             self.path, "a", encoding="utf-8"
         )
@@ -116,7 +79,7 @@ class Journal:
     def append(self, record: Dict) -> None:
         if self._fh is None:
             raise ValueError("journal is closed")
-        self._fh.write(_encode_record(record))
+        self._fh.write(encode_event(record))
         self._fh.flush()
 
     def close(self) -> None:

@@ -225,8 +225,6 @@ class Service:
         assert self.journal is not None
         self.journal.append(record)
         self.state.apply(record)
-        kind = record.get("type", "?")
-        global_registry().counter(f"queue.{kind}").inc()
         self._appends_since_snapshot += 1
         if self._appends_since_snapshot >= self.config.snapshot_every:
             self.snapshot()

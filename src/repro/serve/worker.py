@@ -42,6 +42,7 @@ from typing import Optional
 
 from .. import settings
 from ..durable import write_json_atomic
+from ..obs.events import resilience_log_path
 from .spec import CampaignSpec
 
 __all__ = [
@@ -129,7 +130,7 @@ def _campaign_config(spec: CampaignSpec, paths: JobPaths):
 def _fresh_start_cleanup(paths: JobPaths) -> None:
     """No checkpoint → any partial obs artifacts belong to a run that left
     nothing to resume from; drop them so the rewrite starts at byte 0."""
-    for stale in (paths.obs_log, paths.obs_log + ".resilience",
+    for stale in (paths.obs_log, resilience_log_path(paths.obs_log),
                   paths.heartbeat):
         try:
             os.unlink(stale)

@@ -526,7 +526,7 @@ class MemoryWordFault(FaultModel):
             seg, offset = locate(first)
         if skips:
             # Wasted dead-region probes, visible when observability is on
-            # (null instrument otherwise — results cannot depend on it).
+            # (null counter otherwise — results cannot depend on it).
             from ..obs.metrics import global_registry
 
             global_registry().counter("memfault.dead_region_skips").inc(skips)

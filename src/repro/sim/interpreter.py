@@ -442,11 +442,10 @@ class Interpreter:
         # fast path's events structurally identical to the reference path's.
         path = "fastpath" if use_fast else "reference"
         try:
-            with registry.timer(f"sim.run.{path}").time():
-                result = self._dispatch_contained(
-                    use_fast, fn, args, inputs, injection, max_instructions,
-                    capture, restore_from, converge,
-                )
+            result = self._dispatch_contained(
+                use_fast, fn, args, inputs, injection, max_instructions,
+                capture, restore_from, converge,
+            )
         except SimTrap as trap:
             registry.counter(f"sim.trap.{trap.__class__.__name__}").inc()
             self._record_run_metrics(registry, path)

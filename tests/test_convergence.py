@@ -8,7 +8,9 @@ tests pin that the cut-off is invisible — results and obs logs are
 byte-identical to a from-scratch ``REPRO_FASTPATH=0`` run — that it fires,
 and that it stays off where it would be unsound.  ``test_exhaustive_oracle``
 flips every word x bit of a tiny kernel at every snapshot boundary with the
-cut-off on and off.
+cut-off on and off; ``test_exhaustive_dead_region_oracle`` checks the
+memory models' dead-region triage against full runs at every occupancy
+boundary and the cycles either side of it.
 """
 
 from __future__ import annotations
@@ -272,6 +274,28 @@ class _WordFlip(FaultModel):
         return -1
 
 
+class _DeadWordFlip(FaultModel):
+    """Flip bit ``plan.bit`` of global word ``plan.seed`` and take the
+    memory models' dead-region verdict on it: ``OccupancyMap.is_dead`` at
+    the injection cycle, then ``triage_dead_memory`` when dead — the path
+    ``mem_transient`` and ``mem_stuck_at`` take after
+    ``draw_occupied_word``."""
+
+    name = "dead_word_flip"
+
+    def inject(self, interp, plan, record, top_frame, next_index) -> int:
+        occupancy = interp._occupancy
+        seg, offset = occupancy.locate_word(interp.memory, plan.seed)
+        dead = occupancy.is_dead(plan.seed, plan.cycle)
+        before, after = interp.memory.flip_word_bit(seg, offset, plan.bit)
+        memfaults.fill_memory_record(
+            record, interp, top_frame, seg, offset, before, after, dead
+        )
+        if dead:
+            memfaults.triage_dead_memory(interp)
+        return -1
+
+
 class _StickyNoop(FaultModel):
     """Lands, changes nothing, and keeps a live memory stuck-at binding for
     the rest of the run (re-forcing nothing)."""
@@ -290,7 +314,7 @@ class _StickyNoop(FaultModel):
 
 @pytest.fixture
 def probe_models(monkeypatch):
-    for model in (_WordFlip(), _StickyNoop()):
+    for model in (_WordFlip(), _StickyNoop(), _DeadWordFlip()):
         monkeypatch.setitem(faults_mod.FAULT_MODELS, model.name, model)
 
 
@@ -565,3 +589,50 @@ def test_exhaustive_oracle(kernel, probe_models):
                     converged += 1
                     patched += on.is_sdc
     assert converged > 0 and patched > 0
+
+
+def test_exhaustive_dead_region_oracle(kernel, probe_models, monkeypatch):
+    """Every global word of the kernel (``acc``'s 8-byte floats included)
+    and the first and last stack words, flipped at each occupancy boundary
+    and the cycles either side of it: wherever the occupancy map calls the
+    word dead, a flip of bit 0 or 31 triaged to Masked equals the full run,
+    record and outcome alike.
+
+    Deadness changes only at boundaries, and within a boundary interval a
+    later flip leaves fewer golden reads, so the boundary cycle is the
+    hardest case of its interval; the cycles either side catch an
+    off-by-one in the boundary lookup.  (Every cycle, 18k trial pairs,
+    passes too but costs about 15 s.)"""
+    monkeypatch.setattr(
+        campaign, "TRIAGEABLE_FAULT_MODELS",
+        campaign.TRIAGEABLE_FAULT_MODELS | {"dead_word_flip"},
+    )
+    occupancy = kernel.occupancy
+    stack, stack_words = next(
+        (base, words) for name, base, words in occupancy.segment_spans
+        if name == "__stack__"
+    )
+    words = (list(range(stack)) + list(range(stack, stack + 8))
+             + list(range(stack + stack_words - 8, stack + stack_words)))
+    config = CampaignConfig(snapshot_every=_KERNEL_EVERY)
+    full = replace(config, triage=False)
+    cycles = sorted({
+        cycle for boundary in occupancy.boundary_cycles
+        for cycle in (boundary - 1, boundary, boundary + 1)
+        if 1 <= cycle <= kernel.golden_instructions
+    })
+    dead = 0
+    for cycle in cycles:
+        for word in words:
+            if not occupancy.is_dead(word, cycle):
+                continue
+            dead += 1
+            for bit in (0, 31):
+                stats = {}
+                on = run_trial(kernel, cycle, bit, word, config, stats=stats,
+                               model="dead_word_flip")
+                off = run_trial(kernel, cycle, bit, word, full,
+                                model="dead_word_flip")
+                assert stats.get("triaged_dead_memory") == 1, (cycle, word)
+                assert repr(on) == repr(off), (cycle, word, bit)
+    assert dead > 0

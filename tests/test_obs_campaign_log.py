@@ -29,6 +29,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as trace_mod
 from repro.obs.events import read_events
 from repro.obs.heartbeat import LiveStatus, read_heartbeat
+from repro.obs.report import LogReport
 from repro.settings import resolve
 from repro.workloads.registry import get_workload
 
@@ -178,6 +179,21 @@ def test_explicit_timing_off_beats_the_environment(
     assert trials and not any("wall_ms" in e for e in trials)
 
 
+def test_torn_last_line_does_not_swallow_the_next_campaign(tmp_path):
+    """A killed writer leaves a partial last line; the next campaign
+    appending to the same log drops it instead of gluing its header on."""
+    log = tmp_path / "torn.jsonl"
+    config = CampaignConfig(trials=12, obs_log=str(log))
+    run_campaign(get_workload("tiff2bw"), "dup", config)
+    with open(log, "rb+") as fh:
+        fh.truncate(os.path.getsize(log) - 9)  # SIGKILL mid-write
+    run_campaign(get_workload("g721dec"), "dup", config)
+
+    report = LogReport.from_paths([log])
+    assert [c["workload"] for c in report.campaigns] == ["tiff2bw", "g721dec"]
+    assert report.skipped_lines == 0
+
+
 def test_timing_opt_in_adds_wall_ms(tmp_path, prepared_tiff):
     config, prepared = prepared_tiff
     log = tmp_path / "timed.jsonl"
@@ -197,20 +213,18 @@ def test_campaign_records_metrics_when_enabled(tmp_path, prepared_tiff):
     config, prepared = prepared_tiff
     registry = obs_metrics.enable_global()
     registry.reset()
-    result = run_campaign(
+    run_campaign(
         prepared.workload, "dup_valchk",
         replace(config, obs_log=str(tmp_path / "m.jsonl")), prepared=prepared,
     )
     snap = registry.snapshot()
-    assert snap["campaign.trials"] == result.num_trials
-    assert snap["campaign.campaigns"] == 1
-    for outcome, count in result.counts().items():
-        if count:
-            assert snap[f"campaign.outcome.{outcome}"] == count
-    detected = sum(1 for t in result.trials if t.detection_latency is not None)
-    if detected:
-        assert snap["campaign.detection_latency_cycles"]["count"] == detected
     assert snap["sim.instructions"] > 0  # interpreter-level funnel fired
+    # Counters only: outcome, check and latency tallies live in the obs log,
+    # the campaign's wall time in its trace.
+    assert all(type(value) is int for value in snap.values())
+    copied = ("campaign.outcome.", "campaign.check.", "campaign.wall",
+              "campaign.detection_latency_cycles", "campaign.cache_hits")
+    assert not [name for name in snap if name.startswith(copied)]
 
 
 # ---------------------------------------------------------------------------

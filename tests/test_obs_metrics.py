@@ -1,4 +1,4 @@
-"""Metrics registry: instruments, disabled null path, global registry."""
+"""Metrics registry: counters, disabled null path, global registry."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from repro.obs.metrics import (
 
 
 # ---------------------------------------------------------------------------
-# instruments
+# counters
 # ---------------------------------------------------------------------------
 
 
@@ -28,42 +28,6 @@ def test_counter_increments():
     assert reg.snapshot()["x"] == 5
 
 
-def test_timer_accumulates():
-    reg = MetricsRegistry()
-    t = reg.timer("t")
-    t.add_seconds(0.5)
-    t.add_seconds(1.5)
-    with t.time():
-        pass
-    assert t.count == 3
-    assert t.total_seconds >= 2.0
-    assert t.max_seconds == 1.5
-    snap = reg.snapshot()["t"]
-    assert snap["count"] == 3
-
-
-def test_histogram_buckets_and_quantiles():
-    reg = MetricsRegistry()
-    h = reg.histogram("lat")
-    for v in [0, 1, 2, 3, 100, 1000]:
-        h.observe(v)
-    assert h.count == 6
-    assert h.min_value == 0
-    assert h.max_value == 1000
-    assert h.mean == pytest.approx(1106 / 6)
-    # nearest-rank on power-of-two buckets: upper bound >= true percentile
-    assert h.quantile(0.5) >= 2
-    assert h.quantile(1.0) >= 1000
-    snap = h.snapshot()
-    assert snap["count"] == 6 and snap["max"] == 1000
-
-
-def test_histogram_clamps_negatives():
-    h = MetricsRegistry().histogram("h")
-    h.observe(-5)
-    assert h.min_value == 0
-
-
 # ---------------------------------------------------------------------------
 # disabled registries are null
 # ---------------------------------------------------------------------------
@@ -73,14 +37,9 @@ def test_disabled_registry_hands_out_null_instruments():
     reg = MetricsRegistry(enabled=False)
     c = reg.counter("a")
     c.inc(100)
-    h = reg.histogram("b")
-    h.observe(5)
-    t = reg.timer("c")
-    with t.time():
-        pass
     assert reg.snapshot() == {}
-    # all three names share the one null instrument
-    assert reg.counter("a") is reg.histogram("b") is reg.timer("c")
+    # every name shares the one null counter
+    assert reg.counter("a") is reg.counter("b") is c
 
 
 def test_reset_clears_instruments():
