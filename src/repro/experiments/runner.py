@@ -33,10 +33,8 @@ from ..faultinjection.diskcache import CampaignCache, campaign_key
 from ..faultinjection.outcomes import CampaignResult
 from ..faultinjection.resilience import ResilienceLogger, ResiliencePolicy
 from ..obs import events as obs_events
-from ..profiling.profiler import collect_profiles
 from ..sim.interpreter import Interpreter
 from ..sim.timing import TimingModel
-from ..transforms.pipeline import SchemeStats, apply_scheme
 from ..workloads.base import Workload
 from ..workloads.registry import BENCHMARK_NAMES, get_workload
 

@@ -83,9 +83,9 @@ def main(argv=None) -> int:
     if config.obs_log:
         print(f"  trial event log appended to {config.obs_log} "
               f"(python -m repro.obs report {config.obs_log})")
-    if args.trace:
-        print(f"  span trace exported to {args.trace} "
-              f"(python -m repro.obs report --trace {args.trace}, "
+    if config.trace:
+        print(f"  span trace exported to {config.trace} "
+              f"(python -m repro.obs report --trace {config.trace}, "
               f"or load at ui.perfetto.dev)")
     return 0
 

@@ -340,22 +340,27 @@ def _capture_golden_state(
 
 
 def _ensure_occupancy(
-    prepared: PreparedWorkload, config: CampaignConfig
+    prepared: PreparedWorkload,
+    config: CampaignConfig,
+    model: Optional[str] = None,
 ) -> None:
     """Attach an occupancy map to an already-prepared workload on demand.
 
     Covers callers that prepared once and reuse the workload across models
-    (the chaos harness, shared test fixtures): when the model needs the map
-    but ``prepare()`` ran without it, capture it here with an
-    occupancy-only pass — before any worker pool is created, so forked
-    workers inherit the exact same map.
+    (the chaos harness, shared test fixtures, a direct :func:`run_trial`):
+    when ``model`` (default: the config's) needs the map but ``prepare()``
+    ran without it, capture it here with an occupancy-only pass.
+    ``run_campaign`` calls this before any worker pool is created, so
+    forked workers inherit the exact same map.
     """
+    model = model or config.fault_model
     if (prepared.occupancy is not None
-            or config.fault_model not in memfaults_mod.OCCUPANCY_MODELS):
+            or model not in memfaults_mod.OCCUPANCY_MODELS):
         return
     _, prepared.occupancy = _capture_golden_state(
         prepared.workload, prepared.module, prepared.inputs,
-        prepared.golden_instructions, replace(config, snapshot_every=0),
+        prepared.golden_instructions,
+        replace(config, snapshot_every=0, fault_model=model),
     )
 
 
@@ -381,6 +386,8 @@ def run_trial(
 
     ``model`` names the :class:`~repro.sim.faults.FaultModel` to inject
     (always a concrete model — the campaign resolves ``chaos`` per plan).
+    A memory-hierarchy model on a workload prepared without an occupancy
+    map gets one attached first, so the trial equals the campaign's.
     Every trial terminates with a classified outcome: the interpreter
     contains post-injection Python exceptions as
     :class:`HarnessContainedTrap`, and a last-resort boundary here does the
@@ -389,6 +396,7 @@ def run_trial(
     """
     config = settings.resolve(config)
     plan = InjectionPlan(cycle=cycle, bit=bit, seed=seed, model=model)
+    _ensure_occupancy(prepared, config, model)
     interp = _trial_interpreter(prepared, config)
     return _drive_trial(prepared, plan, interp, config, stats)
 
@@ -403,8 +411,8 @@ def _trial_interpreter(
         guard_mode="detect",
         disabled_guards=set(prepared.noisy_guards),
     )
-    # Memory-hierarchy models draw their targets from the golden-run
-    # occupancy map when one was captured (None degrades to probing).
+    # Memory-hierarchy models draw their targets and verdicts from the
+    # golden-run occupancy map; injecting one with None here raises.
     interp._occupancy = prepared.occupancy
     return interp
 

@@ -17,7 +17,7 @@ from ..ir.instructions import BinaryOp, Cast, FCmp, ICmp, Instruction, Select
 from ..ir.module import Module
 from ..ir.types import F32, I1, FloatType, IntType
 from ..ir.values import Constant
-from ..sim.interpreter import _FCMP, _FLOAT_BINOPS, _ICMP, _INT_BINOPS
+from ..sim.ops import FCMP_EVAL, FLOAT_BINOP_EVAL, ICMP_EVAL, INT_BINOP_EVAL
 
 
 def fold_constants_module(module: Module) -> int:
@@ -51,21 +51,21 @@ def _try_fold(instr: Instruction) -> Optional[Constant]:
         a = instr.lhs.value  # type: ignore[union-attr]
         b = instr.rhs.value  # type: ignore[union-attr]
         op = instr.opcode
-        int_fn = _INT_BINOPS.get(op)
+        int_fn = INT_BINOP_EVAL.get(op)
         try:
             if int_fn is not None:
                 return Constant(instr.type, int_fn(a, b, instr.type))
-            return Constant(instr.type, _FLOAT_BINOPS[op](a, b))
+            return Constant(instr.type, FLOAT_BINOP_EVAL[op](a, b))
         except ZeroDivisionError:
             return None  # leave the trapping division in place
 
     if isinstance(instr, ICmp):
         a, b = (op.value for op in instr.operands)  # type: ignore[union-attr]
-        return Constant(I1, 1 if _ICMP[instr.predicate](a, b, instr.operands[0].type) else 0)
+        return Constant(I1, 1 if ICMP_EVAL[instr.predicate](a, b, instr.operands[0].type) else 0)
 
     if isinstance(instr, FCmp):
         a, b = (op.value for op in instr.operands)  # type: ignore[union-attr]
-        return Constant(I1, 1 if _FCMP[instr.predicate](a, b) else 0)
+        return Constant(I1, 1 if FCMP_EVAL[instr.predicate](a, b) else 0)
 
     if isinstance(instr, Select):
         cond, tval, fval = (op.value for op in instr.operands)  # type: ignore[union-attr]

@@ -45,8 +45,7 @@ Escape hatches: any unexpected exception inside a sweep before the final
 lane commits peels that window's lanes to the scalar path (correct by
 construction, slower), as does a missing compiled fast path.  Lanes whose
 fault model has no sound strike-time verdict (``double_bit``, ``burst``,
-register ``stuck_at``, control faults, or memory models without an
-occupancy map) are peeled up front.
+register ``stuck_at``, control faults) are peeled up front.
 
 Enabled via ``CampaignConfig.batch`` / ``--batch`` / ``REPRO_BATCH`` (see
 :mod:`repro.faultinjection.campaign`); ``docs/PERFORMANCE.md`` has the
@@ -118,19 +117,15 @@ class SweepInfo:
         self.divergence: Dict[str, int] = {}
 
 
-def lane_eligible(plan: InjectionPlan, occupancy) -> bool:
+def lane_eligible(plan: InjectionPlan) -> bool:
     """Can this plan's verdict be decided at strike time inside a sweep?
 
     Exactly the models whose dead-strike proof is sound (the triageable
-    set); the memory-hierarchy members additionally need the golden-run
-    occupancy map (without it their dead-region proof degrades to probing,
-    which has no verdict).  Everything else peels to the scalar path.
+    set; the memory-hierarchy members take theirs from the golden-run
+    occupancy map, which every campaign attaches).  Everything else peels
+    to the scalar path.
     """
-    return (
-        plan.kind == "register"
-        and plan.model in TRIAGEABLE_FAULT_MODELS
-        and (plan.model == "single_bit" or occupancy is not None)
-    )
+    return plan.kind == "register" and plan.model in TRIAGEABLE_FAULT_MODELS
 
 
 class BatchedSweep(Interpreter):
@@ -355,11 +350,10 @@ def sweep_batch(
     """
     info = SweepInfo()
     info.lanes = len(items)
-    occupancy = prepared.occupancy
     peeled: List[Tuple[int, InjectionPlan, str]] = []
     lanes: List[Lane] = []
     for index, plan in items:
-        if lane_eligible(plan, occupancy):
+        if lane_eligible(plan):
             lanes.append(Lane(index, plan))
         else:
             peeled.append((index, plan, "ineligible"))
@@ -413,7 +407,7 @@ def sweep_batch(
             info.fallback = True
             _finish_info(info, peeled, continued_live)
             return masked, peeled, continued, info
-        sweep._occupancy = occupancy
+        sweep._occupancy = prepared.occupancy
         final = group[-1]
         with trace_mod.current().span(
             "batch.sweep", cat="batch", lanes=len(group),

@@ -15,17 +15,16 @@ this module generalises it into a pluggable :class:`FaultModel` hierarchy:
   within one register (a multi-cell upset along a physical row);
 * ``stuck_at`` — one register bit forced to 0 or 1, re-applied on a cadence
   for :data:`STUCK_WINDOW_CYCLES` cycles (an intermittent/stuck fault);
-* ``memory_word`` — a single bit flip in a mapped 32-bit word of simulated
-  :class:`~repro.sim.memory.Memory` (an unprotected-SRAM upset, bypassing
-  the register file entirely); drawn over *occupied* words when the
-  golden-run occupancy map is available, rejection-sampled over the raw
-  address space otherwise;
 * ``mem_transient`` / ``mem_stuck_at`` / ``cache_line`` / ``stack_frame`` —
   the memory-hierarchy suite: occupied-word transient, forced memory bit
   with reapply-on-write semantics, resident-L1D-line data/tag corruption,
-  and active-stack-frame spill flips.  All draw from the golden-run
-  occupancy maps built by :mod:`repro.sim.memfaults`, and provably-dead
-  hits short-circuit to Masked through the triage path.
+  and active-stack-frame spill flips.  Each takes its target and its
+  dead-or-live verdict from the golden-run occupancy map built by
+  :mod:`repro.sim.memfaults`, and provably-dead hits short-circuit to
+  Masked through the triage path.  An injection without a map raises
+  :class:`ValueError`;
+* ``memory_word`` — the earlier name of ``mem_transient``, kept so its
+  plans, records and cache keys stay valid.
 
 ``chaos`` is a *plan-level* pseudo-model: each trial draws one of the
 concrete models above from the campaign RNG.  It never reaches the
@@ -56,7 +55,6 @@ from ..ir.types import FloatType, IntType, IRType, PointerType
 from .memfaults import (
     draw_occupied_word,
     fill_memory_record,
-    probe_any_word,
     triage_dead_memory,
 )
 
@@ -76,11 +74,6 @@ BURST_MAX_BITS = 8
 STUCK_WINDOW_CYCLES = 256
 #: ... re-forcing the bit every this many cycles (the profiled window).
 STUCK_REAPPLY_EVERY = 16
-
-#: memory-word faults rejection-sample up to this many candidate words
-#: looking for an occupied (non-zero) one, so flips hit live data instead of
-#: the untouched expanse of the stack segment.
-MEMORY_WORD_PROBES = 64
 
 
 def flip_bit(type_: IRType, value, bit: int, pointer_bits: int = 32):
@@ -188,8 +181,9 @@ class InjectionPlan:
     ``kind`` selects the fault *site* class:
 
     * ``"register"`` (default, the paper's model): corrupt state picked at
-      injection time per the plan's fault ``model`` (register flips for most
-      models, a memory word for ``memory_word``);
+      injection time per the plan's fault ``model`` (a register for the
+      register models, memory or a cache line for the memory-hierarchy
+      ones);
     * ``"control"``: corrupt the target of the next branch — the jump lands
       on a uniformly random wrong block of the executing function.  This is
       the branch-target fault class the paper explicitly excludes from its
@@ -465,112 +459,24 @@ class StuckAtFault(FaultModel):
         return next_cycle
 
 
-class MemoryWordFault(FaultModel):
-    """A single bit flip in a random *live* mapped 32-bit memory word.
-
-    Bypasses the register file: candidate words are drawn over every mapped
-    segment (globals and the stack) in deterministic segment order,
-    modelling an upset in unprotected SRAM rather than the core.  Because
-    the stack segment is overwhelmingly untouched zeros, a uniform draw
-    would almost always hit dead space and mask; instead up to
-    :data:`MEMORY_WORD_PROBES` candidates are rejection-sampled until one
-    holds non-zero data (falling back to the first draw if none does) — a
-    flip in an occupied word, which is the interesting case.  The plan's
-    ``bit`` selects the bit within the word (modulo 32).
-    """
-
-    name = "memory_word"
-
-    def inject(self, interp, plan, record, top_frame, next_index) -> int:
-        memory = interp.memory
-        if interp._occupancy is not None:
-            # Occupancy map available: draw uniformly over occupied words —
-            # no wasted probes, and a provably-dead hit triages to Masked.
-            drawn = draw_occupied_word(interp, plan)
-            if drawn is None:  # pragma: no cover - outputs are always live
-                interp._triage_short_circuit()
-                return -1
-            seg, offset, dead = drawn
-            before, after = memory.flip_word_bit(seg, offset, plan.bit)
-            fill_memory_record(
-                record, interp, top_frame, seg, offset, before, after, dead
-            )
-            if dead:
-                triage_dead_memory(interp)
-            return -1
-
-        segments = memory.unique_segments()
-        total_words = sum(seg.size // 4 for seg in segments)
-        if total_words == 0:  # pragma: no cover - the stack is always mapped
-            return -1
-
-        def locate(word: int):
-            for seg in segments:  # pragma: no branch - word < total_words
-                words = seg.size // 4
-                if word < words:
-                    return seg, word * 4
-                word -= words
-
-        first = None
-        seg = offset = None
-        skips = 0
-        for _ in range(MEMORY_WORD_PROBES):
-            candidate = interp._rng.randrange(total_words)
-            if first is None:
-                first = candidate
-            seg, offset = locate(candidate)
-            if seg.data[offset:offset + 4] != b"\x00\x00\x00\x00":
-                break
-            skips += 1
-        else:
-            seg, offset = locate(first)
-        if skips:
-            # Wasted dead-region probes, visible when observability is on
-            # (null counter otherwise — results cannot depend on it).
-            from ..obs.metrics import global_registry
-
-            global_registry().counter("memfault.dead_region_skips").inc(skips)
-        before, after = memory.flip_word_bit(seg, offset, plan.bit)
-        record.landed = True
-        record.was_live = True
-        record.value_name = f"<mem:{seg.name}+{offset:#x}>"
-        record.type_name = "i32"
-        record.before = before
-        record.after = after
-        frame = top_frame if top_frame is not None else interp._frame
-        if frame is not None:
-            record.function = frame.function.name
-        return -1
-
-
 class MemTransientFault(FaultModel):
     """``mem_transient``: one bit flip in an *occupied* memory word.
 
     The particle-strike analogue of ``single_bit`` for the memory system.
     The target is drawn uniformly over words the golden run actually uses
-    (the occupancy map from :mod:`repro.sim.memfaults`), so trials stop
-    wasting draws on the vast empty address space; with no map
-    (``PreparedWorkload.occupancy is None``) it degrades to a blind uniform
-    word.  Provably-dead hits triage to Masked with
-    ``reason="dead_memory"``.
+    (the occupancy map from :mod:`repro.sim.memfaults`), so trials never
+    waste draws on the vast empty address space.  Provably-dead hits
+    triage to Masked with ``reason="dead_memory"``.
     """
 
     name = "mem_transient"
 
     def inject(self, interp, plan, record, top_frame, next_index) -> int:
-        if interp._occupancy is not None:
-            drawn = draw_occupied_word(interp, plan)
-            if drawn is None:  # pragma: no cover - see draw_occupied_word
-                interp._triage_short_circuit()
-                return -1
-            seg, offset, dead = drawn
-        else:
-            probed = probe_any_word(interp)
-            if probed is None:  # pragma: no cover - memory always mapped
-                interp._triage_short_circuit()
-                return -1
-            seg, offset = probed
-            dead = False
+        drawn = draw_occupied_word(interp, plan)
+        if drawn is None:  # pragma: no cover - see draw_occupied_word
+            interp._triage_short_circuit()
+            return -1
+        seg, offset, dead = drawn
         before, after = interp.memory.flip_word_bit(seg, offset, plan.bit)
         fill_memory_record(
             record, interp, top_frame, seg, offset, before, after, dead
@@ -578,6 +484,18 @@ class MemTransientFault(FaultModel):
         if dead:
             triage_dead_memory(interp)
         return -1
+
+
+class MemoryWordFault(MemTransientFault):
+    """``memory_word``: the earlier name of ``mem_transient``.
+
+    It stays registered, in its original slot of
+    :data:`CONCRETE_FAULT_MODELS` (the chaos mix draws by index), so
+    existing ``memory_word`` plans, records and cache keys keep their
+    meaning.
+    """
+
+    name = "memory_word"
 
 
 class MemStuckAtFault(FaultModel):
@@ -597,19 +515,11 @@ class MemStuckAtFault(FaultModel):
 
     def inject(self, interp, plan, record, top_frame, next_index) -> int:
         stuck = interp._rng.randrange(2)
-        if interp._occupancy is not None:
-            drawn = draw_occupied_word(interp, plan)
-            if drawn is None:  # pragma: no cover - see draw_occupied_word
-                interp._triage_short_circuit()
-                return -1
-            seg, offset, dead = drawn
-        else:
-            probed = probe_any_word(interp)
-            if probed is None:  # pragma: no cover - memory always mapped
-                interp._triage_short_circuit()
-                return -1
-            seg, offset = probed
-            dead = False
+        drawn = draw_occupied_word(interp, plan)
+        if drawn is None:  # pragma: no cover - see draw_occupied_word
+            interp._triage_short_circuit()
+            return -1
+        seg, offset, dead = drawn
         before, after = interp.memory.force_word_bit(
             seg, offset, plan.bit, stuck
         )
@@ -654,11 +564,6 @@ class CacheLineFault(FaultModel):
 
     def inject(self, interp, plan, record, top_frame, next_index) -> int:
         occ = interp._occupancy
-        if occ is None:
-            # No residency model ⇒ treat the cache as empty: the strike
-            # hits an invalid line and the refetch is clean.
-            interp._triage_short_circuit()
-            return -1
         lines = occ.resident_at(plan.cycle)
         rng = interp._rng
         if not lines:
@@ -747,7 +652,7 @@ class StackFrameFault(FaultModel):
     bytes at all (fully mem2reg-promoted code never moves ``sp``) the strike
     lands anywhere in the stack segment — unallocated stack, which the
     occupancy map proves dead (triaged to Masked) unless some later frame
-    genuinely reads it.  Deadness comes from the map when present.
+    genuinely reads it.
     """
 
     name = "stack_frame"
@@ -774,10 +679,8 @@ class StackFrameFault(FaultModel):
         offset = address - stack_seg.base
         before, after = memory.flip_word_bit(stack_seg, offset, plan.bit)
         occ = interp._occupancy
-        dead = False
-        if occ is not None:
-            word = occ.word_of(memory, stack_seg, offset)
-            dead = word is not None and occ.is_dead(word, plan.cycle)
+        word = occ.word_of(memory, stack_seg, offset)
+        dead = word is not None and occ.is_dead(word, plan.cycle)
         fill_memory_record(
             record, interp, top_frame, stack_seg, offset, before, after, dead,
             prefix="stack",

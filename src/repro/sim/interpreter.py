@@ -71,6 +71,7 @@ from .events import (
     TimeoutTrap,
 )
 from .faults import InjectionPlan, InjectionRecord, flip_bit, get_fault_model
+from .memfaults import OCCUPANCY_MODELS
 from .memory import Memory, Segment
 from .regfile import RegisterFile
 from .snapshot import (
@@ -86,21 +87,14 @@ from .timing import TimingModel
 _MISSING = object()
 _F32_STRUCT = struct.Struct("<f")
 
-# Backwards-compatible aliases: the evaluator tables moved to
-# :mod:`repro.sim.ops` so the fast path (:mod:`repro.sim.compiled`) can share
-# them without importing this module.
-_c_div = ops.c_div
-_c_rem = ops.c_rem
-_float_div = ops.float_div
+# The evaluator tables live in :mod:`repro.sim.ops`, shared with the fast
+# path (:mod:`repro.sim.compiled`); the reference loop reads them through
+# these module-level names because its locals shadow ``ops``.
 _INT_BINOPS = ops.INT_BINOP_EVAL
 _FLOAT_BINOPS = ops.FLOAT_BINOP_EVAL
 _ICMP = ops.ICMP_EVAL
 _FCMP = ops.FCMP_EVAL
 _INTRINSICS_IMPL = ops.INTRINSIC_EVAL
-_safe_sqrt = ops.safe_sqrt
-_safe_exp = ops.safe_exp
-_safe_log = ops.safe_log
-_safe_pow = ops.safe_pow
 
 
 def _retime_trap(trap, cycle: int):
@@ -197,8 +191,9 @@ class Interpreter:
         #: live memory stuck-at binding: (seg, offset, bit, stuck,
         #: deadline_cycle); see MemStuckAtFault
         self._stuck_mem_fault = None
-        #: golden-run OccupancyMap for the memory-hierarchy fault models
-        #: (run_trial attaches it from the PreparedWorkload; None otherwise)
+        #: golden-run OccupancyMap, the only source of the memory-hierarchy
+        #: fault models' targets and verdicts (run_trial attaches it from
+        #: the PreparedWorkload; injecting one of them without it raises)
         self._occupancy = None
         #: undo journal for register/byte-level fault mutations, mirroring
         #: ``Memory._journal`` for word strikes — only the batched lane sweep
@@ -351,6 +346,13 @@ class Interpreter:
         if self.injection_record is not None:
             # Already injected: this is a re-fire (stuck-at cadence).
             return get_fault_model(plan.model).reapply(self, plan)
+        if self._occupancy is None and plan.model in OCCUPANCY_MODELS:
+            # Raised before the record exists, so no containment boundary
+            # can turn the missing map into a classified trial.
+            raise ValueError(
+                f"fault model {plan.model!r} needs the golden-run occupancy "
+                f"map, and this interpreter has none"
+            )
         # Wall-clock stamp of the first injection, read only by the tracing
         # sidecar (replay/detect phase split) — never by trial classification.
         self.trace_inject_ns = time.perf_counter_ns()

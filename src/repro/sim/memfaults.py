@@ -12,16 +12,17 @@ module adds that axis in two halves:
   periodic *liveness boundaries* (cycle, access-sequence-number pairs) and,
   at each boundary, which lines of the modelled L1D are resident.  The
   result is an :class:`OccupancyMap`: enough to (a) draw injection targets
-  uniformly over *occupied* words instead of blind address-space probing,
-  (b) prove a word dead at a given injection cycle (no read at-or-after
-  it), (c) prove an output word settled (neither read nor written
-  at-or-after a cycle), which the re-convergence cut-off needs, and (d)
-  model a resident cache line being struck.
+  uniformly over *occupied* words, (b) prove a word dead at a given
+  injection cycle (no read at-or-after it), (c) prove an output word
+  settled (neither read nor written at-or-after a cycle), which the
+  re-convergence cut-off needs, and (d) model a resident cache line being
+  struck.
 
 * **Injection helpers.**  The shared occupied-word draw, record filling,
   and dead-hit triage used by the memory-hierarchy fault models
-  (``mem_transient``, ``mem_stuck_at``, ``cache_line``, ``stack_frame`` —
-  defined and registered in :mod:`repro.sim.faults`, which imports this
+  (``mem_transient`` and its earlier name ``memory_word``,
+  ``mem_stuck_at``, ``cache_line``, ``stack_frame`` — defined and
+  registered in :mod:`repro.sim.faults`, which imports this
   module; keeping the dependency one-directional makes either module safe
   to import first).  All model randomness comes from the trial's private
   seed at injection time (zero extra plan draws), so ``jobs=N`` campaigns
@@ -40,9 +41,9 @@ correctness.
 The map is captured once per prepared workload and never pickled: parallel
 workers recompute it deterministically from the same golden run (or inherit
 it over fork), so serial and ``jobs=N`` trials draw identical targets.  The
-capture pass runs for the models in :data:`OCCUPANCY_MODELS`; without a map
-(``PreparedWorkload.occupancy is None``) the models fall back to
-address-space probing.
+capture pass runs for the models in :data:`OCCUPANCY_MODELS`, and the map is
+the only source of their targets and verdicts: the interpreter refuses to
+inject one of them without a map.
 """
 
 from __future__ import annotations
@@ -63,13 +64,13 @@ __all__ = [
     "boundary_cadence",
     "draw_occupied_word",
     "fill_memory_record",
-    "probe_any_word",
     "triage_dead_memory",
 ]
 
-#: fault models whose injection draws (or triage proofs) consume the
+#: fault models whose injection draws and triage proofs consume the
 #: occupancy map; ``prepare()`` only pays for the capture pass when the
-#: campaign's resolved model is one of these (``chaos`` mixes them in).
+#: campaign's resolved model is one of these (``chaos`` mixes them in), and
+#: the interpreter raises :class:`ValueError` on injecting one without a map.
 OCCUPANCY_MODELS = frozenset({
     "memory_word", "mem_transient", "mem_stuck_at", "cache_line",
     "stack_frame", "chaos",
@@ -515,21 +516,3 @@ def draw_occupied_word(interp, plan):
         return None
     seg, offset = occ.locate_word(interp.memory, word)
     return seg, offset, occ.is_dead(word, plan.cycle)
-
-
-def probe_any_word(interp) -> Optional[Tuple[Segment, int]]:
-    """Fallback draw without an occupancy map: one uniform word over the
-    mapped address space (no liveness knowledge, so ``dead`` is unprovable).
-    """
-    memory = interp.memory
-    segments = memory.unique_segments()
-    total_words = sum(seg.size // 4 for seg in segments)
-    if total_words == 0:  # pragma: no cover - interpreter always maps memory
-        return None
-    word = interp._rng.randrange(total_words)
-    for seg in segments:  # pragma: no branch - word < total_words
-        words = seg.size // 4
-        if word < words:
-            return seg, word * 4
-        word -= words
-    return None  # pragma: no cover - unreachable by construction

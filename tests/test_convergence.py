@@ -10,7 +10,9 @@ and that it stays off where it would be unsound.  ``test_exhaustive_oracle``
 flips every word x bit of a tiny kernel at every snapshot boundary with the
 cut-off on and off; ``test_exhaustive_dead_region_oracle`` checks the
 memory models' dead-region triage against full runs at every occupancy
-boundary and the cycles either side of it.
+boundary and the cycles either side of it; and
+``test_exhaustive_register_site_oracle`` checks dead-flip triage against
+full runs at every register site a plan can hit.
 """
 
 from __future__ import annotations
@@ -296,6 +298,35 @@ class _DeadWordFlip(FaultModel):
         return -1
 
 
+class _RecentRegisterFlip(FaultModel):
+    """Flip bit ``plan.bit`` of the register written ``plan.seed``
+    retirements before injection (slot tag ``_writes - 1 - seed``) and take
+    ``single_bit``'s path on it: ``_corrupt_slot``, then
+    ``_triage_short_circuit`` when the slot is stale, else
+    ``_triage_flip``."""
+
+    name = "recent_register_flip"
+
+    def inject(self, interp, plan, record, top_frame, next_index) -> int:
+        regfile = interp._regfile
+        tag = regfile._writes - 1 - plan.seed
+        slot = regfile.slots[tag % len(regfile.slots)]
+        if tag < 0 or slot.tag != tag:
+            # Fewer than seed + 1 retirements so far: nothing to corrupt.
+            interp._triage_short_circuit()
+            return -1
+        width = interp.config.register_flip_bits
+        live = faults_mod._corrupt_slot(
+            interp, record, slot,
+            lambda t, v: faults_mod.flip_bit(t, v, plan.bit, width),
+        )
+        if not live:
+            interp._triage_short_circuit()
+            return -1
+        interp._triage_flip(slot, top_frame, next_index)
+        return -1
+
+
 class _StickyNoop(FaultModel):
     """Lands, changes nothing, and keeps a live memory stuck-at binding for
     the rest of the run (re-forcing nothing)."""
@@ -314,7 +345,8 @@ class _StickyNoop(FaultModel):
 
 @pytest.fixture
 def probe_models(monkeypatch):
-    for model in (_WordFlip(), _StickyNoop(), _DeadWordFlip()):
+    for model in (_WordFlip(), _StickyNoop(), _DeadWordFlip(),
+                  _RecentRegisterFlip()):
         monkeypatch.setitem(faults_mod.FAULT_MODELS, model.name, model)
 
 
@@ -636,3 +668,34 @@ def test_exhaustive_dead_region_oracle(kernel, probe_models, monkeypatch):
                 assert stats.get("triaged_dead_memory") == 1, (cycle, word)
                 assert repr(on) == repr(off), (cycle, word, bit)
     assert dead > 0
+
+
+def test_exhaustive_register_site_oracle(kernel, probe_models, monkeypatch):
+    """Every cycle of the kernel's golden run x each of the 32 most
+    recently written registers x bit 0: wherever dead-flip triage
+    short-circuits the flip to Masked, stale slot or value never read
+    again, the trial equals the full run, record and outcome alike.
+
+    The 32 is ``injection_recent_window``: the injection draw reaches no
+    other slot, so these are all the register sites a plan can hit."""
+    monkeypatch.setattr(
+        campaign, "TRIAGEABLE_FAULT_MODELS",
+        campaign.TRIAGEABLE_FAULT_MODELS | {"recent_register_flip"},
+    )
+    config = CampaignConfig(snapshot_every=_KERNEL_EVERY)
+    full = replace(config, triage=False)
+    window = config.sim.injection_recent_window
+    sites = triaged = 0
+    for cycle in range(1, kernel.golden_instructions + 1):
+        for back in range(window):
+            sites += 1
+            stats = {}
+            on = run_trial(kernel, cycle, 0, back, config, stats=stats,
+                           model="recent_register_flip")
+            if not stats.get("triaged_masked"):
+                continue
+            triaged += 1
+            off = run_trial(kernel, cycle, 0, back, full,
+                            model="recent_register_flip")
+            assert repr(on) == repr(off), (cycle, back)
+    assert 0 < triaged < sites

@@ -40,3 +40,18 @@ class TestFiCli:
             out, err = capsys.readouterr()
             assert out == ""
             assert f"trials must be at least 1, got {trials}" in err
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_reports_the_trace_it_wrote(self, tmp_path, monkeypatch, capsys,
+                                        via):
+        # REPRO_TRACE and --trace resolve to the same setting, so the
+        # closing message names the trace file either way.
+        path = tmp_path / "t.json"
+        argv = ["tiff2bw", "original", "--trials", "3", "--quiet"]
+        if via == "flag":
+            argv += ["--trace", str(path)]
+        else:
+            monkeypatch.setenv("REPRO_TRACE", str(path))
+        assert main(argv) == 0
+        assert path.exists()
+        assert f"span trace exported to {path}" in capsys.readouterr().out

@@ -20,7 +20,9 @@ import pytest
 
 from repro.faultinjection.campaign import (
     CampaignConfig,
+    _drive_trial,
     _ensure_occupancy,
+    _trial_interpreter,
     draw_plans,
     prepare,
     run_campaign,
@@ -29,10 +31,9 @@ from repro.faultinjection.campaign import (
 from repro.faultinjection.diskcache import _config_fingerprint, campaign_key
 from repro.faultinjection.resilience import ResiliencePolicy
 from repro.obs import events as obs_events
-from repro.obs.metrics import enable_global
 from repro.obs.report import LogReport, _structure_of
 from repro.sim import memfaults
-from repro.sim.faults import TRIAGEABLE_FAULT_MODELS
+from repro.sim.faults import TRIAGEABLE_FAULT_MODELS, InjectionPlan
 from repro.sim.memory import Memory, MemoryFaultError
 from repro.workloads import get_workload
 from tests.conftest import build_sum_loop
@@ -448,20 +449,72 @@ class TestDeadRegionTriage:
             t.value_name.startswith("<stack:") for t in landed
         )
 
-    def test_memory_word_fallback_counts_dead_skips(self):
-        # Without a map the old rejection-sampling loop runs; its wasted
-        # probes land in the memfault.dead_region_skips counter.
-        registry = enable_global(True)
-        before = registry.counter("memfault.dead_region_skips").snapshot()
-        config = CampaignConfig(trials=10, seed=5, fault_model="memory_word")
-        prepared = prepare(get_workload(WORKLOAD), SCHEME, config)
-        prepared.occupancy = None
-        for plan in draw_plans(config, prepared):
-            trial = run_trial(prepared, plan.cycle, plan.bit, plan.seed,
-                              config, model=plan.model)
-            assert trial.fault_model == "memory_word"
-        after = registry.counter("memfault.dead_region_skips").snapshot()
-        assert after >= before  # probes may or may not miss, never negative
+
+class TestOneDefinitionPerModel:
+    """The occupancy map is the only source of a memory fault's target and
+    verdict: no path runs a memory model without one."""
+
+    ALL_MEMORY_MODELS = ("memory_word",) + MEMORY_MODELS
+
+    @pytest.fixture(scope="class")
+    def g721(self):
+        """g721dec/dup_valchk prepared with the default config: no map."""
+        prepared = prepare(
+            get_workload("g721dec"), "dup_valchk", CampaignConfig(seed=5)
+        )
+        assert prepared.occupancy is None
+        return prepared
+
+    def test_memory_word_is_mem_transient_by_another_name(self, g721):
+        prepared = replace(g721, occupancy=None)
+        runs = {
+            model: run_campaign(
+                prepared.workload, prepared.scheme,
+                CampaignConfig(trials=40, seed=5, fault_model=model),
+                prepared=prepared,
+            ).trials
+            for model in ("memory_word", "mem_transient")
+        }
+        assert prepared.occupancy is not None
+        assert {t.fault_model for t in runs["memory_word"]} == {"memory_word"}
+        renamed = [
+            repr(replace(t, fault_model="mem_transient"))
+            for t in runs["memory_word"]
+        ]
+        assert renamed == [repr(t) for t in runs["mem_transient"]]
+
+    @pytest.mark.parametrize("model", ALL_MEMORY_MODELS)
+    def test_direct_trial_equals_the_campaign_trial(self, g721, model):
+        config = CampaignConfig(trials=40, seed=5, fault_model=model)
+        campaign = run_campaign(
+            g721.workload, g721.scheme, config,
+            prepared=replace(g721, occupancy=None),
+        )
+        direct_prepared = replace(g721, occupancy=None)
+        direct = [
+            run_trial(direct_prepared, plan.cycle, plan.bit, plan.seed,
+                      config, model=plan.model)
+            for plan in draw_plans(config, direct_prepared)
+        ]
+        assert direct_prepared.occupancy is not None
+        assert [repr(t) for t in direct] == [
+            repr(t) for t in campaign.trials
+        ]
+
+    @pytest.mark.parametrize("model", ALL_MEMORY_MODELS)
+    def test_injecting_without_a_map_raises(self, g721, model):
+        # A hand-built interpreter has no map; the error passes through
+        # _drive_trial's containment instead of becoming a trial.
+        config = CampaignConfig(seed=5)
+        prepared = replace(g721, occupancy=None)
+        plan = InjectionPlan(
+            cycle=prepared.golden_instructions // 2, bit=3, seed=1,
+            model=model,
+        )
+        interp = _trial_interpreter(prepared, config)
+        with pytest.raises(ValueError, match=model):
+            _drive_trial(prepared, plan, interp, config, None)
+        assert interp.injection_record is None
 
 
 class TestCheckpointResume:
