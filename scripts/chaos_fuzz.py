@@ -4,8 +4,7 @@
 Sweeps randomized corruptions across workloads × protection schemes × fault
 models (see :mod:`repro.faultinjection.chaos`) and fails loudly unless every
 trial terminates with a classified outcome, zero exceptions escape the
-campaign engine, zero workers die, and zero trials hit the wall-clock
-watchdog.
+campaign engine, and zero workers die.
 
 Examples::
 

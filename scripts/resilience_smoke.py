@@ -55,8 +55,7 @@ def campaign_env(workdir: Path) -> dict:
     # Campaign phases must actually run trials, not replay the cache.
     env["REPRO_CACHE"] = "0"
     for name in ("REPRO_OBS", "REPRO_CHECKPOINT", "REPRO_CHECKPOINT_DIR",
-                 "REPRO_RESILIENCE", "REPRO_JOBS", "REPRO_TRIALS",
-                 "REPRO_TRIAL_DEADLINE"):
+                 "REPRO_RESILIENCE", "REPRO_JOBS", "REPRO_TRIALS"):
         env.pop(name, None)
     return env
 

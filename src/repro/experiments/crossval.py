@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..faultinjection.outcomes import Outcome
 from .reporting import format_table, pct
 from .runner import ExperimentCache, global_cache
 

@@ -35,7 +35,6 @@ from ..faultinjection.resilience import ResilienceLogger, ResiliencePolicy
 from ..obs import events as obs_events
 from ..sim.interpreter import Interpreter
 from ..sim.timing import TimingModel
-from ..workloads.base import Workload
 from ..workloads.registry import BENCHMARK_NAMES, get_workload
 
 @dataclass

@@ -14,7 +14,6 @@ from .recovery import RecoveryResult, run_with_recovery
 from .resilience import (
     Checkpoint,
     Checkpointer,
-    HarnessTimeout,
     ResilienceLogger,
     ResiliencePolicy,
     load_checkpoint,
@@ -30,7 +29,7 @@ __all__ = [
     "CACHE_SCHEMA_VERSION", "CampaignCache", "campaign_key",
     "run_trials_parallel",
     "RecoveryResult", "run_with_recovery",
-    "Checkpoint", "Checkpointer", "HarnessTimeout", "ResilienceLogger",
-    "ResiliencePolicy", "load_checkpoint", "save_checkpoint",
+    "Checkpoint", "Checkpointer", "ResilienceLogger", "ResiliencePolicy",
+    "load_checkpoint", "save_checkpoint",
     "Z_95", "confidence_interval", "margin_of_error", "trials_for_margin",
 ]

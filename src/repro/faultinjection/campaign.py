@@ -42,7 +42,6 @@ from ..sim.faults import (
     CHAOS_FAULT_MODEL,
     CONCRETE_FAULT_MODELS,
     FAULT_MODELS,
-    LARGE_CHANGE_THRESHOLD,
     TRIAGEABLE_FAULT_MODELS,
     InjectionPlan,
 )
@@ -96,19 +95,12 @@ class CampaignConfig:
     obs_log: Optional[str] = field(
         default=None, metadata=settings.tags(settings.OBS, result=False)
     )
-    #: record per-trial wall-clock time in trial events.  Off by default:
-    #: wall-times are nondeterministic, and with timing off a ``jobs=N`` log
-    #: is byte-identical to serial.
-    obs_timing: Optional[bool] = field(
-        default=None, metadata=settings.tags(settings.OBS_TIMING, result=False)
-    )
     #: checkpoint file for crash-resumable campaigns ("" = off)
     checkpoint: Optional[str] = field(
         default=None, metadata=settings.tags(settings.CHECKPOINT, result=False)
     )
-    #: recovery policy (on/off switch, retry budget, per-trial wall-clock
-    #: watchdog, checkpoint cadence): recovery changes *how* trials get
-    #: executed, never what they compute.
+    #: recovery policy (on/off switch, retry budget, checkpoint cadence):
+    #: recovery changes *how* trials get executed, never what they compute.
     resilience: Optional[ResiliencePolicy] = field(
         default=None,
         metadata=settings.tags(result=False, nested=ResiliencePolicy),
@@ -432,8 +424,11 @@ def _drive_trial(
     back inside ``workload.run``, invisible to the classification here.
     """
     limit = int(prepared.golden_instructions * config.timeout_factor) + 10_000
+    # The span's (cycle, bit, seed) joins it to the trial's obs-log record:
+    # a trial's wall time lives here, never in its result or log record.
     with trace_mod.current().span(
-        "trial", cat="trial", cycle=plan.cycle, bit=plan.bit, model=plan.model
+        "trial", cat="trial", cycle=plan.cycle, bit=plan.bit, seed=plan.seed,
+        model=plan.model,
     ):
         try:
             return _classify_trial(
@@ -638,7 +633,7 @@ def run_batch_trials(
 ) -> List:
     """Execute ``(index, plan)`` trials through one batched lane sweep.
 
-    Returns ``(index, trial, anomalies)`` triples in completion order:
+    Returns ``(index, trial)`` pairs in completion order:
     masked lanes first (their verdict was decided in-sweep from the exact
     injection record a scalar run would produce), then each window's final
     lane (whose scalar trial the sweep itself became), then diverged lanes
@@ -678,17 +673,13 @@ def run_batch_trials(
                 else "triaged_masked"
             )
             stats[key] = stats.get(key, 0) + 1
-        out.append(
-            (lane.index, _trial_from_record(lane.record, lane.plan), [])
-        )
-    for index, trial in continued:
-        out.append((index, trial, []))
+        out.append((lane.index, _trial_from_record(lane.record, lane.plan)))
+    out.extend(continued)
     for index, plan, _reason in peeled:
-        trial, anomalies = resilience_mod.run_trial_guarded(
-            prepared, index, plan.cycle, plan.bit, plan.seed, config,
+        out.append((index, run_trial(
+            prepared, plan.cycle, plan.bit, plan.seed, config,
             stats=stats, model=plan.model,
-        )
-        out.append((index, trial, anomalies))
+        )))
     return out
 
 
@@ -852,38 +843,28 @@ class _TrialSink:
 
     Restored, in-process, pool and serial-fallback trials all arrive as
     :class:`~.parallel.ChunkResult` values.  Per chunk, the sink stores each
-    trial by plan index and records it in the checkpoint, logs the chunk's
-    watchdog anomalies, folds its stats (and a pool worker's counters and
-    spans), counts the chunk in the live status in one step, fires
-    ``on_trial`` once per trial, and writes trial events as soon as the
-    completed prefix of the plan grows.  A serial log therefore streams, and
-    every mode writes the same bytes in plan order.
+    trial by plan index and records it in the checkpoint, folds its stats
+    (and a pool worker's counters and spans), counts the chunk in the live
+    status in one step, fires ``on_trial`` once per trial, and writes trial
+    events as soon as the completed prefix of the plan grows.  A serial log
+    therefore streams, and every mode writes the same bytes in plan order.
     """
 
-    def __init__(self, plans, writer, checkpointer, rlog, status,
-                 on_trial) -> None:
+    def __init__(self, plans, writer, checkpointer, status, on_trial) -> None:
         self.plans = plans
         self.writer = writer
         self.checkpointer = checkpointer
-        self.rlog = rlog
         self.status = status
         self.on_trial = on_trial
         self.trials: Dict[int, TrialResult] = {}
         self.stats = {name: 0 for name, _ in obs_events.PREFIX_STATS}
-        self._wall_ms: Dict[int, float] = {}
         self._logged = 0
 
     def __call__(self, chunk) -> None:
-        for index, trial, wall_ms in chunk.completions:
+        for index, trial in chunk.completions:
             self.trials[index] = trial
-            if wall_ms is not None:
-                self._wall_ms[index] = wall_ms
             if self.checkpointer is not None:
                 self.checkpointer.record(index, trial)
-        for anomaly in chunk.anomalies:
-            kind = anomaly.pop("kind")
-            self.rlog.emit(kind, note=f"{kind}: trial {anomaly['i']}",
-                           **anomaly)
         for key, value in (chunk.stats or {}).items():
             self.stats[key] = self.stats.get(key, 0) + value
         if chunk.counters:
@@ -892,18 +873,15 @@ class _TrialSink:
                 registry.counter(name).inc(value)
         if chunk.spans:
             trace_mod.current().extend(chunk.spans)
-        self.status.add(
-            trial.outcome.value for _, trial, _ in chunk.completions
-        )
+        self.status.add(trial.outcome.value for _, trial in chunk.completions)
         if self.on_trial is not None:
-            for _, trial, _ in chunk.completions:
+            for _, trial in chunk.completions:
                 self.on_trial(trial)
         if self.writer is not None:
             while self._logged in self.trials:
                 index = self._logged
                 self.writer.emit(obs_events.trial_event(
-                    index, self.plans[index], self.trials[index],
-                    wall_ms=self._wall_ms.pop(index, None),
+                    index, self.plans[index], self.trials[index]
                 ))
                 self._logged += 1
 
@@ -916,9 +894,7 @@ def _run_trials(prepared, plans, restored, config, sink, rlog) -> None:
     from . import parallel
 
     if restored:
-        sink(parallel.ChunkResult(
-            [(index, restored[index], None) for index in sorted(restored)]
-        ))
+        sink(parallel.ChunkResult(sorted(restored.items())))
     pending = [
         (index, plan) for index, plan in enumerate(plans)
         if index not in restored
@@ -955,8 +931,9 @@ def run_campaign(
     JSONL event log is appended there: a ``campaign_begin`` header, one
     ``trial`` record per plan (in plan order, written by this process
     whichever process ran the trial), and a ``campaign_end`` footer whose
-    tallies match the returned result.  With per-trial timing off (default)
-    the log is byte-identical for any ``jobs`` value.
+    tallies match the returned result.  Every record is a pure function of
+    the pre-drawn plans, so the log is byte-identical for any ``jobs``
+    value.
 
     When ``config.checkpoint`` (or ``REPRO_CHECKPOINT``) names a path,
     completed trials are periodically persisted there and an interrupted
@@ -1012,9 +989,7 @@ def run_campaign(
         try:
             if writer is not None:
                 writer.emit(obs_events.campaign_begin_event(result))
-            sink = _TrialSink(
-                plans, writer, checkpointer, rlog, status, on_trial
-            )
+            sink = _TrialSink(plans, writer, checkpointer, status, on_trial)
             _run_trials(prepared, plans, restored, config, sink, rlog)
             result.trials.extend(sink.trials[i] for i in range(len(plans)))
             _record_prefix_stats(config, result, sink.stats)

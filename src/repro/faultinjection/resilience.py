@@ -1,17 +1,22 @@
-"""Campaign resilience layer: checkpoint/resume, recovery policy, watchdogs.
+"""Campaign resilience layer: checkpoint/resume, recovery policy, quarantine.
 
 The paper's evaluation rests on large statistical fault-injection campaigns
 (thousands of trials per benchmark x scheme).  At that scale the injection
 harness is itself a long-running system that must survive partial failures:
-a crashed worker, a runaway trial, or a corrupt on-disk artifact must not
-abort the whole campaign and discard every completed trial.  This module
-provides the pieces; :mod:`.campaign` and :mod:`.parallel` integrate them.
+a crashed worker or a corrupt on-disk artifact must not abort the whole
+campaign and discard every completed trial.  This module provides the
+pieces; :mod:`.campaign` and :mod:`.parallel` integrate them.
+
+A runaway trial is not this module's concern: the simulated-instruction
+budget (``timeout_factor`` x the golden run) ends it as a Failure, and the
+interpreter's containment boundary classifies a trial whose corrupted state
+crashes harness code.  Both are pure functions of the trial's plan, so no
+trial result or log record depends on how fast the host is.
 
 * :class:`ResiliencePolicy` — the recovery knobs (on/off switch, retry
-  budget and backoff, per-trial wall-clock deadline, checkpoint cadence),
-  resolved once in the campaign parent from ``REPRO_RESILIENCE`` and
-  friends (:mod:`repro.settings`) so workers inherit the exact same
-  decision.
+  budget and backoff, checkpoint cadence), resolved once in the campaign
+  parent from ``REPRO_RESILIENCE`` and friends (:mod:`repro.settings`) so
+  workers inherit the exact same decision.
 
 * **Checkpointing** (:class:`Checkpointer`, :func:`save_checkpoint`,
   :func:`load_checkpoint`) — periodically persists completed plan-indexed
@@ -21,17 +26,6 @@ provides the pieces; :mod:`.campaign` and :mod:`.parallel` integrate them.
   plans are pre-drawn and trial records round-trip bit-exactly, the resumed
   campaign produces byte-identical results and event logs.  A checkpoint
   whose checksum does not verify is quarantined and ignored, never trusted.
-
-* **Trial watchdog** (:func:`trial_deadline`, :func:`run_trial_guarded`) —
-  a *real-time* deadline per trial, distinct from the simulated-cycle
-  ``timeout_factor``: the simulator already bounds simulated work, so a
-  trial that exceeds wall-clock expectations is a harness anomaly (e.g. a
-  pathological host, a runaway allocation), not a program outcome.  A trial
-  that overruns is retried once and then quarantined as a
-  ``harness_timeout`` failure instead of hanging the pool.  Off by default
-  (``trial_deadline_seconds=0``): wall-clock classification is inherently
-  nondeterministic, so the determinism guarantee only covers campaigns where
-  the watchdog never fires (or is disabled).
 
 * **Quarantine** (:func:`repro.durable.quarantine_file`) — corrupt
   artifacts (cache entries, checkpoints) are moved into a ``quarantine/``
@@ -50,32 +44,25 @@ from __future__ import annotations
 
 import hashlib
 import os
-import signal
-import threading
 import time
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from .. import durable, settings
 from ..obs import events as obs_events
 from ..obs import trace as trace_mod
 from ..obs.metrics import global_registry
-from .outcomes import Outcome, TrialResult, trial_from_record, trial_to_record
+from .outcomes import TrialResult, trial_from_record, trial_to_record
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
     "Checkpoint",
     "Checkpointer",
-    "HarnessTimeout",
     "ResiliencePolicy",
     "ResilienceLogger",
     "jittered_backoff",
     "load_checkpoint",
-    "run_trial_guarded",
     "save_checkpoint",
-    "trial_deadline",
 ]
 
 #: bump on any change to the checkpoint file layout
@@ -106,11 +93,6 @@ class ResiliencePolicy:
     )
     #: base delay before the first retry; doubles per attempt
     backoff_seconds: float = 0.5
-    #: per-trial wall-clock deadline in seconds (0 = watchdog off).  A trial
-    #: exceeding it is requeued once, then quarantined as harness_timeout.
-    trial_deadline_seconds: Optional[float] = field(
-        default=None, metadata=settings.tags(settings.TRIAL_DEADLINE)
-    )
     #: completed trials between checkpoint writes (when checkpointing is on)
     checkpoint_every: Optional[int] = field(
         default=None, metadata=settings.tags(settings.CHECKPOINT_EVERY)
@@ -298,143 +280,6 @@ class Checkpointer:
             "checkpoint_clear", path=self.path,
             trials=self.checkpoint.trials,
         )
-
-
-# ---------------------------------------------------------------------------
-# per-trial wall-clock watchdog
-# ---------------------------------------------------------------------------
-
-
-class HarnessTimeout(BaseException):
-    """A trial exceeded its real-time deadline (harness anomaly, not a
-    simulated outcome — the simulated-cycle budget is ``timeout_factor``).
-
-    Deliberately a ``BaseException``: the crash-containment boundary in the
-    interpreter converts any post-injection ``Exception`` into a classified
-    trap, and the watchdog's verdict must punch through that boundary — a
-    hung trial is a harness anomaly, never a simulated fault effect.
-    """
-
-
-def _watchdog_available() -> bool:
-    """SIGALRM-based deadlines need a main thread on a POSIX host."""
-    return (
-        hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
-
-
-#: one-time flag for the watchdog-unavailable degradation warning
-_WARNED_WATCHDOG_UNAVAILABLE = False
-
-
-@contextmanager
-def trial_deadline(seconds: float):
-    """Raise :class:`HarnessTimeout` in the body after ``seconds`` of wall
-    time.  Yields True when the watchdog is armed, False when unavailable
-    (non-POSIX host or non-main thread) or ``seconds`` <= 0.
-
-    The unavailable case degrades gracefully rather than raising at setup
-    (``signal.setitimer`` outside the main thread is a ``ValueError``): it
-    warns once, bumps the ``resilience.watchdog_unavailable`` counter, and
-    leaves runaway-trial protection to the simulated-cycle budget
-    (``timeout_factor``), which bounds every trial regardless of host.
-    """
-    global _WARNED_WATCHDOG_UNAVAILABLE
-    if seconds <= 0:
-        yield False
-        return
-    if not _watchdog_available():
-        global_registry().counter("resilience.watchdog_unavailable").inc()
-        if not _WARNED_WATCHDOG_UNAVAILABLE:
-            _WARNED_WATCHDOG_UNAVAILABLE = True
-            warnings.warn(
-                "per-trial wall-clock watchdog needs SIGALRM on the main "
-                "thread; falling back to the simulated-cycle budget "
-                "(timeout_factor)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        yield False
-        return
-
-    def _on_alarm(signum, frame):
-        raise HarnessTimeout(f"trial exceeded {seconds:g}s wall-clock deadline")
-
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield True
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _quarantined_trial(
-    cycle: int, bit: int, model: str = "single_bit"
-) -> TrialResult:
-    """Placeholder result for a trial the watchdog gave up on."""
-    return TrialResult(
-        outcome=Outcome.FAILURE,
-        injection_cycle=cycle,
-        bit=bit,
-        trap_kind="harness_timeout",
-        fault_model=model,
-    )
-
-
-def run_trial_guarded(
-    prepared, index: int, cycle: int, bit: int, seed: int, config,
-    stats: Optional[Dict[str, int]] = None, model: str = "single_bit",
-) -> Tuple[TrialResult, List[Dict]]:
-    """Run one trial under the policy's wall-clock watchdog.
-
-    Returns ``(trial, anomalies)`` where ``anomalies`` is a list of
-    resilience event dicts (kind + fields) describing what happened:
-    ``trial_timeout`` for an overrun that was requeued, ``trial_quarantined``
-    when the retry also overran and the trial was recorded as a
-    ``harness_timeout`` failure.  With the watchdog off (the default) this
-    is a zero-allocation passthrough to :func:`~.campaign.run_trial`.
-    ``stats`` is forwarded to ``run_trial`` for shared-prefix accounting;
-    ``model`` names the trial's fault model (passed through only when
-    non-default, so historical ``run_trial`` stand-ins keep working).
-    """
-    from .campaign import run_trial
-
-    kwargs = {"stats": stats}
-    if model != "single_bit":
-        kwargs["model"] = model
-    policy = getattr(config, "resilience", None)
-    deadline = policy.trial_deadline_seconds if policy is not None else 0.0
-    if not policy or not policy.enabled or deadline <= 0:
-        return run_trial(prepared, cycle, bit, seed, config, **kwargs), []
-
-    anomalies: List[Dict] = []
-    for attempt in (1, 2):  # a runaway trial is requeued exactly once
-        try:
-            with trial_deadline(deadline):
-                return (
-                    run_trial(prepared, cycle, bit, seed, config, **kwargs),
-                    anomalies,
-                )
-        except HarnessTimeout:
-            trace_mod.current().instant(
-                "trial_timeout", cat="resilience", i=index, attempt=attempt
-            )
-            anomalies.append({
-                "kind": "trial_timeout",
-                "i": index, "cycle": cycle, "bit": bit,
-                "deadline_seconds": deadline, "attempt": attempt,
-            })
-    trace_mod.current().instant(
-        "trial_quarantined", cat="resilience", i=index
-    )
-    anomalies.append({
-        "kind": "trial_quarantined",
-        "i": index, "cycle": cycle, "bit": bit,
-        "deadline_seconds": deadline,
-    })
-    return _quarantined_trial(cycle, bit, model), anomalies
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 See ``docs/OBSERVABILITY.md``.  Everything here is off by default — a
 campaign only pays for observability when the corresponding knob is
-configured: ``REPRO_OBS``/``--obs-log`` (trial event log, optionally with
-``REPRO_OBS_TIMING``), ``REPRO_TRACE``/``--trace`` (hierarchical wall-clock
-span traces, Chrome trace-event JSON), and ``REPRO_HEARTBEAT``/
-``--heartbeat`` (live status file for ``python -m repro.obs top``).
+configured: ``REPRO_OBS``/``--obs-log`` (trial event log, byte-identical
+from run to run), ``REPRO_TRACE``/``--trace`` (hierarchical wall-clock span
+traces, Chrome trace-event JSON — the only place a trial's wall time is
+recorded), and ``REPRO_HEARTBEAT``/``--heartbeat`` (live status file for
+``python -m repro.obs top``).
 """
 
 from .events import (

@@ -27,7 +27,12 @@ def _cmd_report(args) -> int:
               file=sys.stderr)
         return 2
     if args.logs:
-        aggregated = LogReport.from_paths(args.logs)
+        try:
+            aggregated = LogReport.from_paths(args.logs)
+        except OSError as err:
+            print(f"report: cannot read log {err.filename}: {err}",
+                  file=sys.stderr)
+            return 1
         if args.avf:
             print(aggregated.render_avf())
         else:

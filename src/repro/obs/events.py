@@ -1,10 +1,12 @@
 """Structured campaign trial event log (JSONL).
 
 One line per event, canonically encoded (sorted keys, no whitespace), so the
-log of a deterministic campaign is itself deterministic: with per-trial
-timing disabled (the default), a ``jobs=N`` campaign produces a
-**byte-identical** log to the serial run — pool workers hand their trials
-back to the campaign parent, which writes every trial event in plan order.
+log of a deterministic campaign is itself deterministic: no record reads the
+wall clock, and a ``jobs=N`` campaign produces a **byte-identical** log to
+the serial run — pool workers hand their trials back to the campaign
+parent, which writes every trial event in plan order.  A trial's wall time
+lives only in its ``--trace`` ``trial`` span, whose ``(cycle, bit, seed)``
+arguments join it to the trial's record.
 
 Event kinds (every record carries ``"v": SCHEMA_VERSION``):
 
@@ -12,7 +14,7 @@ Event kinds (every record carries ``"v": SCHEMA_VERSION``):
 * ``trial`` — one injection trial: the injection site (cycle, bit, register,
   function), whether the flip landed on a live value, the outcome, the
   detecting check (guard id/kind or hardware trap kind), detection latency
-  in cycles, fidelity score, and (opt-in) wall-clock time;
+  in cycles and fidelity score;
 * ``campaign_end`` — final outcome tallies (must match the
   :class:`~repro.faultinjection.outcomes.CampaignResult`);
 * ``cache_hit`` — the campaign was served from the on-disk cache; carries
@@ -122,13 +124,12 @@ def campaign_begin_event(result) -> Dict:
     return event
 
 
-def trial_event(index: int, plan, trial, wall_ms: Optional[float] = None) -> Dict:
+def trial_event(index: int, plan, trial) -> Dict:
     """One trial record from an :class:`InjectionPlan` + :class:`TrialResult`.
 
-    ``wall_ms`` is only present when per-trial timing is enabled
-    (``REPRO_OBS_TIMING``); everything else is a pure function of the trial,
-    keeping the default log deterministic.  ``fault_model`` is only present
-    for non-default models (see :func:`campaign_begin_event`).
+    A pure function of the plan and the trial, so the log is deterministic.
+    ``fault_model`` is only present for non-default models (see
+    :func:`campaign_begin_event`).
     """
     event = {
         "event": "trial",
@@ -155,8 +156,6 @@ def trial_event(index: int, plan, trial, wall_ms: Optional[float] = None) -> Dic
     model = getattr(plan, "model", "single_bit")
     if model != "single_bit":
         event["fault_model"] = model
-    if wall_ms is not None:
-        event["wall_ms"] = round(wall_ms, 3)
     return event
 
 
@@ -195,10 +194,9 @@ def resilience_event(kind: str, **fields) -> Dict:
 
     ``kind`` is one of: ``checkpoint_write``, ``checkpoint_load``,
     ``checkpoint_clear``, ``checkpoint_corrupt``, ``worker_failure``,
-    ``chunk_retry``, ``serial_fallback``, ``trial_timeout``,
-    ``trial_quarantined``, ``cache_corrupt``.  The remaining fields are
-    kind-specific and deliberately timestamp-free where the action itself is
-    deterministic.
+    ``chunk_retry``, ``serial_fallback``, ``cache_corrupt``.  The remaining
+    fields are kind-specific and deliberately timestamp-free where the
+    action itself is deterministic.
     """
     event = {"event": "resilience", "v": SCHEMA_VERSION, "kind": kind}
     event.update(fields)

@@ -43,7 +43,6 @@ Robustness decisions live here:
 
 from __future__ import annotations
 
-import errno
 import json
 import os
 import signal

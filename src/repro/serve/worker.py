@@ -106,10 +106,10 @@ def _campaign_config(spec: CampaignSpec, paths: JobPaths):
     Every field that could change campaign bytes or route an artifact is
     explicit — the fault model comes from the spec, never
     ``REPRO_FAULT_MODEL``; the obs log, checkpoint and heartbeat live in
-    the job directory; timing and tracing are off — so a spec computes the
-    same campaign whatever the host's environment says.  Only the
-    execution-only knobs (resilience policy, snapshot cadence, triage,
-    batching) are left to the environment.
+    the job directory; tracing is off — so a spec computes the same
+    campaign whatever the host's environment says.  Only the execution-only
+    knobs (resilience policy, snapshot cadence, triage, batching) are left
+    to the environment.
     """
     from ..faultinjection.campaign import CampaignConfig
 
@@ -120,7 +120,6 @@ def _campaign_config(spec: CampaignSpec, paths: JobPaths):
         swap_train_test=spec.swap_train_test,
         fault_model=spec.fault_model or "single_bit",
         obs_log=paths.obs_log,
-        obs_timing=False,
         checkpoint=paths.checkpoint,
         heartbeat=paths.heartbeat,
         trace="",

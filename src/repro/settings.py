@@ -149,11 +149,6 @@ OBS = Knob(
     help="append a JSONL trial event log to this file; inspect it with "
          "'python -m repro.obs report'",
 )
-OBS_TIMING = Knob(
-    "REPRO_OBS_TIMING", False,
-    help="record per-trial wall-clock times in the event log, which then "
-         "differs from run to run",
-)
 TRACE = Knob(
     "REPRO_TRACE",
     help="export wall-clock spans as Chrome trace-event JSON to this "
@@ -201,11 +196,6 @@ MAX_RETRIES = Knob(
     help="pool rebuilds after a worker dies before the rest runs "
          "in-process; 0 falls back at once",
 )
-TRIAL_DEADLINE = Knob(
-    "REPRO_TRIAL_DEADLINE", 0.0, floor=0.0, flag="--trial-deadline",
-    help="per-trial wall-clock watchdog in seconds, 0 off; a hung trial "
-         "is requeued once, then quarantined",
-)
 CHECKPOINT_EVERY = Knob(
     "REPRO_CHECKPOINT_EVERY", 25, floor=1,
     help="completed trials between checkpoint writes",
@@ -223,10 +213,10 @@ SERVE_RETRIES = Knob(
 )
 
 KNOBS: Tuple[Knob, ...] = (
-    FASTPATH, CACHE, CACHE_DIR, JOBS, TRIALS, FAULT_MODEL, OBS, OBS_TIMING,
-    TRACE, HEARTBEAT, CHECKPOINT, CHECKPOINT_DIR, SNAPSHOT_EVERY, TRIAGE,
-    BATCH, RESILIENCE, MAX_RETRIES, TRIAL_DEADLINE, CHECKPOINT_EVERY,
-    SERVE_WORKERS, SERVE_DEPTH, SERVE_RETRIES,
+    FASTPATH, CACHE, CACHE_DIR, JOBS, TRIALS, FAULT_MODEL, OBS, TRACE,
+    HEARTBEAT, CHECKPOINT, CHECKPOINT_DIR, SNAPSHOT_EVERY, TRIAGE, BATCH,
+    RESILIENCE, MAX_RETRIES, CHECKPOINT_EVERY, SERVE_WORKERS, SERVE_DEPTH,
+    SERVE_RETRIES,
 )
 
 #: every environment variable the program reads

@@ -34,7 +34,7 @@ own constants in cell variables.
 Semantics are mirrored from the reference loop **exactly** — same evaluator
 tables (:mod:`repro.sim.ops`), same memory access rules, same trap order,
 same register-file write order — and the differential tests in
-``tests/test_sim_compiled.py`` plus the campaign golden files hold the two
+``tests/test_fastpath_parity.py`` plus the campaign golden files hold the two
 paths bit-identical.  Two deliberate differences, both invisible to existing
 clients: traps are raised from closures with ``cycle=-1`` and re-timed by the
 driving loop (:class:`~repro.sim.events.SimTrap` messages are built at
@@ -81,7 +81,7 @@ from ..ir.types import F32, F64, FloatType, IntType, PointerType
 from ..ir.values import Constant, GlobalVariable, UndefValue
 from ..obs.metrics import global_registry as _obs_registry
 from .events import ArithmeticTrap, GuardTrap, StackOverflowTrap
-from .ops import FCMP_EVAL, ICMP_EVAL, INTRINSIC_EVAL, c_div, c_rem, float_div
+from .ops import ICMP_EVAL, INTRINSIC_EVAL, c_div, c_rem, float_div
 
 __all__ = [
     "STOP",

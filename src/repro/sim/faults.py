@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from ..ir.types import FloatType, IntType, IRType, PointerType
 from .memfaults import (

@@ -53,8 +53,8 @@ from ..ir.instructions import (
     Store,
 )
 from ..ir.module import Module
-from ..ir.types import F32, FloatType, IntType, PointerType
-from ..ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
+from ..ir.types import F32
+from ..ir.values import Constant, GlobalVariable, UndefValue, Value
 from ..obs.metrics import global_registry as _obs_registry
 from . import ops
 from .compiled import STOP, UNWIND, CompiledBlock, compile_variants
@@ -70,7 +70,7 @@ from .events import (
     StackOverflowTrap,
     TimeoutTrap,
 )
-from .faults import InjectionPlan, InjectionRecord, flip_bit, get_fault_model
+from .faults import InjectionPlan, InjectionRecord, get_fault_model
 from .memfaults import OCCUPANCY_MODELS
 from .memory import Memory, Segment
 from .regfile import RegisterFile

@@ -65,25 +65,6 @@ class TestViolationPaths:
         assert "RuntimeError" in report.violations[0].detail
         assert "VIOLATIONS" in report.render_text()
 
-    def test_watchdog_quarantine_flagged(self):
-        report = chaos.ChaosReport()
-        quarantined = TrialResult(
-            outcome=Outcome.FAILURE, injection_cycle=1, bit=0,
-            trap_kind="harness_timeout",
-        )
-
-        class FakeResult:
-            trials = [quarantined]
-
-        from repro.faultinjection.campaign import CampaignConfig
-
-        chaos._audit_campaign(
-            report, FakeResult(), CampaignConfig(trials=1), {}, "w", "s",
-            "single_bit",
-        )
-        kinds = {v.kind for v in report.violations}
-        assert "watchdog_quarantine" in kinds
-
     def test_model_mismatch_flagged(self):
         report = chaos.ChaosReport()
         wrong = TrialResult(

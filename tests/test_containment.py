@@ -13,7 +13,6 @@ harness exceptions the corruption provokes inside the simulator itself.
 from __future__ import annotations
 
 import struct
-import warnings
 
 import pytest
 
@@ -345,48 +344,3 @@ class TestObsEventFields:
             # any trial injected before the flag read must end in the trap
             if trial.trap_kind:
                 assert trial.trap_kind == "memory"
-
-
-class TestWatchdogDegradation:
-    """trial_deadline degrades gracefully where SIGALRM can't work."""
-
-    def test_unavailable_host_warns_once_and_counts(self, monkeypatch):
-        from repro.faultinjection import resilience
-        from repro.obs.metrics import enable_global
-
-        registry = enable_global()
-        monkeypatch.setattr(resilience, "_watchdog_available", lambda: False)
-        monkeypatch.setattr(
-            resilience, "_WARNED_WATCHDOG_UNAVAILABLE", False
-        )
-        counter = registry.counter("resilience.watchdog_unavailable")
-        before = counter.value
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            with resilience.trial_deadline(1.0) as armed:
-                assert armed is False
-        assert counter.value == before + 1
-        # second entry: counted again, but warned only once
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with resilience.trial_deadline(1.0) as armed:
-                assert armed is False
-        assert counter.value == before + 2
-
-    def test_disabled_deadline_is_silent(self):
-        from repro.faultinjection.resilience import trial_deadline
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with trial_deadline(0) as armed:
-                assert armed is False
-
-    def test_available_host_still_arms(self):
-        from repro.faultinjection.resilience import (
-            _watchdog_available,
-            trial_deadline,
-        )
-
-        if not _watchdog_available():
-            pytest.skip("needs SIGALRM on the main thread")
-        with trial_deadline(30.0) as armed:
-            assert armed is True

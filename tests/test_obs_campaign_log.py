@@ -149,34 +149,34 @@ def test_no_log_without_configuration(tmp_path, monkeypatch, prepared_tiff):
 
 def test_resolve_obs_config_explicit_wins(monkeypatch):
     monkeypatch.setenv("REPRO_OBS", "/env/path.jsonl")
-    monkeypatch.setenv("REPRO_OBS_TIMING", "1")
     explicit = CampaignConfig(obs_log="/explicit.jsonl")
     resolved = resolve(explicit)
     assert resolved.obs_log == "/explicit.jsonl"
-    assert resolved.obs_timing  # env fills the gap
-    off = resolve(CampaignConfig(obs_log="", obs_timing=False))
-    assert off.obs_log == "" and off.obs_timing is False  # explicit off wins
-    monkeypatch.delenv("REPRO_OBS_TIMING", raising=False)
+    off = resolve(CampaignConfig(obs_log=""))
+    assert off.obs_log == ""  # explicit off wins
     monkeypatch.delenv("REPRO_OBS", raising=False)
     plain = resolve(CampaignConfig())
-    assert plain.obs_log == "" and not plain.obs_timing
+    assert plain.obs_log == ""
 
 
-def test_explicit_timing_off_beats_the_environment(
-    tmp_path, monkeypatch, prepared_tiff
-):
-    """``obs_timing=False`` is an explicit off: ``REPRO_OBS_TIMING=1`` must
-    not put wall-clock fields into the log."""
-    config, prepared = prepared_tiff
-    log = tmp_path / "untimed.jsonl"
+def test_stale_wall_clock_variables_change_nothing(tmp_path, monkeypatch):
+    """No trial result or log record reads the wall clock: the retired
+    ``REPRO_OBS_TIMING`` and ``REPRO_TRIAL_DEADLINE``, left set in the
+    environment, change neither the result nor a byte of the obs log."""
+    workload = get_workload("tiff2bw")
+
+    def campaign(name):
+        log = tmp_path / f"{name}.jsonl"
+        config = CampaignConfig(trials=12, seed=5, obs_log=str(log))
+        result = run_campaign(workload, "dup", config)
+        return result.to_dict(), log.read_bytes()
+
+    monkeypatch.delenv("REPRO_OBS_TIMING", raising=False)
+    monkeypatch.delenv("REPRO_TRIAL_DEADLINE", raising=False)
+    unset = campaign("unset")
     monkeypatch.setenv("REPRO_OBS_TIMING", "1")
-    run_campaign(
-        prepared.workload, "dup_valchk",
-        replace(config, obs_timing=False, obs_log=str(log)),
-        prepared=prepared,
-    )
-    trials = [e for e in read_events(log)[0] if e["event"] == "trial"]
-    assert trials and not any("wall_ms" in e for e in trials)
+    monkeypatch.setenv("REPRO_TRIAL_DEADLINE", "0.0005")
+    assert campaign("stale") == unset
 
 
 def test_torn_last_line_does_not_swallow_the_next_campaign(tmp_path):
@@ -192,16 +192,6 @@ def test_torn_last_line_does_not_swallow_the_next_campaign(tmp_path):
     report = LogReport.from_paths([log])
     assert [c["workload"] for c in report.campaigns] == ["tiff2bw", "g721dec"]
     assert report.skipped_lines == 0
-
-
-def test_timing_opt_in_adds_wall_ms(tmp_path, prepared_tiff):
-    config, prepared = prepared_tiff
-    log = tmp_path / "timed.jsonl"
-    cfg = replace(config, trials=4, obs_log=str(log), obs_timing=True)
-    run_campaign(prepared.workload, "dup_valchk", cfg, prepared=prepared)
-    events, _ = read_events(log)
-    trials = [e for e in events if e["event"] == "trial"]
-    assert trials and all("wall_ms" in e for e in trials)
 
 
 # ---------------------------------------------------------------------------

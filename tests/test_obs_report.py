@@ -158,3 +158,16 @@ def test_cli_report_json_to_stdout(tmp_path, capsys):
     assert obs_main(["report", str(log), "--json", "-"]) == 0
     captured = capsys.readouterr().out
     assert '"trials": 8' in captured
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_cli_report_unreadable_log_exits_1(tmp_path, capsys, kind):
+    """A log the report cannot open is one line on stderr and exit 1, as an
+    unreadable ``--trace`` is, not a traceback."""
+    log = tmp_path / "log.jsonl"
+    if kind == "directory":
+        log.mkdir()
+    assert obs_main(["report", str(log)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"report: cannot read log {log}: ")
+    assert captured.out == ""

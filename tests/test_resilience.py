@@ -1,5 +1,4 @@
-"""Campaign resilience: checkpoint/resume, worker recovery, watchdog,
-quarantine.
+"""Campaign resilience: checkpoint/resume, worker recovery, quarantine.
 
 The invariant under test throughout: recovery must be *invisible in the
 results*.  A campaign that was interrupted and resumed, lost workers, or
@@ -13,7 +12,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import signal
 from dataclasses import replace
 
 import pytest
@@ -28,7 +26,6 @@ from repro.faultinjection import (
     run_campaign,
     save_checkpoint,
 )
-from repro.faultinjection import campaign as campaign_mod
 from repro.faultinjection import parallel as parallel_mod
 from repro.faultinjection import resilience as resilience_mod
 from repro.faultinjection.outcomes import TrialResult
@@ -56,7 +53,6 @@ def _clean_resilience_env(monkeypatch):
     for name in (
         "REPRO_OBS", "REPRO_CHECKPOINT", "REPRO_CHECKPOINT_DIR",
         "REPRO_CHECKPOINT_EVERY", "REPRO_RESILIENCE", "REPRO_MAX_RETRIES",
-        "REPRO_TRIAL_DEADLINE",
     ):
         monkeypatch.delenv(name, raising=False)
 
@@ -233,29 +229,6 @@ def test_resume_note_reaches_progress_and_heartbeat(
     assert lines[-1].lstrip().startswith("g721dec/dup_valchk: [30/30]")
 
 
-def test_parallel_resume_times_the_trials_it_runs(tmp_path, prepared_g721):
-    """With ``obs_timing`` on, a ``jobs=2`` resume logs ``wall_ms`` on every
-    trial it ran and on none it restored, as a ``jobs=1`` resume does."""
-    _, prepared = prepared_g721
-
-    def config(jobs):
-        return CampaignConfig(
-            trials=40, seed=7, jobs=jobs, obs_log=str(tmp_path / "log.jsonl"),
-            obs_timing=True, checkpoint=str(tmp_path / "ckpt.json"),
-            resilience=_policy(checkpoint_every=1),
-        )
-
-    with pytest.raises(KeyboardInterrupt):
-        run_campaign(prepared.workload, "dup_valchk", config(1),
-                     prepared=prepared, on_trial=_InterruptAfter(12))
-    run_campaign(prepared.workload, "dup_valchk", config(2),
-                 prepared=prepared)
-    events, _ = read_events(tmp_path / "log.jsonl")
-    trials = [e for e in events if e["event"] == "trial"]
-    assert [e["i"] for e in trials] == list(range(40))
-    assert [e["i"] for e in trials if "wall_ms" in e] == list(range(12, 40))
-
-
 def test_completed_campaign_matches_unchecked_run(tmp_path, prepared_g721):
     """Checkpointing an undisturbed campaign must not perturb it."""
     config, prepared = prepared_g721
@@ -363,75 +336,6 @@ def test_retry_budget_exhaustion_falls_back_to_serial(
 
 
 # ---------------------------------------------------------------------------
-# per-trial wall-clock watchdog
-# ---------------------------------------------------------------------------
-
-needs_sigalrm = pytest.mark.skipif(
-    not hasattr(signal, "SIGALRM"), reason="watchdog needs SIGALRM"
-)
-
-
-@needs_sigalrm
-def test_trial_deadline_raises():
-    import time
-
-    with pytest.raises(resilience_mod.HarnessTimeout):
-        with resilience_mod.trial_deadline(0.05):
-            time.sleep(5)
-    # The timer is disarmed on exit: this sleep must survive.
-    with resilience_mod.trial_deadline(10.0):
-        time.sleep(0.06)
-
-
-@needs_sigalrm
-def test_hung_trial_is_quarantined(tmp_path, prepared_g721, monkeypatch):
-    import time
-
-    config, prepared = prepared_g721
-    plans = campaign_mod.draw_plans(config, prepared)
-    hang_cycle = plans[2].cycle
-    real_run_trial = campaign_mod.run_trial
-
-    def hang_on_target(prepared_, cycle, bit, seed, cfg, stats=None):
-        if cycle == hang_cycle:
-            time.sleep(5)
-        return real_run_trial(prepared_, cycle, bit, seed, cfg, stats=stats)
-
-    monkeypatch.setattr(campaign_mod, "run_trial", hang_on_target)
-    log = tmp_path / "log.jsonl"
-    cfg = CampaignConfig(
-        trials=config.trials, seed=config.seed, obs_log=str(log),
-        resilience=_policy(trial_deadline_seconds=0.2),
-    )
-    start = time.perf_counter()
-    result = run_campaign(prepared.workload, "dup_valchk", cfg,
-                          prepared=prepared)
-    assert time.perf_counter() - start < 4  # two 0.2s overruns, not 5s hangs
-    quarantined = [
-        t for t in result.trials if t.trap_kind == "harness_timeout"
-    ]
-    assert len(quarantined) == 1
-    sidecar_events, _ = read_events(resilience_log_path(str(log)))
-    kinds = [e["kind"] for e in sidecar_events if e["event"] == "resilience"]
-    assert kinds.count("trial_timeout") == 2  # original + the one requeue
-    assert "trial_quarantined" in kinds
-
-
-def test_watchdog_off_is_passthrough(prepared_g721):
-    config, prepared = prepared_g721
-    plans = campaign_mod.draw_plans(config, prepared)
-    cfg = CampaignConfig(trials=config.trials, seed=config.seed,
-                         resilience=_policy(trial_deadline_seconds=0.0))
-    trial, anomalies = resilience_mod.run_trial_guarded(
-        prepared, 0, plans[0].cycle, plans[0].bit, plans[0].seed, cfg
-    )
-    assert anomalies == []
-    assert trial == campaign_mod.run_trial(
-        prepared, plans[0].cycle, plans[0].bit, plans[0].seed, cfg
-    )
-
-
-# ---------------------------------------------------------------------------
 # cache integrity quarantine
 # ---------------------------------------------------------------------------
 
@@ -518,11 +422,9 @@ def test_policy_reads_env(monkeypatch):
     assert env_policy(enabled=True).enabled  # explicit wins
     monkeypatch.setenv("REPRO_RESILIENCE", "1")
     monkeypatch.setenv("REPRO_MAX_RETRIES", "7")
-    monkeypatch.setenv("REPRO_TRIAL_DEADLINE", "1.5")
     monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "3")
     policy = env_policy()
-    assert (policy.max_retries, policy.trial_deadline_seconds,
-            policy.checkpoint_every) == (7, 1.5, 3)
+    assert (policy.max_retries, policy.checkpoint_every) == (7, 3)
     # A campaign left without a policy resolves this one.
     assert resolve(CampaignConfig()).resilience == policy
 

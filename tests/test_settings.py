@@ -25,7 +25,8 @@ from repro.sim.config import SimConfig
 from repro.transforms.checkconfig import ProtectionConfig
 from tests.conftest import build_sum_loop
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 
 CAMPAIGN_KEY_PINS = (
     ({}, "562b60adad4b0a24cd8e0a51b7a8a25607e39babc0fc9bfbcf6078dbe8065db8"),
@@ -53,7 +54,7 @@ SPEC_KEY_PINS = (
 
 @pytest.fixture
 def clean_env(monkeypatch):
-    for name in ("REPRO_FAULT_MODEL", "REPRO_OBS", "REPRO_OBS_TIMING"):
+    for name in ("REPRO_FAULT_MODEL", "REPRO_OBS"):
         monkeypatch.delenv(name, raising=False)
 
 
@@ -80,7 +81,6 @@ VARIANTS = {
     "swap_train_test": True,
     "jobs": 8,
     "obs_log": "/tmp/x.jsonl",
-    "obs_timing": True,
     "checkpoint": "/tmp/x.ckpt",
     "resilience": ResiliencePolicy(max_retries=9, checkpoint_every=3),
     "snapshot_every": 128,
@@ -143,13 +143,11 @@ def test_parse_rule(monkeypatch):
         (settings.TRIAGE, "", True),          # empty means unset
         (settings.TRIAGE, "  Off ", False),   # stripped, any case
         (settings.TRIAGE, "yes", True),
-        (settings.OBS_TIMING, "1", True),
         (settings.OBS, "no", ""),             # off turns a path off
         (settings.OBS, " /tmp/x.jsonl ", "/tmp/x.jsonl"),
         (settings.SNAPSHOT_EVERY, "false", 0),  # off is 0 for a number
         (settings.SNAPSHOT_EVERY, "-1", -1),
         (settings.MAX_RETRIES, "-4", 0),      # clamped to the floor
-        (settings.TRIAL_DEADLINE, "1.5", 1.5),
         (settings.FAULT_MODEL, "off", "single_bit"),
     )
     for knob, text, expected in cases:
@@ -173,14 +171,12 @@ def test_unparsable_numbers_warn_once_per_variable(monkeypatch):
 
 def test_explicit_values_win(monkeypatch):
     monkeypatch.setenv("REPRO_TRIAGE", "1")
-    monkeypatch.setenv("REPRO_OBS_TIMING", "1")
     monkeypatch.setenv("REPRO_CHECKPOINT", "/env.ckpt")
     monkeypatch.setenv("REPRO_BATCH", "16")
     resolved = settings.resolve(CampaignConfig(
-        triage=False, obs_timing=False, checkpoint="", batch=0,
+        triage=False, checkpoint="", batch=0,
     ))
     assert resolved.triage is False
-    assert resolved.obs_timing is False
     assert resolved.checkpoint == ""
     assert resolved.batch == 0
     again = settings.resolve(resolved)
@@ -218,6 +214,43 @@ def test_only_settings_names_environment_knobs():
         if quoted.search(line)
     ]
     assert offenders == []
+
+
+#: where every knob must be documented
+KNOB_DOCS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+#: documents and code that name ``REPRO_*`` variables to their readers;
+#: ``benchmarks/ledger/`` is left out, since it may name retired knobs
+NAMING_FILES = (
+    KNOB_DOCS + [ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"]
+    + sorted((ROOT / "src").rglob("*.py"))
+    + sorted((ROOT / "scripts").rglob("*.py"))
+)
+
+
+def test_docs_name_only_real_knobs():
+    """Every ``REPRO_*`` name a document or the code mentions is a knob in
+    the table (a trailing ``_*``, as in ``REPRO_SERVE_*``, names a prefix),
+    and every knob is documented in README.md or docs/."""
+    name = re.compile(r"REPRO_[A-Z0-9_]*\*?")
+    unknown = []
+    for path in NAMING_FILES:
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            for found in name.findall(line):
+                if found.endswith("*"):
+                    known = any(env.startswith(found[:-1])
+                                for env in settings.ENV_NAMES)
+                else:
+                    known = found in settings.ENV_NAMES
+                if not known:
+                    unknown.append(
+                        f"{path.relative_to(ROOT)}:{number}: {found}")
+    assert unknown == []
+    documented = "".join(path.read_text() for path in KNOB_DOCS)
+    undocumented = [
+        env for env in settings.ENV_NAMES
+        if not re.search(rf"\b{env}\b", documented)
+    ]
+    assert undocumented == []
 
 
 def test_only_durable_makes_temp_files():
