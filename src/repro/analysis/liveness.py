@@ -2,9 +2,11 @@
 
 The fault model injects bit flips into *live* registers (values defined and
 not yet past their last use) — see :mod:`repro.sim.regfile`.  This module
-computes per-block live-in/live-out sets; the simulator uses a cheaper dynamic
-approximation at run time but the static sets are used for validation and for
-register-pressure statistics in the timing model.
+computes per-block live-in/live-out sets, once per function (the interpreter
+caches them on it), and the fault-injection runs read them at every
+injection: the live-biased register pick (``Interpreter._slot_is_live``,
+live-in of the frame's block) and dead-flip triage
+(:func:`repro.sim.snapshot.value_dead_after`, live-out).
 """
 
 from __future__ import annotations

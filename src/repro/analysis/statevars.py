@@ -14,11 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import Phi
-from ..ir.values import Value
-from .dominators import DominatorTree
 from .loops import Loop, LoopInfo
 from .usedef import depends_on
 

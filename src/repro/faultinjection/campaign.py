@@ -18,7 +18,7 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, TextIO
+from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from ..obs import heartbeat as heartbeat_mod
 from ..obs import trace as trace_mod
 from ..obs.metrics import global_registry
 from ..profiling.profiler import collect_profiles
+from ..sim.compiled import compile_variants
 from ..sim.config import SimConfig
 from ..sim.events import (
     ArithmeticTrap,
@@ -183,6 +184,10 @@ class PreparedWorkload:
     #: unless the campaign's model consumes it).  Like ``snapshots``, never
     #: pickled: workers recompute it deterministically.
     occupancy: Optional[memfaults_mod.OccupancyMap] = None
+    #: the (tracked, untracked) compiled variants every trial runs on,
+    #: resolved once per campaign (:func:`_ensure_compiled`); None makes
+    #: each trial run look them up itself
+    compiled: Optional[Tuple] = None
 
 
 def prepare(
@@ -356,6 +361,17 @@ def _ensure_occupancy(
     )
 
 
+def _ensure_compiled(prepared: PreparedWorkload) -> None:
+    """Resolve the compiled variants the campaign's trials run on.
+
+    One module token check per campaign instead of one per trial run.
+    ``run_campaign`` calls this before any worker pool is created, so
+    forked workers inherit the variants and count no ``sim.compile.*``
+    lookups of their own.
+    """
+    prepared.compiled = compile_variants(prepared.module, False, (True, False))
+
+
 def run_trial(
     prepared: PreparedWorkload,
     cycle: int,
@@ -406,6 +422,7 @@ def _trial_interpreter(
     # Memory-hierarchy models draw their targets and verdicts from the
     # golden-run occupancy map; injecting one with None here raises.
     interp._occupancy = prepared.occupancy
+    interp._trial_variants = prepared.compiled
     return interp
 
 
@@ -966,6 +983,7 @@ def run_campaign(
     try:
         prepared = prepared or prepare(workload, scheme, config)
         _ensure_occupancy(prepared, config)
+        _ensure_compiled(prepared)
         plans = draw_plans(config, prepared)
         rlog = resilience_mod.ResilienceLogger(
             config.obs_log, echo=status.incident

@@ -115,6 +115,7 @@ def _worker_prepared(
         from ..workloads.registry import get_workload
 
         found = prepare(get_workload(name), scheme, config)
+        campaign_mod._ensure_compiled(found)
         _PREPARED_MEMO[key] = found
     return found
 

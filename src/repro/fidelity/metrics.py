@@ -82,12 +82,22 @@ def segmental_snr(
         raise ValueError(f"shape mismatch: {ref.shape} vs {obs.shape}")
     if frame <= 0:
         raise ValueError("frame size must be positive")
+    # Per-frame sums as row reductions over the whole frames, the last
+    # partial frame summed on its own: the same sums as one np.sum per frame.
+    noise_sq = (ref - obs) ** 2
+    signal_sq = ref * ref
+    full = len(ref) - len(ref) % frame
+    noises: list = []
+    signals: list = []
+    if full:
+        rows = full // frame
+        noises = np.sum(noise_sq[:full].reshape(rows, -1), axis=1).tolist()
+        signals = np.sum(signal_sq[:full].reshape(rows, -1), axis=1).tolist()
+    if full < len(ref):
+        noises.append(float(np.sum(noise_sq[full:])))
+        signals.append(float(np.sum(signal_sq[full:])))
     snrs = []
-    for start in range(0, len(ref), frame):
-        r = ref[start : start + frame]
-        o = obs[start : start + frame]
-        noise = float(np.sum((r - o) ** 2))
-        signal = float(np.sum(r * r))
+    for noise, signal in zip(noises, signals):
         if noise == 0.0:
             snrs.append(SNR_CLAMP_DB)
         elif signal == 0.0:

@@ -26,11 +26,10 @@ from typing import Dict, List, Optional, Tuple
 
 from ..ir.basicblock import BasicBlock
 from ..ir.builder import IRBuilder
-from ..ir.function import Function
 from ..ir.instructions import INTRINSICS
 from ..ir.module import Module
 from ..ir.types import F64, I1, I32, PTR, VOID, FloatType, IntType, IRType
-from ..ir.values import Constant, GlobalVariable, Value
+from ..ir.values import Constant, Value
 from . import astnodes as ast
 
 

@@ -8,7 +8,7 @@ flat token stream with line/column positions for error reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 KEYWORDS = frozenset(
     {

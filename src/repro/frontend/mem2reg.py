@@ -13,7 +13,7 @@ to a call).  Local arrays therefore stay in memory, as they should.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
 from ..analysis.cfg import predecessors_map
 from ..analysis.dominators import DominatorTree

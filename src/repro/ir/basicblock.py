@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, List, Optional
 
-from .instructions import Br, CondBr, Instruction, Phi
+from .instructions import Instruction, Phi
 
 if TYPE_CHECKING:  # pragma: no cover
     from .function import Function

@@ -33,7 +33,7 @@ from .instructions import (
     Select,
     Store,
 )
-from .types import F64, I1, I32, I64, FloatType, IntType, IRType
+from .types import F64, I32, FloatType, IntType, IRType
 from .values import Constant, Value
 
 

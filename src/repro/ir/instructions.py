@@ -19,9 +19,9 @@ guard fires.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .types import F64, I1, I64, PTR, VOID, FloatType, IntType, IRType
+from .types import I1, PTR, VOID, IRType
 from .values import Constant, Value
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -27,13 +27,11 @@ from .instructions import (
     CAST_OPS,
     CondBr,
     FCmp,
-    FCMP_PREDICATES,
     GetElementPtr,
     GuardEq,
     GuardRange,
     GuardValues,
     ICmp,
-    ICMP_PREDICATES,
     Instruction,
     IntrinsicCall,
     INTRINSICS,
@@ -44,7 +42,7 @@ from .instructions import (
     Store,
 )
 from .module import Module
-from .types import IRType, VOID, parse_type
+from .types import parse_type
 from .values import Constant, UndefValue, Value
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .types import F32, F64, I1, PTR, FloatType, IntType, IRType
+from .types import F64, I1, PTR, FloatType, IntType, IRType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
     from .function import Function

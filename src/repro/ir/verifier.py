@@ -7,7 +7,7 @@ check-insertion passes preserve SSA well-formedness).
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Set
 
 from .basicblock import BasicBlock
 from .function import Function

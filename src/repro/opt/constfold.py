@@ -15,7 +15,7 @@ from typing import Optional
 from ..ir.function import Function
 from ..ir.instructions import BinaryOp, Cast, FCmp, ICmp, Instruction, Select
 from ..ir.module import Module
-from ..ir.types import F32, I1, FloatType, IntType
+from ..ir.types import I1, IntType
 from ..ir.values import Constant
 from ..sim.ops import FCMP_EVAL, FLOAT_BINOP_EVAL, ICMP_EVAL, INT_BINOP_EVAL
 

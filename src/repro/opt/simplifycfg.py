@@ -14,12 +14,11 @@ want tighter CFGs:
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Set
 
 from ..analysis.cfg import predecessors_map, reachable_blocks
-from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import Br, CondBr, Phi
+from ..ir.instructions import Br, CondBr
 from ..ir.module import Module
 from ..ir.values import Constant
 

@@ -11,7 +11,6 @@ Ben-Haim/Tom-Tov streaming histogram, adapted (as the paper does) to keep
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 

@@ -9,7 +9,6 @@ histogram bin loses its exact identity; the counter preserves it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..ir.instructions import Instruction

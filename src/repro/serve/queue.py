@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import bisect
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 __all__ = ["ACTIVE_STATES", "Job", "JobState", "QueueState", "FairScheduler"]

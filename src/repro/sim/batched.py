@@ -65,7 +65,6 @@ from .faults import (
     get_fault_model,
 )
 from .interpreter import Interpreter
-from .regfile import RegisterFile
 from .snapshot import TriageMasked
 
 __all__ = [
@@ -146,14 +145,13 @@ class BatchedSweep(Interpreter):
     * earlier lanes never fill ``self.injection_record`` or arm the guards —
       the sweep stays a golden run between strikes, so guards cannot raise
       and containment stays out of the way until the final commit;
-    * ``_materialize_regfile`` is non-destructive: each stop materializes a
-      fresh register file from the (trimmed, never cleared) lazy write log,
-      so later stops see the identical slot/tag/cursor state the scalar
-      path would;
+    * each stop trims the register file's write log to the entries that
+      can still occupy a slot (the file reads its slots off the log, so
+      every stop sees the slots the scalar path would);
     * register-file tracking stays on until the final commit (the run loop's
       untracked swap keys on ``injection_record``, which the rolled-back
-      strikes never set), so every stop can materialize the scalar-identical
-      register file; the post-commit tail runs untracked, exactly like a
+      strikes never set), so every stop reads the scalar-identical register
+      file; the post-commit tail runs untracked, exactly like a
       scalar trial's post-injection execution.
     """
 
@@ -198,6 +196,7 @@ class BatchedSweep(Interpreter):
             return get_fault_model(self._live_plan.model).reapply(
                 self, self._live_plan
             )
+        self._regfile.trim()
         lanes = self._lanes
         pos = self._lane_pos
         last = len(lanes) - 1
@@ -288,38 +287,6 @@ class BatchedSweep(Interpreter):
             self._pending_control_fault = False
         lane.record = record
 
-    # -- state materialization ------------------------------------------------
-
-    def _materialize_regfile(self) -> None:
-        """Non-destructive variant: fresh register file per stop.
-
-        The scalar path replays the lazy write log into the run's register
-        file once (its single injection) and clears the log.  A sweep stops
-        many times, so each stop builds a *fresh* file from the log — same
-        absolute write counts via ``_rf_base``, hence identical slots, tags,
-        and cursor — then trims the log to the newest ``capacity`` entries
-        (exactly the snapshot recorder's bound: older writes can never
-        occupy a slot) instead of clearing it.
-        """
-        log = self._rf_log
-        if not log:
-            return
-        cap = self.config.phys_int_registers
-        regfile = RegisterFile(cap)
-        total = self._rf_base + len(log)
-        start = len(log) - cap if total > cap else 0
-        regfile._writes = total - cap if total > cap else 0
-        regfile._cursor = regfile._writes % cap
-        write = regfile.write
-        for frame, obj in log[start:]:
-            write(frame, obj)
-        self._regfile = regfile
-        if len(log) > cap:
-            drop = len(log) - cap
-            self._rf_base += drop
-            del log[:drop]
-
-
 def sweep_batch(
     prepared,
     items: Sequence[Tuple[int, InjectionPlan]],
@@ -408,6 +375,7 @@ def sweep_batch(
             _finish_info(info, peeled, continued_live)
             return masked, peeled, continued, info
         sweep._occupancy = prepared.occupancy
+        sweep._trial_variants = prepared.compiled
         final = group[-1]
         with trace_mod.current().span(
             "batch.sweep", cat="batch", lanes=len(group),

@@ -10,13 +10,25 @@ resolution **once per module** and caches the result:
   vals)`` with its evaluator inlined (integer wrap is emitted as a pure
   arithmetic expression, no calls), constant operands folded to raw Python
   values, and SSA operands pre-bound to their ``id()`` dictionary keys;
-* every basic block becomes a :class:`CompiledBlock` with its phi moves
-  pre-staged per predecessor, so a taken edge is one dict lookup;
+* every ``br``/``cond_br`` takes its block edge itself: it ends with the
+  successor's phi moves for that edge (one parallel copy: every incoming
+  read before any phi is written), sets ``frame.block``/``frame.prev_block``
+  and returns the successor's :class:`CompiledBlock`, so the driving loop
+  only counts the phis.  Two rare edges go through the interpreter's
+  generic ``_edge`` instead: a branch whose target a control fault
+  corrupts, and an edge whose phi input was never computed (reachable only
+  after a control fault);
 * calls and returns pre-bind the callee entry block and the return-resume
   point, so the inter-procedural transfer is a couple of attribute writes;
 * maximal straight-line runs of non-control instructions are additionally
   fused into **superblock closures** (``CompiledBlock.fused``): one Python
-  call executes the whole run with no per-instruction driver-loop iteration.
+  call executes the whole run with no per-instruction driver-loop iteration,
+  and an operand produced earlier in the run is read from the local that
+  holds it rather than from the frame's value dict (every result is still
+  stored there: register-file picks, snapshots and the re-convergence
+  comparison read frame values).  Each fragment's code is generated once,
+  in the form its superblock needs; a single-step closure for a position
+  inside a superblock is built on its first call.
   The driving loop enters a superblock only when neither the pending
   injection cycle nor the instruction budget falls inside the run, so
   per-instruction event checks are never skipped when they could fire; trap
@@ -45,7 +57,9 @@ Compiled code is cached on the module object and keyed by an identity token
 over every function, block, instruction, operand, successor, and callee.  The
 cache *pins* those objects, so a matching token proves the structure is
 unchanged (a live ``id`` cannot be reused); any in-place transform produces a
-new token and triggers recompilation.
+new token and triggers recompilation.  A campaign walks the token once for
+all its trials (``campaign._ensure_compiled``) and hands the variants to
+each trial's interpreter; every other run checks it itself.
 """
 
 from __future__ import annotations
@@ -96,7 +110,6 @@ __all__ = [
 
 _F32_STRUCT = struct.Struct("<f")
 _F64_STRUCT = struct.Struct("<d")
-_MISSING = object()
 
 #: Step-closure return sentinels: ``None`` means fall through to the next
 #: instruction; a :class:`CompiledBlock` means jump; ``UNWIND`` means the
@@ -119,11 +132,24 @@ def _f32_round(x: float) -> float:
     return _F32_STRUCT.unpack(_F32_STRUCT.pack(x))[0]
 
 
-class CompiledBlock:
-    """One basic block: step closures plus pre-staged phi moves."""
+def _leading_phis(block: BasicBlock) -> int:
+    n = 0
+    for instr in block.instructions:
+        if instr.__class__ is not Phi:
+            break
+        n += 1
+    return n
 
-    __slots__ = ("block", "code", "fused", "n_phis", "phi_stages",
-                 "phi_fallback")
+
+class CompiledBlock:
+    """One basic block: step closures and superblocks.
+
+    The block's leading phis have no step closures: the branch that enters
+    the block performs them (see ``_edge_code``), and execution resumes at
+    index ``n_phis``.
+    """
+
+    __slots__ = ("block", "code", "fused", "n_phis")
 
     def __init__(self, block: BasicBlock) -> None:
         self.block = block
@@ -133,15 +159,7 @@ class CompiledBlock:
         #: ``(superblock closure, run length)`` executing the whole run in
         #: one call; ``None`` elsewhere
         self.fused: List[Optional[Tuple[Callable, int]]] = []
-        self.n_phis = 0
-        #: predecessor block → (commit closure, phi count); the closure
-        #: performs the whole parallel copy (all fetches before any commit)
-        self.phi_stages: Dict[BasicBlock, Tuple[Callable, int]] = {}
-        #: stage used for a predecessor with no phi incoming (control faults
-        #: land on arbitrary blocks; the reference loop reads the first
-        #: incoming, modelling a garbage register read); ``None`` when the
-        #: block has no phis
-        self.phi_fallback: Optional[Tuple[Callable, int]] = None
+        self.n_phis = _leading_phis(block)
 
 
 class CompiledFunction:
@@ -220,7 +238,6 @@ _ENV: Dict[str, object] = {
     "STOP": STOP,
     "_mv": _missing_value,
     "from_bytes": int.from_bytes,
-    "_ps": None,  # bound below, after _phi_slow is defined
 }
 
 _MAKER_CACHE: Dict[Tuple[Tuple[str, ...], str], Callable] = {}
@@ -247,11 +264,18 @@ def _build_step(bindings: List[Tuple[str, object]], body: str) -> Callable:
     return maker(*(value for _, value in bindings))
 
 
-def _operand(op, i: int, bindings: List[Tuple[str, object]], dest: str) -> str:
+#: ``id(value)`` → name of the superblock local holding it, for the values
+#: produced earlier in the run a fragment is fused into
+Locals = Dict[int, str]
+
+
+def _operand(op, i: int, bindings: List[Tuple[str, object]], dest: str,
+             local: Locals) -> str:
     """Code fragment assigning operand ``op`` to local ``dest``.
 
     Mirrors the reference ``_fetch`` resolution order; constants fold to raw
-    values and SSA values become a pre-keyed dict lookup.
+    values, a value produced earlier in the same superblock is read from
+    its local, and other SSA values become a pre-keyed dict lookup.
     """
     cls = op.__class__
     if cls is Constant:
@@ -262,6 +286,9 @@ def _operand(op, i: int, bindings: List[Tuple[str, object]], dest: str) -> str:
     if cls is GlobalVariable:
         bindings.append((f"n{i}", op.name))
         return f"{dest} = I._global_addr[n{i}]\n"
+    name = local.get(id(op))
+    if name is not None:
+        return f"{dest} = {name}\n"
     bindings.append((f"k{i}", id(op)))
     bindings.append((f"o{i}", op))
     return (
@@ -270,93 +297,6 @@ def _operand(op, i: int, bindings: List[Tuple[str, object]], dest: str) -> str:
         f"except KeyError:\n"
         f"    {dest} = _mv(I, frame, o{i})\n"
     )
-
-
-def _phi_slow(I, stage, frame, vals, track: bool, hooked: bool) -> None:
-    """Getter-based phi commit, used when a fast fetch raised ``KeyError``.
-
-    Only reachable after a control fault lands on a block whose phis name
-    values that were never computed; mirrors the reference loop's
-    ``_missing_value`` behaviour exactly (getters are pure, so re-running
-    the fetches the fast path already did is safe).
-    """
-    fetched = [g(I, frame, vals) for g, _k, _p in stage]
-    for (_g, key, phi), value in zip(stage, fetched):
-        vals[key] = value
-        if track:
-            I._rf_log.append((frame, phi))
-        if hooked:
-            I.value_hook(phi, value)
-
-
-_ENV["_ps"] = _phi_slow
-
-
-def _build_commit(incomings, phis, fallback, track: bool,
-                  hooked: bool) -> Callable:
-    """One closure committing every phi of a block for one predecessor.
-
-    Emits all fetches into locals first, then all dict writes — the
-    parallel-copy semantics of the reference loop — with constants folded
-    and tracking/hook statements baked per variant.
-    """
-    b: List[Tuple[str, object]] = []
-    fetch = ""
-    for i, op in enumerate(incomings):
-        cls = op.__class__
-        if cls is Constant:
-            b.append((f"c{i}", op.value))
-            fetch += f"    t{i} = c{i}\n"
-        elif cls is UndefValue:
-            fetch += f"    t{i} = 0\n"
-        elif cls is GlobalVariable:
-            b.append((f"n{i}", op.name))
-            fetch += f"    t{i} = I._global_addr[n{i}]\n"
-        else:
-            b.append((f"k{i}", id(op)))
-            fetch += f"    t{i} = vals[k{i}]\n"
-    b.append(("fb", fallback))
-    b.append(("trk", track))
-    b.append(("hkd", hooked))
-    code = (
-        "try:\n"
-        + fetch
-        + "except KeyError:\n"
-        "    return _ps(I, fb, frame, vals, trk, hkd)\n"
-    )
-    for i, phi in enumerate(phis):
-        b.append((f"d{i}", id(phi)))
-        code += f"vals[d{i}] = t{i}\n"
-        if track or hooked:
-            b.append((f"p{i}", phi))
-        if track:
-            code += f"I._rf_log.append((frame, p{i}))\n"
-        if hooked:
-            code += f"I.value_hook(p{i}, t{i})\n"
-    code += "return None\n"
-    return _build_step(b, code)
-
-
-def _getter(op) -> Callable:
-    """Plain-closure operand getter (used for staged phi moves)."""
-    cls = op.__class__
-    if cls is Constant:
-        v = op.value
-        return lambda I, frame, vals: v
-    if cls is UndefValue:
-        return lambda I, frame, vals: 0
-    if cls is GlobalVariable:
-        name = op.name
-        return lambda I, frame, vals: I._global_addr[name]
-    key = id(op)
-
-    def get(I, frame, vals, _key=key, _op=op):
-        v = vals.get(_key, _MISSING)
-        if v is _MISSING:
-            return _missing_value(I, frame, _op)
-        return v
-
-    return get
 
 
 def _post(instr, track: bool, hooked: bool,
@@ -451,10 +391,11 @@ _FCMP_EXPR = {
 # ---------------------------------------------------------------------------
 
 
-def _compile_binop(instr, track, hooked):
+def _compile_binop(instr, track, hooked, local):
     b: List[Tuple[str, object]] = []
     ops = instr._operands
-    code = _operand(ops[0], 0, b, "a") + _operand(ops[1], 1, b, "b")
+    code = (_operand(ops[0], 0, b, "a", local)
+            + _operand(ops[1], 1, b, "b", local))
     opcode = instr.opcode
     if opcode in _INT_BINOP_EXPR:
         _bind_int_type(instr.type, b)
@@ -488,9 +429,9 @@ def _compile_binop(instr, track, hooked):
     return b, code
 
 
-def _compile_load(instr, track, hooked):
+def _compile_load(instr, track, hooked, local):
     b: List[Tuple[str, object]] = []
-    code = _operand(instr._operands[0], 0, b, "p")
+    code = _operand(instr._operands[0], 0, b, "p", local)
     t = instr.type
     if isinstance(t, IntType):
         b.append(("sz", t.size_bytes))
@@ -522,10 +463,11 @@ def _compile_load(instr, track, hooked):
     return b, code
 
 
-def _compile_store(instr, track, hooked):
+def _compile_store(instr, track, hooked, local):
     b: List[Tuple[str, object]] = []
     ops = instr._operands
-    code = _operand(ops[0], 0, b, "v") + _operand(ops[1], 1, b, "p")
+    code = (_operand(ops[0], 0, b, "v", local)
+            + _operand(ops[1], 1, b, "p", local))
     t = ops[0].type
     if isinstance(t, IntType):
         b.append(("sz", t.size_bytes))
@@ -559,22 +501,24 @@ def _compile_store(instr, track, hooked):
     return b, code
 
 
-def _compile_gep(instr, track, hooked):
+def _compile_gep(instr, track, hooked, local):
     b: List[Tuple[str, object]] = []
     ops = instr._operands
-    code = _operand(ops[0], 0, b, "a") + _operand(ops[1], 1, b, "b")
+    code = (_operand(ops[0], 0, b, "a", local)
+            + _operand(ops[1], 1, b, "b", local))
     b.append(("esz", instr.elem_size))
     b.append(("kr", id(instr)))
-    code += "vals[kr] = (a + b * esz) & 0xFFFFFFFFFFFFFFFF\n"
+    code += "r = (a + b * esz) & 0xFFFFFFFFFFFFFFFF\nvals[kr] = r\n"
     code += _post(instr, track, hooked, b, hook=False)
     code += "return None\n"
     return b, code
 
 
-def _compile_icmp(instr, track, hooked):
+def _compile_icmp(instr, track, hooked, local):
     b: List[Tuple[str, object]] = []
     ops = instr._operands
-    code = _operand(ops[0], 0, b, "a") + _operand(ops[1], 1, b, "b")
+    code = (_operand(ops[0], 0, b, "a", local)
+            + _operand(ops[1], 1, b, "b", local))
     expr = _ICMP_EXPR[instr.predicate]
     if instr.predicate in ("ult", "ule", "ugt", "uge"):
         mask = getattr(ops[0].type, "mask", None)
@@ -594,10 +538,11 @@ def _compile_icmp(instr, track, hooked):
     return b, code
 
 
-def _compile_fcmp(instr, track, hooked):
+def _compile_fcmp(instr, track, hooked, local):
     b: List[Tuple[str, object]] = []
     ops = instr._operands
-    code = _operand(ops[0], 0, b, "a") + _operand(ops[1], 1, b, "b")
+    code = (_operand(ops[0], 0, b, "a", local)
+            + _operand(ops[1], 1, b, "b", local))
     code += f"r = 1 if {_FCMP_EXPR[instr.predicate]} else 0\n"
     b.append(("kr", id(instr)))
     code += "vals[kr] = r\n"
@@ -606,9 +551,9 @@ def _compile_fcmp(instr, track, hooked):
     return b, code
 
 
-def _compile_cast(instr, track, hooked):
+def _compile_cast(instr, track, hooked, local):
     b: List[Tuple[str, object]] = []
-    code = _operand(instr._operands[0], 0, b, "v")
+    code = _operand(instr._operands[0], 0, b, "v", local)
     opcode = instr.opcode
     t = instr.type
     if opcode in ("trunc", "sext", "ptrtoint"):
@@ -669,14 +614,14 @@ def _indent(code: str) -> str:
     )
 
 
-def _compile_select(instr, track, hooked):
+def _compile_select(instr, track, hooked, local):
     b: List[Tuple[str, object]] = []
     ops = instr._operands
-    code = _operand(ops[0], 0, b, "c")
+    code = _operand(ops[0], 0, b, "c", local)
     # Arms stay lazy: the reference loop only fetches the taken operand, so an
     # unbound value on the untaken side must not raise.
-    true_frag = _operand(ops[1], 1, b, "r")
-    false_frag = _operand(ops[2], 2, b, "r")
+    true_frag = _operand(ops[1], 1, b, "r", local)
+    false_frag = _operand(ops[2], 2, b, "r", local)
     code += "if c & 1:\n" + _indent(true_frag)
     code += "else:\n" + _indent(false_frag)
     b.append(("kr", id(instr)))
@@ -686,13 +631,13 @@ def _compile_select(instr, track, hooked):
     return b, code
 
 
-def _compile_intrinsic(instr, track, hooked):
+def _compile_intrinsic(instr, track, hooked, local):
     b: List[Tuple[str, object]] = []
     ops = instr._operands
     code = ""
     argv = []
     for i, op in enumerate(ops):
-        code += _operand(op, i, b, f"a{i}")
+        code += _operand(op, i, b, f"a{i}", local)
         argv.append(f"a{i}")
     impl = INTRINSIC_EVAL.get(instr.intrinsic)
     if impl is None:  # pragma: no cover - mirrors the reference KeyError
@@ -714,11 +659,12 @@ _GUARD_RAISE = (
 )
 
 
-def _compile_guard_eq(instr, track, hooked):
+def _compile_guard_eq(instr, track, hooked, local):
     b: List[Tuple[str, object]] = []
     ops = instr._operands
     code = "gs = I.guard_stats\ngs.evaluations += 1\n"
-    code += _operand(ops[0], 0, b, "a") + _operand(ops[1], 1, b, "b")
+    code += (_operand(ops[0], 0, b, "a", local)
+             + _operand(ops[1], 1, b, "b", local))
     b.append(("gid", instr.guard_id))
     code += (
         "if a != b:\n"
@@ -730,11 +676,11 @@ def _compile_guard_eq(instr, track, hooked):
     return b, code
 
 
-def _compile_guard_range(instr, track, hooked):
+def _compile_guard_range(instr, track, hooked, local):
     b: List[Tuple[str, object]] = []
     ops = instr._operands
     code = "gs = I.guard_stats\ngs.evaluations += 1\n"
-    code += _operand(ops[0], 0, b, "v")
+    code += _operand(ops[0], 0, b, "v", local)
     for name, op in (("lo", ops[1]), ("hi", ops[2])):
         if op.__class__ is Constant:
             b.append((name, op.value))
@@ -754,11 +700,11 @@ def _compile_guard_range(instr, track, hooked):
     return b, code
 
 
-def _compile_guard_values(instr, track, hooked):
+def _compile_guard_values(instr, track, hooked, local):
     b: List[Tuple[str, object]] = []
     ops = instr._operands
     code = "gs = I.guard_stats\ngs.evaluations += 1\n"
-    code += _operand(ops[0], 0, b, "v")
+    code += _operand(ops[0], 0, b, "v", local)
     if all(op.__class__ is Constant for op in ops[1:]):
         terms = []
         for i, op in enumerate(ops[1:]):
@@ -779,26 +725,91 @@ def _compile_guard_values(instr, track, hooked):
     return b, code
 
 
-def _compile_br(instr, cf, track, hooked):
-    b: List[Tuple[str, object]] = [("cbt", cf.blocks[instr.target])]
+def _edge_code(src: BasicBlock, dst: CompiledBlock, pre: str, track: bool,
+               hooked: bool, local: Locals,
+               b: List[Tuple[str, object]]) -> str:
+    """Code taking the edge ``src`` → ``dst`` and returning ``dst``.
+
+    Mirrors the reference loop's ``_enter_block``: the target's phi moves
+    as one parallel copy (every incoming read into a local before any phi
+    is written), each write followed by its register-log and value-hook
+    lines as the variant needs, then the frame's block fields.  An incoming
+    that was never computed raises ``KeyError`` before any write, and the
+    edge is retaken by the interpreter's generic ``_edge``; so is an edge
+    the target's phis name no incoming for.  Binding names carry ``pre``,
+    so a ``cond_br`` can hold two edges.
+    """
+    b.append((f"{pre}cb", dst))
+    phis = dst.block.instructions[:dst.n_phis]
+    try:
+        incomings = [phi.incoming_for(src) for phi in phis]
+    except KeyError:
+        return f"return I._edge(frame, {pre}cb)\n"
+    fetch = move = commit = ""
+    for i, (phi, op) in enumerate(zip(phis, incomings)):
+        t = f"{pre}t{i}"
+        cls = op.__class__
+        if cls is Constant:
+            b.append((f"{pre}c{i}", op.value))
+            move += f"{t} = {pre}c{i}\n"
+        elif cls is UndefValue:
+            move += f"{t} = 0\n"
+        elif cls is GlobalVariable:
+            b.append((f"{pre}n{i}", op.name))
+            move += f"{t} = I._global_addr[{pre}n{i}]\n"
+        elif id(op) in local:
+            move += f"{t} = {local[id(op)]}\n"
+        else:
+            b.append((f"{pre}k{i}", id(op)))
+            fetch += f"    {t} = vals[{pre}k{i}]\n"
+        b.append((f"{pre}d{i}", id(phi)))
+        commit += f"vals[{pre}d{i}] = {t}\n"
+        if track or hooked:
+            b.append((f"{pre}p{i}", phi))
+        if track:
+            commit += f"I._rf_log.append((frame, {pre}p{i}))\n"
+        if hooked:
+            commit += f"I.value_hook({pre}p{i}, {t})\n"
+    code = ""
+    if fetch:
+        code = (
+            "try:\n" + fetch + "except KeyError:\n"
+            f"    return I._edge(frame, {pre}cb)\n"
+        )
+    b.append((f"{pre}src", src))
+    b.append((f"{pre}dst", dst.block))
+    return code + move + commit + (
+        f"frame.prev_block = {pre}src\n"
+        f"frame.block = {pre}dst\n"
+        f"return {pre}cb\n"
+    )
+
+
+def _compile_br(instr, src, cf, track, hooked, local):
+    b: List[Tuple[str, object]] = []
+    edge = _edge_code(src, cf.blocks[instr.target], "t", track, hooked,
+                      local, b)
     code = (
         "if I._pending_control_fault:\n"
-        "    return I._corrupt_cb(frame, cbt)\n"
-        "return cbt\n"
+        "    return I._edge(frame, tcb)\n"
+        + edge
     )
     return b, code
 
 
-def _compile_condbr(instr, cf, track, hooked):
+def _compile_condbr(instr, src, cf, track, hooked, local):
     b: List[Tuple[str, object]] = []
-    code = _operand(instr._operands[0], 0, b, "c")
-    b.append(("cbt", cf.blocks[instr.if_true]))
-    b.append(("cbf", cf.blocks[instr.if_false]))
+    code = _operand(instr._operands[0], 0, b, "c", local)
+    taken = _edge_code(src, cf.blocks[instr.if_true], "t", track, hooked,
+                       local, b)
+    fallen = _edge_code(src, cf.blocks[instr.if_false], "f", track, hooked,
+                        local, b)
     code += (
-        "cb = cbt if c & 1 else cbf\n"
         "if I._pending_control_fault:\n"
-        "    return I._corrupt_cb(frame, cb)\n"
-        "return cb\n"
+        "    return I._edge(frame, tcb if c & 1 else fcb)\n"
+        "if c & 1:\n"
+        + _indent(taken)
+        + fallen
     )
     return b, code
 
@@ -824,7 +835,7 @@ def _compile_call(instr, pos, own_cb, cm, track, hooked):
     )
     for i, (formal, op) in enumerate(zip(callee.args, instr._operands)):
         b.append((f"f{i}", id(formal)))
-        code += _operand(op, i, b, f"a{i}")
+        code += _operand(op, i, b, f"a{i}", {})
         code += f"nv[f{i}] = a{i}\n"
     code += (
         "nf.ret_cb = rcb\n"
@@ -841,10 +852,10 @@ def _compile_call(instr, pos, own_cb, cm, track, hooked):
     return b, code
 
 
-def _compile_ret(instr, track, hooked):
+def _compile_ret(instr, track, hooked, local):
     b: List[Tuple[str, object]] = []
     if instr._operands:
-        code = _operand(instr._operands[0], 0, b, "v")
+        code = _operand(instr._operands[0], 0, b, "v", local)
     else:
         code = "v = None\n"
     code += (
@@ -872,14 +883,14 @@ def _compile_ret(instr, track, hooked):
     return b, code
 
 
-def _compile_alloca(instr, track, hooked):
+def _compile_alloca(instr, track, hooked, local):
     b: List[Tuple[str, object]] = [("sz", instr.size_bytes), ("kr", id(instr))]
     code = (
-        "sp = (I._stack_sp + 7) & -8\n"
-        "if sp + sz > I._stack_limit:\n"
+        "r = (I._stack_sp + 7) & -8\n"
+        "if r + sz > I._stack_limit:\n"
         "    raise StackOverflowTrap(-1)\n"
-        "vals[kr] = sp\n"
-        "I._stack_sp = sp + sz\n"
+        "vals[kr] = r\n"
+        "I._stack_sp = r + sz\n"
     )
     code += _post(instr, track, hooked, b, hook=False)
     code += "return None\n"
@@ -932,18 +943,23 @@ def _can_trap(instr) -> bool:
     return cls in (Load, Store, GuardEq, GuardRange, GuardValues, Alloca)
 
 
+#: linear classes whose fragment leaves its result in the local ``r``
+_PRODUCER_CLASSES = _LINEAR_CLASSES - {Store, GuardEq, GuardRange,
+                                       GuardValues}
+
+
 def _rename_bindings(
     j: int, b: List[Tuple[str, object]], code: str
 ) -> Tuple[List[Tuple[str, object]], str]:
-    """Namespace fragment ``j``'s binding names as ``i{j}_name``.
+    """Namespace fragment ``j``'s binding names and its result local ``r``
+    as ``i{j}_name``.
 
-    Only the *bindings* (closure cells) need renaming — fragment-local
-    temporaries (``a``, ``r``, ``seg``, ...) are assigned-before-use within
-    every fragment, so they may safely shadow each other across fragments.
+    The bindings (closure cells) must not collide, and a later fragment of
+    the run reads the result as ``i{j}_r``.  Other fragment-local
+    temporaries (``a``, ``seg``, ...) are assigned-before-use within every
+    fragment, so they may safely shadow each other across fragments.
     """
-    if not b:
-        return b, code
-    names = sorted((name for name, _ in b), key=len, reverse=True)
+    names = sorted([name for name, _ in b] + ["r"], key=len, reverse=True)
     pattern = re.compile(r"\b(?:" + "|".join(map(re.escape, names)) + r")\b")
     code = pattern.sub(lambda m: f"i{j}_{m.group(0)}", code)
     return [(f"i{j}_{name}", value) for name, value in b], code
@@ -956,13 +972,14 @@ def _build_fused(
     """Fuse per-instruction fragments into one superblock closure.
 
     Each part is ``(bindings, code, can_trap)`` as produced by the per-kind
-    compilers.  Before every instruction that can raise a
-    :class:`SimTrap`, the body records its 1-based position in ``I._sbk`` —
-    the driving loop re-times an escaping trap to ``run_start_cycle +
-    I._sbk``.  When the run extends to the end of its block, ``terminator``
-    is the Br/CondBr/Ret fragment (all of which cannot trap): its own
-    ``return`` statement becomes the superblock's return value, which the
-    driving loop dispatches exactly like a single-step result.
+    compilers with the run's :data:`Locals`.  Before every instruction that
+    can raise a :class:`SimTrap`, the body records its 1-based position in
+    ``I._sbk`` — the driving loop re-times an escaping trap to
+    ``run_start_cycle + I._sbk``.  When the run extends to the end of its
+    block, ``terminator`` is the Br/CondBr/Ret fragment (none of which can
+    trap): its own ``return`` statement becomes the superblock's return
+    value, which the driving loop dispatches exactly like a single-step
+    result.
 
     Returns ``(closure, n_instructions)``.
     """
@@ -991,73 +1008,80 @@ def _build_fused(
 # ---------------------------------------------------------------------------
 
 
+def _fragment(instr, pos: int, cb: CompiledBlock, cf: CompiledFunction,
+              cm: CompiledModule, track: bool, hooked: bool, local: Locals):
+    """``(bindings, code)`` of the step fragment for ``instr``."""
+    cls = instr.__class__
+    compiler = _SIMPLE_COMPILERS.get(cls)
+    if compiler is not None:
+        return compiler(instr, track, hooked, local)
+    if cls is Br:
+        return _compile_br(instr, cb.block, cf, track, hooked, local)
+    if cls is CondBr:
+        return _compile_condbr(instr, cb.block, cf, track, hooked, local)
+    if cls is Call:
+        return _compile_call(instr, pos, cb, cm, track, hooked)
+    return _compile_unhandled(instr)  # pragma: no cover - verifier prevents
+
+
+def _lazy_step(code: List, pos: int, instr, context: Tuple) -> Callable:
+    """Stand-in for the single-step closure at a position inside a
+    superblock, which only runs when a pending injection or the budget
+    keeps the driver out of the superblock: the first call builds the
+    closure (from a fragment without superblock locals) and replaces the
+    stand-in with it."""
+    def step(I, frame, vals):
+        real = code[pos] = _build_step(
+            *_fragment(instr, pos, *context, {})
+        )
+        return real(I, frame, vals)
+
+    return step
+
+
+_TERMINATOR_CLASSES = (Br, CondBr, Ret)
+
+
 def _fill_block(cb: CompiledBlock, cf: CompiledFunction, cm: CompiledModule,
                 track: bool, hooked: bool) -> None:
     instrs = cb.block.instructions
     code: List[Optional[Callable]] = [None] * len(instrs)
     fused: List[Optional[Tuple[Callable, int]]] = [None] * len(instrs)
-    phis = []
+    context = (cb, cf, cm, track, hooked)
     run_start: Optional[int] = None
     run_parts: List[Tuple[List[Tuple[str, object]], str, bool]] = []
+    local: Locals = {}
 
-    for pos, instr in enumerate(instrs):
+    for pos in range(cb.n_phis, len(instrs)):
+        instr = instrs[pos]
         cls = instr.__class__
-        if cls is Phi:
-            phis.append(instr)
-            continue
-        compiler = _SIMPLE_COMPILERS.get(cls)
-        if compiler is not None:
-            b, frag = compiler(instr, track, hooked)
-        elif cls is Br:
-            b, frag = _compile_br(instr, cf, track, hooked)
-        elif cls is CondBr:
-            b, frag = _compile_condbr(instr, cf, track, hooked)
-        elif cls is Call:
-            b, frag = _compile_call(instr, pos, cb, cm, track, hooked)
-        else:  # pragma: no cover - verifier prevents
-            b, frag = _compile_unhandled(instr)
-        code[pos] = _build_step(b, frag)
-        if cls in _LINEAR_CLASSES:
+        # Br/CondBr/Ret (which cannot trap) join a run as its returning
+        # tail; a Call cannot — its return-resume point lands *inside* the
+        # run, which a closure cannot re-enter.
+        if cls in _LINEAR_CLASSES or (
+            run_start is not None and cls in _TERMINATOR_CLASSES
+        ):
+            b, frag = _fragment(instr, pos, *context, local)
+            code[pos] = _lazy_step(code, pos, instr, context)
             if run_start is None:
                 run_start = pos
-            run_parts.append((b, frag, _can_trap(instr)))
-            continue
-        # Run broken: Br/CondBr/Ret (which cannot trap) join the run as its
-        # returning tail; a Call cannot — its return-resume point lands
-        # *inside* the run, which a closure cannot re-enter.
-        if run_start is not None:
-            if cls in (Br, CondBr, Ret):
-                fused[run_start] = _build_fused(run_parts, (b, frag))
-            elif len(run_parts) >= 2:
+            if cls in _LINEAR_CLASSES:
+                if cls in _PRODUCER_CLASSES:
+                    local[id(instr)] = f"i{len(run_parts)}_r"
+                run_parts.append((b, frag, _can_trap(instr)))
+                continue
+            fused[run_start] = _build_fused(run_parts, (b, frag))
+        else:
+            if len(run_parts) >= 2:
                 fused[run_start] = _build_fused(run_parts)
-        run_start, run_parts = None, []
+            elif run_parts:
+                # A lone instruction before a Call: no superblock, and its
+                # fragment reads no superblock local.
+                code[run_start] = _build_step(*run_parts[0][:2])
+            code[pos] = _build_step(*_fragment(instr, pos, *context, {}))
+        run_start, run_parts, local = None, [], {}
     cb.code = code
     cb.fused = fused
-    cb.n_phis = len(phis)
-    if not phis:
-        return
-    preds: List[BasicBlock] = []
-    for phi in phis:
-        for pred in phi.incoming_blocks:
-            if pred not in preds:
-                preds.append(pred)
-    n = len(phis)
-    for pred in preds:
-        incomings = []
-        for phi in phis:
-            try:
-                incomings.append(phi.incoming_for(pred))
-            except KeyError:
-                incomings.append(phi._operands[0])
-        fallback = tuple(
-            (_getter(op), id(phi), phi) for op, phi in zip(incomings, phis)
-        )
-        cb.phi_stages[pred] = (
-            _build_commit(incomings, phis, fallback, track, hooked), n,
-        )
-    firsts = [phi._operands[0] for phi in phis]
-    fb0 = tuple((_getter(op), id(phi), phi) for op, phi in zip(firsts, phis))
-    cb.phi_fallback = (_build_commit(firsts, phis, fb0, track, hooked), n)
 
 
 def compile_variants(

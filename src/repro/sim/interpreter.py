@@ -57,7 +57,7 @@ from ..ir.types import F32
 from ..ir.values import Constant, GlobalVariable, UndefValue, Value
 from ..obs.metrics import global_registry as _obs_registry
 from . import ops
-from .compiled import STOP, UNWIND, CompiledBlock, compile_variants
+from .compiled import UNWIND, CompiledBlock, compile_variants
 from .config import SimConfig
 from .events import (
     ArithmeticTrap,
@@ -95,6 +95,14 @@ _FLOAT_BINOPS = ops.FLOAT_BINOP_EVAL
 _ICMP = ops.ICMP_EVAL
 _FCMP = ops.FCMP_EVAL
 _INTRINSICS_IMPL = ops.INTRINSIC_EVAL
+
+
+def _horizon(max_instructions: int, inject_cycle: int) -> int:
+    """The last cycle the fast path may retire without an event check: the
+    budget, or the cycle before a pending injection if that comes first."""
+    if inject_cycle < 0:
+        return max_instructions
+    return min(max_instructions, inject_cycle - 1)
 
 
 def _retime_trap(trap, cycle: int):
@@ -211,10 +219,13 @@ class Interpreter:
         self._mem_store_locate = None
         self._cm = None
         self._untracked_cm = None
+        #: (tracked, untracked) compiled variants for injection runs,
+        #: resolved once per campaign (``campaign._trial_interpreter``);
+        #: None looks them up, with the module token check, on every run
+        self._trial_variants = None
+        #: the register file's write log, which tracked compiled code
+        #: appends to directly
         self._rf_log: List = []
-        #: lazy-regfile writes dropped before the log's first entry (restored
-        #: runs start mid-history; see _materialize_regfile)
-        self._rf_base = 0
         #: short-circuit provably-dead flips to TriageMasked (trial runs only)
         self._triage = False
         #: golden snapshot cycle at which the last run re-converged with the
@@ -505,8 +516,11 @@ class Interpreter:
         registry.counter("sim.guard_evaluations").inc(self.guard_stats.evaluations)
         registry.counter("sim.guard_failures").inc(self.guard_stats.total_failures)
 
-    def _setup_run(self, inputs, injection) -> int:
-        """Shared run prologue; returns the pending injection cycle (or -1)."""
+    def _setup_run(self, inputs, injection, track: bool = False) -> int:
+        """Shared run prologue; returns the pending injection cycle (or -1).
+
+        ``track`` gives the run a register file to log retirements in.
+        """
         self.memory = Memory()
         self._bind_globals(inputs)
         stack_seg = self.memory.map_segment("__stack__", self.config.stack_segment_bytes)
@@ -526,13 +540,14 @@ class Interpreter:
         self._control_fault_fired = False
         self._stuck_fault = None
         self._stuck_mem_fault = None
+        self._regfile = (
+            RegisterFile(self.config.phys_int_registers) if track else None
+        )
         inject_cycle = -1
         if injection is not None:
-            self._regfile = RegisterFile(self.config.phys_int_registers)
             self._rng = random.Random(injection.seed)
             inject_cycle = injection.cycle
         else:
-            self._regfile = None
             self._rng = None
         return inject_cycle
 
@@ -550,7 +565,7 @@ class Interpreter:
         as the only loop that drives a :class:`TimingModel` (its observe
         callbacks need every retired instruction).
         """
-        inject_cycle = self._setup_run(inputs, injection)
+        inject_cycle = self._setup_run(inputs, injection, injection is not None)
         stack_sp = self._stack_sp
         stack_limit = self._stack_limit
 
@@ -674,8 +689,9 @@ class Interpreter:
                     target = self._corrupt_target(frame, target)
                 if timing is not None:
                     timing.observe_branch(instr, taken)
-                self._enter_block(frame, target, track_registers, value_hook, timing)
-                # timeout/injection bookkeeping done inside _enter_block via cycles
+                self.cycle += self._enter_block(
+                    frame, target, track_registers, value_hook, timing
+                )
                 if inject_cycle >= 0 and self.cycle >= inject_cycle:
                     inject_cycle = self._do_injection(injection, frame, frame.index)  # type: ignore[arg-type]
                 continue
@@ -686,7 +702,9 @@ class Interpreter:
                     target = self._corrupt_target(frame, target)
                 if timing is not None:
                     timing.observe_jump(instr)
-                self._enter_block(frame, target, track_registers, value_hook, timing)
+                self.cycle += self._enter_block(
+                    frame, target, track_registers, value_hook, timing
+                )
                 if inject_cycle >= 0 and self.cycle >= inject_cycle:
                     inject_cycle = self._do_injection(injection, frame, frame.index)  # type: ignore[arg-type]
                 continue
@@ -871,11 +889,14 @@ class Interpreter:
         """Drive the pre-compiled step closures (see :mod:`repro.sim.compiled`).
 
         Bit-identical to :meth:`_run_reference`; the loop only handles
-        sequencing (cycle count, timeout, injection timing, jumps with phi
-        moves, call/return unwinding) while each closure performs one
-        instruction.  ``self.cycle`` is synced at injection points, trap
-        exits, and run end; closures raise traps with ``cycle=-1`` and the
-        loop re-times them.
+        sequencing (cycle count, timeout, injection timing, call/return
+        unwinding) while each closure performs one instruction, or a whole
+        straight-line run, and a branch takes its block edge itself,
+        returning the entered block.  ``self.cycle`` is synced at injection
+        points, trap exits, and run end; closures raise traps with
+        ``cycle=-1`` and the loop re-times them.  One horizon (see
+        :func:`_horizon`) decides whether a superblock fits and whether a
+        single step needs the timeout and injection checks.
 
         ``capture`` snapshots the full state whenever the cycle counter
         passes its due mark (checked at the loop top only, so a snapshot may
@@ -896,17 +917,18 @@ class Interpreter:
         # the untracked variant the moment the fault lands (for a batched lane
         # sweep: the moment the final lane's fault lands — the rolled-back
         # strikes before it leave ``injection_record`` unset and keep tracking
-        # alive for the next lane's register-file materialization).
+        # alive for the next lane's register-file pick).
         if injection is not None:
-            cm, self._untracked_cm = compile_variants(
-                self.module, hooked, (True, False)
-            )
+            variants = self._trial_variants
+            if variants is None or hooked:
+                variants = compile_variants(
+                    self.module, hooked, (True, False)
+                )
+            cm, self._untracked_cm = variants
         else:
             (cm,) = compile_variants(self.module, hooked, (track,))
             self._untracked_cm = None
         self._cm = cm
-        self._rf_log = []
-        self._rf_base = 0
         self._max_depth = self.config.max_call_depth
         self._stuck_fault = None
         self._stuck_mem_fault = None
@@ -916,7 +938,7 @@ class Interpreter:
             inject_cycle = injection.cycle  # type: ignore[union-attr]
             frame = self._frame
         else:
-            inject_cycle = self._setup_run(inputs, injection)
+            inject_cycle = self._setup_run(inputs, injection, track)
             self._mem_locate = self.memory._locate
             self._mem_store_locate = self.memory._locate
             bind_occupancy = getattr(capture, "bind_occupancy", None)
@@ -937,12 +959,15 @@ class Interpreter:
             cb = cm.functions[fn].entry_cb
             idx = 0
             cycle = 0
+        if track:
+            self._rf_log = self._regfile.log
         code = cb.code
         fused = cb.fused
         vals = frame.values
         if converge is not None:
             capture = ConvergenceWatch(converge, inject_cycle, self._occupancy)
         snap_due = capture.next_due if capture is not None else (1 << 62)
+        limit = _horizon(max_instructions, inject_cycle)
 
         try:
             while True:
@@ -953,9 +978,7 @@ class Interpreter:
                         cycle = self.cycle
                         break
                 sb = fused[idx]
-                if sb is not None and cycle + sb[1] <= max_instructions and (
-                    inject_cycle < 0 or cycle + sb[1] < inject_cycle
-                ):
+                if sb is not None and cycle + sb[1] <= limit:
                     # Superblock fast path: one call executes the whole
                     # straight-line run (possibly including the block
                     # terminator, whose return value dispatches below).
@@ -977,13 +1000,13 @@ class Interpreter:
                         continue
                 else:
                     cycle += 1
-                    if cycle > max_instructions:
-                        raise TimeoutTrap(max_instructions, cycle)
-                    if 0 <= inject_cycle <= cycle:
+                    if cycle > limit:
+                        if cycle > max_instructions:
+                            raise TimeoutTrap(max_instructions, cycle)
                         self.cycle = cycle
                         frame.index = idx + 1
-                        self._materialize_regfile()
                         inject_cycle = self._do_injection(injection, frame, idx)  # type: ignore[arg-type]
+                        limit = _horizon(max_instructions, inject_cycle)
                         if track and self.injection_record is not None:
                             track = False
                             cb = self._switch_to_untracked(cb)
@@ -995,25 +1018,18 @@ class Interpreter:
                     if ret is None:
                         continue
                 if ret.__class__ is CompiledBlock:
-                    prev = frame.block
-                    frame.block = ret.block
-                    frame.prev_block = prev
-                    commit = ret.phi_stages.get(prev)
-                    if commit is None:
-                        commit = ret.phi_fallback
-                    if commit is not None:
-                        commit_fn, n = commit
-                        commit_fn(self, frame, vals)
-                        cycle += n
+                    # The branch took its edge (phi moves, frame.block):
+                    # count the phis; an injection due lands after them.
+                    cycle += ret.n_phis
                     cb = ret
                     code = ret.code
                     fused = ret.fused
                     idx = ret.n_phis
-                    if 0 <= inject_cycle <= cycle:
+                    if cycle > limit and 0 <= inject_cycle <= cycle:
                         self.cycle = cycle
                         frame.index = idx
-                        self._materialize_regfile()
                         inject_cycle = self._do_injection(injection, frame, idx)  # type: ignore[arg-type]
+                        limit = _horizon(max_instructions, inject_cycle)
                         if track and self.injection_record is not None:
                             track = False
                             cb = self._switch_to_untracked(cb)
@@ -1051,35 +1067,6 @@ class Interpreter:
 
     # -- helpers ---------------------------------------------------------------------------
 
-    def _materialize_regfile(self) -> None:
-        """Replay the lazy write log into the real register file.
-
-        The fast path records retirements as ``(frame, producer)`` appends;
-        only the injection instant reads the register file, so the slots are
-        materialized here.  Replaying the last ``capacity`` entries with
-        ``_writes`` pre-advanced to the drop count reproduces the eager
-        path's slot assignment, tags, and cursor exactly (write ``i`` always
-        lands in slot ``i % capacity``).
-        """
-        log = self._rf_log
-        if not log:
-            return
-        regfile = self._regfile
-        assert regfile is not None
-        cap = len(regfile.slots)
-        # A restored run starts mid-history: _rf_base writes were already
-        # dropped from the log at capture time (only the newest `cap` can
-        # occupy a slot), so tags/cursor continue from the absolute count.
-        total = self._rf_base + len(log)
-        start = len(log) - cap if total > cap else 0
-        regfile._writes = total - cap if total > cap else 0
-        regfile._cursor = regfile._writes % cap
-        write = regfile.write
-        for frame, obj in log[start:]:
-            write(frame, obj)
-        self._rf_log = []
-        self._rf_base = 0
-
     def _switch_to_untracked(self, cb):
         """Swap the run onto the untracked compiled variant after injection.
 
@@ -1100,12 +1087,25 @@ class Interpreter:
         self._cm = ucm
         return ucm.functions[frames[-1].function].blocks[cb.block]
 
-    def _corrupt_cb(self, frame: Frame, correct_cb):
-        """Fast-path control-fault resolution: CompiledBlock-level wrapper."""
-        wrong = self._corrupt_target(frame, correct_cb.block)
-        if wrong is correct_cb.block:
-            return correct_cb
-        return self._cm.functions[frame.function].blocks[wrong]
+    def _edge(self, frame: Frame, cb):
+        """The fast path's generic, interpreted block edge.
+
+        Compiled branches take their edges themselves except for two rare
+        ones, which land here with the correct target: a branch whose target
+        a pending control fault corrupts, and an edge with a phi input that
+        was never computed (reachable only after a control fault).  Takes
+        the edge as the reference loop does (:meth:`_enter_block`, with
+        ``_fetch`` semantics and the current variant's register logging)
+        and returns the entered block, whose phis the driver counts.
+        """
+        if self._pending_control_fault:
+            wrong = self._corrupt_target(frame, cb.block)
+            if wrong is not cb.block:
+                cb = self._cm.functions[frame.function].blocks[wrong]
+        self._enter_block(
+            frame, cb.block, self._cm.variant[0], self.value_hook, None
+        )
+        return cb
 
     def _corrupt_target(self, frame: Frame, correct: BasicBlock) -> BasicBlock:
         """Resolve a pending control fault: jump to a random wrong block."""
@@ -1130,8 +1130,9 @@ class Interpreter:
         track_registers: bool,
         value_hook,
         timing,
-    ) -> None:
-        """Transfer control to ``target``, executing its phis as parallel copies."""
+    ) -> int:
+        """Transfer control to ``target``, executing its phis as parallel
+        copies; returns the number of phis, which the caller retires."""
         prev = frame.block
         frame.block = target
         frame.prev_block = prev
@@ -1161,8 +1162,8 @@ class Interpreter:
                 value_hook(instr, value)
             if timing is not None:
                 timing.observe_phi(instr, incoming)
-        self.cycle += n_phis
         frame.index = n_phis
+        return n_phis
 
     def _fetch(self, frame: Frame, value: Value):
         v = frame.values.get(id(value), _MISSING)

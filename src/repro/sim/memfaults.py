@@ -201,16 +201,11 @@ class OccupancyRecorder:
     def take(self, interp, cb, idx, cycle) -> int:
         """Record one liveness boundary; returns the next due cycle.
 
-        Also trims the tracked register-file write log exactly like
+        Also trims the register-file write log exactly like
         ``SnapshotRecorder._take`` — any capture object forces the tracked
         compiled variant, whose log would otherwise grow unboundedly.
         """
-        cap = interp.config.phys_int_registers
-        log = interp._rf_log
-        if len(log) > cap:
-            drop = len(log) - cap
-            interp._rf_base += drop
-            del log[:drop]
+        interp._regfile.trim()
         self.boundaries.append((cycle, self._asn[0]))
         self.resident.append(self.cache.resident_lines())
         if len(self.boundaries) >= MAX_BOUNDARIES:

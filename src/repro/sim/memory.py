@@ -14,7 +14,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Optional, Tuple
 
-from ..ir.types import F32, F64, FloatType, IntType, IRType, PointerType
+from ..ir.types import F64, FloatType, IntType, IRType, PointerType
 from .events import MemoryTrap
 
 #: log2 of the per-segment address stride (1 MiB).
@@ -278,6 +278,12 @@ class Memory:
             if isinstance(elem_type, IntType):
                 fmt = _BULK_INT_FMT.get(step)
                 if fmt is not None:
+                    if elem_type.bits == 8 * step:
+                        # The element fills its format: unpacking it signed
+                        # is the two's-complement wrap.
+                        return list(struct.unpack_from(
+                            f"<{count}{fmt.lower()}", seg.data, 0
+                        ))
                     raw = struct.unpack_from(f"<{count}{fmt}", seg.data, 0)
                     mask = elem_type.mask
                     sign = elem_type.sign_bit if elem_type.bits > 1 else 0

@@ -11,53 +11,118 @@ circular physical register file (:data:`SimConfig.phys_int_registers` entries,
 * If the value is dead (overwritten in the frame, or the frame has returned),
   the flip lands in a stale register and is naturally masked — reproducing the
   large masked fraction the paper observes.
+
+Write ``w`` (counting from 0) lands in slot ``w % capacity`` with tag ``w``,
+so the newest ``min(writes, capacity)`` entries of the retirement log *are*
+the occupied slots.  :class:`RegisterFile` is that log and nothing else: the
+run loops append ``(frame, producer)`` per retirement, and a pick reads the
+slots it needs straight off the log.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 
 class RegisterSlot:
-    """One physical register: which frame/value it holds and a freshness tag."""
+    """One occupied physical register: the frame and producer of the value
+    it holds, and its write tag."""
 
     __slots__ = ("frame", "value_key", "value_obj", "tag")
 
-    def __init__(self) -> None:
-        self.frame = None
-        self.value_key: Optional[int] = None
-        self.value_obj = None
-        self.tag = -1
-
-    @property
-    def occupied(self) -> bool:
-        return self.frame is not None
+    def __init__(self, frame, value_obj, tag: int) -> None:
+        self.frame = frame
+        self.value_key = id(value_obj)
+        self.value_obj = value_obj
+        self.tag = tag
 
 
 class RegisterFile:
-    """Circular allocation of physical registers to retired results."""
+    """Circular allocation of physical registers, read off the write log.
 
-    def __init__(self, num_registers: int) -> None:
-        if num_registers <= 0:
+    ``log`` holds one ``(frame, producer)`` entry per retirement, oldest
+    first; ``base`` writes were dropped before its first entry (only the
+    newest ``capacity`` can occupy a slot).  A run restored from a snapshot
+    starts with the snapshot's entries as ``restored``, whose frames are
+    stack positions into ``frames`` (the restored stack) or stub frames, and
+    resolves only the entries a pick reads.
+    """
+
+    __slots__ = ("capacity", "log", "base", "_restored", "_frames")
+
+    def __init__(self, capacity: int, restored: Sequence = (),
+                 frames: Sequence = (), base: int = 0) -> None:
+        if capacity <= 0:
             raise ValueError("register file must have at least one register")
-        self.slots: List[RegisterSlot] = [RegisterSlot() for _ in range(num_registers)]
-        self._cursor = 0
-        self._writes = 0
+        self.capacity = capacity
+        self.log: List[Tuple[object, object]] = []
+        self.base = base
+        self._restored = restored
+        self._frames = frames
+
+    @property
+    def writes(self) -> int:
+        """Retirements so far, the next write's tag."""
+        return self.base + len(self._restored) + len(self.log)
 
     def write(self, frame, value_obj) -> None:
         """Record that ``value_obj``'s result (in ``frame``) now occupies a register."""
-        slot = self.slots[self._cursor]
-        slot.frame = frame
-        slot.value_key = id(value_obj)
-        slot.value_obj = value_obj
-        slot.tag = self._writes
-        self._writes += 1
-        self._cursor += 1
-        if self._cursor == len(self.slots):
-            self._cursor = 0
+        log = self.log
+        log.append((frame, value_obj))
+        if len(log) > 2 * self.capacity:
+            self.trim()
+
+    def trim(self) -> None:
+        """Drop the entries that can no longer occupy a slot."""
+        drop = len(self._restored) + len(self.log) - self.capacity
+        if drop <= 0:
+            return
+        self.base += drop
+        restored = len(self._restored)
+        if drop < restored:
+            self._restored = self._restored[drop:]
+        else:
+            self._restored = ()
+            del self.log[:drop - restored]
+
+    def entries(self) -> Iterator[Tuple[object, object]]:
+        """Every retained ``(frame, producer)`` entry, oldest first."""
+        for tag in range(self.base, self.writes):
+            slot = self.slot(tag)
+            yield slot.frame, slot.value_obj
+
+    def slot(self, tag: int) -> RegisterSlot:
+        """The register written by retirement ``tag`` (a retained entry)."""
+        i = tag - self.base
+        restored = self._restored
+        if i < len(restored):
+            frame, obj = restored[i]
+            if frame.__class__ is int:
+                frame = self._frames[frame]
+        else:
+            frame, obj = self.log[i - len(restored)]
+        return RegisterSlot(frame, obj, tag)
+
+    def _tags(self, recent_window: int) -> List[int]:
+        """Tags of the occupied slots, in slot order, restricted to the
+        ``recent_window`` newest writes when that is positive.
+
+        Slot ``s`` holds the occupied tag congruent to ``s``: the tags from
+        ``split = writes - writes % capacity`` up sit in slots ``0, 1, ...``
+        and the older ones after them.
+        """
+        writes = self.writes
+        lo = max(0, writes - self.capacity)
+        if recent_window > 0:
+            lo = max(lo, writes - recent_window)
+        split = writes - writes % self.capacity
+        tags = list(range(max(lo, split), writes))
+        if lo < split:
+            tags.extend(range(lo, split))
+        return tags
 
     def occupied_slots(self) -> List[RegisterSlot]:
-        return [s for s in self.slots if s.occupied]
+        return [self.slot(tag) for tag in self._tags(0)]
 
     def pick_biased(
         self, rng, recent_window: int, live_bias: float, is_live
@@ -67,16 +132,15 @@ class RegisterFile:
 
         Performs the exact RNG call sequence of the historical in-interpreter
         implementation (one ``random()`` draw, then at most one ``randrange``
-        over the live candidates, then :meth:`pick_random` when that misses)
-        — injection plans and trial outcomes depend on this sequence being
-        stable.
+        over the live candidates in slot order, then :meth:`pick_random` when
+        that misses) — injection plans and trial outcomes depend on this
+        sequence being stable.
         """
         slot = None
         if rng.random() < live_bias:
             candidates = [
-                s for s in self.occupied_slots()
-                if (recent_window <= 0 or s.tag >= self._writes - recent_window)
-                and is_live(s)
+                s for s in map(self.slot, self._tags(recent_window))
+                if is_live(s)
             ]
             if candidates:
                 slot = candidates[rng.randrange(len(candidates))]
@@ -95,21 +159,13 @@ class RegisterFile:
         construction; real register-file injection studies (Wang et al.,
         cited by the paper) report much higher architectural visibility.
         """
-        occupied = self.occupied_slots()
-        if not occupied:
+        tags = self._tags(recent_window)
+        if not tags:
             return None
-        if recent_window > 0:
-            cutoff = self._writes - recent_window
-            recent = [s for s in occupied if s.tag >= cutoff]
-            if recent:
-                occupied = recent
-        return occupied[rng.randrange(len(occupied))]
+        return self.slot(tags[rng.randrange(len(tags))])
 
     def reset(self) -> None:
-        for slot in self.slots:
-            slot.frame = None
-            slot.value_key = None
-            slot.value_obj = None
-            slot.tag = -1
-        self._cursor = 0
-        self._writes = 0
+        self.log.clear()
+        self.base = 0
+        self._restored = ()
+        self._frames = ()

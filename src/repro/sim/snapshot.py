@@ -6,7 +6,7 @@ This module removes that redundancy in two stages:
 
 * **Snapshots.**  One instrumented golden run (``prepare`` drives it) captures
   periodic deep copies of the full interpreter state — memory segments, call
-  stack and frames, the lazy register-file write log, cycle and guard
+  stack and frames, the register-file write log, cycle and guard
   counters — at a configurable cadence.  Each trial then restores the nearest
   snapshot *strictly before* its injection cycle and replays only the delta.
   Restore is bit-invisible by construction: the restored state is exactly the
@@ -257,91 +257,20 @@ def _clone_frame(template, values: Dict) -> object:
     return frame
 
 
-class _LazyRestoredLog(list):
-    """Register-file write log seeded from a snapshot, resolved on demand.
-
-    ``Snapshot._install`` used to rebuild the captured log eagerly: one
-    fresh ``(frame, producer)`` tuple per captured entry, per trial — paid
-    even by trials that never read those entries because enough post-restore
-    writes had already pushed them out of the register file.  This subclass
-    keeps the captured ``rf_entries`` as an *unresolved prefix*: appends
-    land in the real list (the suffix), ``len`` counts both parts, and only
-    operations that actually reach into the prefix (full iteration, slices
-    or deletes crossing into it) materialize the per-trial tuples.  The two
-    hot consumers stay lazy:
-
-    * ``log[start:]`` in ``_materialize_regfile`` skips resolution whenever
-      ``start`` lands at or past the prefix — i.e. once writes since the
-      restore reach the register-file capacity;
-    * ``del log[:drop]`` (the capture-time trim) drops entirely within the
-      prefix by slicing the *shared* captured list — no per-trial copy.
-    """
-
-    __slots__ = ("_entries", "_frames")
-
-    def __init__(self, rf_entries, frames) -> None:
-        list.__init__(self)
-        self._entries = rf_entries
-        self._frames = frames
-
-    def _pending(self) -> int:
-        return len(self._entries) if self._entries is not None else 0
-
-    def _resolve(self) -> None:
-        entries = self._entries
-        if entries is None:
-            return
-        frames = self._frames
-        self._entries = self._frames = None
-        self[:0] = [
-            (entry if entry.__class__ is not int else frames[entry], obj)
-            for entry, obj in entries
-        ]
-
-    def __len__(self) -> int:
-        return self._pending() + list.__len__(self)
-
-    def __iter__(self):
-        self._resolve()
-        return list.__iter__(self)
-
-    def __getitem__(self, key):
-        if isinstance(key, slice) and key.step in (None, 1) and \
-                key.stop is None:
-            start = key.start or 0
-            pending = self._pending()
-            if start >= pending:
-                return list.__getitem__(self, slice(start - pending, None))
-        self._resolve()
-        return list.__getitem__(self, key)
-
-    def __delitem__(self, key) -> None:
-        if isinstance(key, slice) and key.step in (None, 1) and \
-                key.start in (None, 0) and isinstance(key.stop, int) \
-                and key.stop >= 0:
-            pending = self._pending()
-            if key.stop >= pending:
-                self._entries = self._frames = None
-                list.__delitem__(self, slice(0, key.stop - pending))
-            else:
-                self._entries = self._entries[key.stop:]
-            return
-        self._resolve()
-        list.__delitem__(self, key)
-
-
 class Snapshot:
     """Deep copy of one fast-path interpreter state at a loop-top boundary.
 
     ``cycle`` is the number of retired instructions; ``cb``/``idx`` name the
     compiled block and step index to resume at (CompiledBlock objects are
     shared module-level caches, valid in every interpreter of the same
-    module).  Register-file history is stored as the lazy write log's tail:
+    module).  Register-file history is stored as the write log's tail:
     ``rf_base`` older writes were dropped (they can no longer occupy a slot),
     and each kept entry references either a stack frame by position or a
     shared inactive stub (the frame had already returned — by construction
-    nothing ever mutates such a frame).  Memory is stored as one
-    :data:`CompactSegment` per mapped segment, in address order.
+    nothing ever mutates such a frame); a restored run's
+    :class:`~repro.sim.regfile.RegisterFile` reads them as they are.
+    Memory is stored as one :data:`CompactSegment` per mapped segment, in
+    address order.
     """
 
     __slots__ = (
@@ -364,7 +293,8 @@ class Snapshot:
         position = {id(f): i for i, f in enumerate(frames)}
         stubs: Dict[int, object] = {}
         entries: List[Tuple[object, object]] = []
-        for frame, obj in interp._rf_log:
+        regfile = interp._regfile
+        for frame, obj in regfile.entries():
             pos = position.get(id(frame))
             if pos is None:
                 stub = stubs.get(id(frame))
@@ -376,7 +306,7 @@ class Snapshot:
             else:
                 entries.append((pos, obj))
         snap.rf_entries = entries
-        snap.rf_base = interp._rf_base
+        snap.rf_base = regfile.base
 
         memory = interp.memory
         segments: List[CompactSegment] = []
@@ -402,9 +332,10 @@ class Snapshot:
         """Load this snapshot into ``interp`` as the state of a pending-
         injection run; returns ``(cb, idx, cycle)`` to resume the loop at.
 
-        Every mutable structure is cloned per trial (trials mutate memory,
-        frames, and the write log), so a snapshot can seed any number of
-        trials, concurrently across processes and serially within one.
+        Every mutable structure is cloned per trial (trials mutate memory
+        and frames, and append to a write log of their own), so a snapshot
+        can seed any number of trials, concurrently across processes and
+        serially within one.
         """
         with trace_mod.current().span(
             "restore", cat="trial", cycles=self.cycle
@@ -437,9 +368,12 @@ class Snapshot:
         interp._stack_sp = self.stack_sp
         interp._stack_limit = self.stack_limit
 
-        interp._rf_log = _LazyRestoredLog(self.rf_entries, frames)
-        interp._rf_base = self.rf_base
-        interp._regfile = RegisterFile(interp.config.phys_int_registers)
+        # Entries name frames by their position in the stack as restored
+        # here: a frame that returns later keeps its entries' identity.
+        interp._regfile = RegisterFile(
+            interp.config.phys_int_registers, self.rf_entries, tuple(frames),
+            self.rf_base,
+        )
         interp._rng = random.Random(injection.seed)
 
         interp.cycle = self.cycle
@@ -708,14 +642,9 @@ class SnapshotRecorder:
             return self._take(interp, cb, idx, cycle)
 
     def _take(self, interp, cb, idx: int, cycle: int) -> int:
-        log = interp._rf_log
-        cap = interp.config.phys_int_registers
-        if len(log) > cap:
-            # Only the newest `cap` writes can still occupy a register slot;
-            # trim the log so capture cost and snapshot size stay bounded.
-            drop = len(log) - cap
-            interp._rf_base += drop
-            del log[:drop]
+        # Only the newest `capacity` writes can still occupy a register
+        # slot; trim the log so capture cost and snapshot size stay bounded.
+        interp._regfile.trim()
         self.store.add(Snapshot.capture(interp, cb, idx, cycle))
         if len(self.store) >= self.limit:
             self.next_due = _NEVER

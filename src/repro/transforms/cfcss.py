@@ -23,11 +23,10 @@ block can set ``A`` unambiguously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from ..analysis.cfg import predecessors_map, reverse_postorder, split_critical_edges
-from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import Alloca, GuardValues, Load, Store
 from ..ir.module import Module

@@ -19,7 +19,7 @@ USDCs in the paper despite its cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List
 
 from ..analysis.cfg import reverse_postorder
 from ..ir.basicblock import BasicBlock

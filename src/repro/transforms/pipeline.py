@@ -24,7 +24,6 @@ from .checkconfig import ProtectionConfig
 from .duplication import duplicate_state_variables
 from .fulldup import full_duplication
 from .valuechecks import (
-    CheckPlan,
     apply_optimization1,
     compute_check_plans,
     insert_checks,

@@ -19,9 +19,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from ..ir.basicblock import BasicBlock
-from ..ir.builder import IRBuilder
-from ..ir.function import Function
 from ..ir.instructions import Instruction, Load, Phi
 from ..ir.module import Module
 from ..ir.types import FloatType, IntType

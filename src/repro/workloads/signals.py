@@ -11,7 +11,7 @@ paper's separate train/test files.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 

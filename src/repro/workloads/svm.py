@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
 
 from .base import Workload
 from .signals import two_class_data

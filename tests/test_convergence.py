@@ -300,7 +300,7 @@ class _DeadWordFlip(FaultModel):
 
 class _RecentRegisterFlip(FaultModel):
     """Flip bit ``plan.bit`` of the register written ``plan.seed``
-    retirements before injection (slot tag ``_writes - 1 - seed``) and take
+    retirements before injection (slot tag ``writes - 1 - seed``) and take
     ``single_bit``'s path on it: ``_corrupt_slot``, then
     ``_triage_short_circuit`` when the slot is stale, else
     ``_triage_flip``."""
@@ -309,12 +309,12 @@ class _RecentRegisterFlip(FaultModel):
 
     def inject(self, interp, plan, record, top_frame, next_index) -> int:
         regfile = interp._regfile
-        tag = regfile._writes - 1 - plan.seed
-        slot = regfile.slots[tag % len(regfile.slots)]
-        if tag < 0 or slot.tag != tag:
+        tag = regfile.writes - 1 - plan.seed
+        if tag < max(0, regfile.writes - regfile.capacity):
             # Fewer than seed + 1 retirements so far: nothing to corrupt.
             interp._triage_short_circuit()
             return -1
+        slot = regfile.slot(tag)
         width = interp.config.register_flip_bits
         live = faults_mod._corrupt_slot(
             interp, record, slot,

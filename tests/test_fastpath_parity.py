@@ -93,3 +93,159 @@ def test_obs_event_logs_match_reference_byte_exact(tmp_path, monkeypatch):
     assert logs["1"] == logs["0"]
     # and the log is not trivially empty: it carries real trial records
     assert logs["0"].count(b'"event":"trial"') == config.trials
+
+
+@pytest.fixture(scope="module")
+def tiff_prepared():
+    from repro import settings
+
+    workload = get_workload("tiff2bw")
+    config = settings.resolve(CampaignConfig(trials=1, seed=5))
+    return config, {
+        scheme: prepare(workload, scheme, config)
+        for scheme in ("original", "dup_valchk")
+    }
+
+
+def test_control_faults_match_reference_through_the_edge_helper(
+    tiff_prepared, monkeypatch
+):
+    """Branch-target faults: the fast path, whose compiled branches take
+    their edges themselves, records every trial exactly as the reference
+    loop does, trap cycles included.  The edges it hands to the
+    interpreter's generic ``_edge`` include both rare kinds of phi input:
+    an incoming missing for the (wrong) predecessor, and one that was
+    never computed (29 and 6 of the edges these 80 plans take)."""
+    import random
+
+    from repro.faultinjection import campaign
+    from repro.faultinjection.outcomes import trial_to_record
+    from repro.ir.instructions import Phi
+    from repro.ir.values import Constant, GlobalVariable, UndefValue
+    from repro.sim.faults import InjectionPlan
+
+    edges = []
+    real_enter = Interpreter._enter_block
+
+    def spy(self, frame, target, *rest):
+        # On the fast path only the generic edge enters blocks this way.
+        if self.fastpath:
+            missing = uncomputed = False
+            for phi in target.instructions:
+                if phi.__class__ is not Phi:
+                    break
+                try:
+                    op = phi.incoming_for(frame.block)
+                except KeyError:
+                    missing = True
+                    op = phi.operands[0]  # what the reference loop reads
+                if op.__class__ not in (Constant, GlobalVariable,
+                                        UndefValue):
+                    uncomputed |= id(op) not in frame.values
+            edges.append((missing, uncomputed))
+        return real_enter(self, frame, target, *rest)
+
+    monkeypatch.setattr(Interpreter, "_enter_block", spy)
+    config, prepared = tiff_prepared
+    for scheme, prep in prepared.items():
+        rng = random.Random(scheme)
+        plans = [
+            InjectionPlan(
+                cycle=rng.randrange(1, prep.golden_instructions + 1),
+                bit=0, seed=rng.randrange(1 << 30), kind="control",
+            )
+            for _ in range(40)
+        ]
+        records = {}
+        for fastpath in ("0", "1"):
+            monkeypatch.setenv("REPRO_FASTPATH", fastpath)
+            records[fastpath] = [
+                trial_to_record(campaign._drive_trial(
+                    prep, plan, campaign._trial_interpreter(prep, config),
+                    config, None,
+                ))
+                for plan in plans
+            ]
+        assert records["1"] == records["0"], scheme
+        assert any(r.get("event_cycle") for r in records["1"])
+    assert any(missing for missing, _ in edges)
+    assert any(uncomputed for _, uncomputed in edges)
+
+
+def test_phi_moves_are_one_parallel_copy():
+    """A loop header whose phis rotate each other (``x, y, z = y, z, x``)
+    and read a counter produced in the same superblock: every incoming is
+    read before any phi is written, on both paths, in every compiled
+    variant (register log and value hook baked in or not)."""
+    from repro.ir import I32, IRBuilder, Module
+    from repro.ir.verifier import verify_module
+    from repro.sim.faults import InjectionPlan
+
+    m = Module()
+    fn = m.add_function("main", I32)
+    entry, loop, done = (fn.add_block(n) for n in ("entry", "loop", "done"))
+    b = IRBuilder(entry)
+    b.br(loop)
+    b.set_block(loop)
+    i, x, y, z = (b.phi(I32, n) for n in "ixyz")
+    i_next = b.add(i, b.const(1))
+    b.condbr(b.icmp("slt", i_next, b.const(8)), loop, done)
+    for phi, start, carried in ((i, 0, i_next), (x, 1, y), (y, 2, z),
+                                (z, 3, x)):
+        phi.add_incoming(b.const(start), entry)
+        phi.add_incoming(carried, loop)
+    b.set_block(done)
+    b.ret(b.add(b.mul(x, b.const(100)), b.add(b.mul(y, b.const(10)), z)))
+    verify_module(m)
+
+    never = InjectionPlan(cycle=10**6, bit=0)  # tracked run, no fault
+    hooked = {}
+    for fastpath in (False, True):
+        for injection in (None, never):
+            seen = hooked.setdefault((fastpath, injection is None), [])
+            for hook in (None, lambda instr, value: seen.append(value)):
+                interp = Interpreter(m, fastpath=fastpath, value_hook=hook)
+                # Seven back edges rotate (1, 2, 3) once.
+                assert interp.run(injection=injection).return_value == 231
+    for untracked in (True, False):
+        assert hooked[(True, untracked)] == hooked[(False, untracked)]
+        assert len(hooked[(True, untracked)]) > 7 * 4
+
+
+def test_uncomputed_phi_input_takes_the_generic_edge():
+    """A compiled branch whose phi input was never computed (only a control
+    fault can cause that) reads nothing into the target: it retakes the
+    edge through ``Interpreter._edge``, which reads the input as 0 once a
+    control fault has fired and fails loudly otherwise."""
+    from repro.ir import I32, Constant, IRBuilder, Module
+    from repro.sim.compiled import compile_variants
+    from repro.sim.interpreter import Frame
+
+    m = Module()
+    fn = m.add_function("main", I32)
+    entry, mid, end = (fn.add_block(n) for n in ("entry", "mid", "end"))
+    b = IRBuilder(entry)
+    x = b.binop("add", Constant(I32, 1), Constant(I32, 2))
+    b.br(mid)
+    IRBuilder(mid).br(end)
+    b = IRBuilder(end)
+    p = b.phi(I32)
+    p.add_incoming(x, mid)
+    b.ret(p)
+    assert Interpreter(m).run().return_value == 3
+
+    interp = Interpreter(m)
+    (interp._cm,) = compile_variants(m, False, (False,))
+    cf = interp._cm.functions[fn]
+    for fired in (False, True):
+        interp._control_fault_fired = fired
+        frame = Frame(fn, None, 0)
+        frame.block = mid
+        if fired:
+            entered = cf.blocks[mid].code[0](interp, frame, frame.values)
+            continue
+        with pytest.raises(RuntimeError, match="no binding"):
+            cf.blocks[mid].code[0](interp, frame, frame.values)
+    assert entered is cf.blocks[end]
+    assert frame.values[id(p)] == 0
+    assert (frame.prev_block, frame.block) == (mid, end)

@@ -69,6 +69,58 @@ class TestSegmentalSNR:
     def test_silent_reference_with_noise_scores_zero(self):
         assert segmental_snr([0] * 64, [100] * 64, frame=64) == 0.0
 
+    @given(
+        st.lists(st.integers(min_value=-32768, max_value=32767),
+                 min_size=0, max_size=400),
+        st.data(),
+        st.integers(min_value=1, max_value=80),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_frame_loop_bit_for_bit(self, ref, data, frame):
+        """The row-reduction form gives the same float as one ``np.sum``
+        per frame (the formula kept here as the oracle)."""
+        obs = list(ref)
+        for _ in range(data.draw(st.integers(min_value=0, max_value=8))):
+            if obs:
+                i = data.draw(st.integers(min_value=0, max_value=len(obs) - 1))
+                obs[i] += data.draw(st.integers(min_value=-70000,
+                                                max_value=70000))
+        expected = _segmental_snr_per_frame(ref, obs, frame)
+        got = segmental_snr(ref, obs, frame=frame)
+        assert got.hex() == expected.hex()
+
+    def test_matches_per_frame_loop_on_nonfinite_and_2d(self):
+        rng = np.random.default_rng(3)
+        ref = rng.normal(0, 1000, size=(70, 3))
+        obs = ref.copy()
+        obs[5, 1] = np.nan
+        obs[40, 0] += 1e9
+        for frame in (1, 7, 64, 70, 71):
+            expected = _segmental_snr_per_frame(ref, obs, frame)
+            assert segmental_snr(ref, obs, frame=frame).hex() == expected.hex()
+
+
+def _segmental_snr_per_frame(reference, observed, frame):
+    """The per-frame loop ``segmental_snr`` replaced: the test's oracle."""
+    ref = np.nan_to_num(np.asarray(reference, dtype=np.float64),
+                        nan=1e18, posinf=1e18, neginf=-1e18)
+    obs = np.nan_to_num(np.asarray(observed, dtype=np.float64),
+                        nan=1e18, posinf=1e18, neginf=-1e18)
+    snrs = []
+    for start in range(0, len(ref), frame):
+        r = ref[start:start + frame]
+        o = obs[start:start + frame]
+        noise = float(np.sum((r - o) ** 2))
+        signal = float(np.sum(r * r))
+        if noise == 0.0:
+            snrs.append(SNR_CLAMP_DB)
+        elif signal == 0.0:
+            snrs.append(0.0)
+        else:
+            snrs.append(min(max(10.0 * math.log10(signal / noise), 0.0),
+                            SNR_CLAMP_DB))
+    return float(np.mean(snrs)) if snrs else SNR_CLAMP_DB
+
 
 class TestClassification:
     def test_exact_match(self):

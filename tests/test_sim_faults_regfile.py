@@ -122,6 +122,120 @@ class TestRegisterFile:
         assert rf.occupied_slots() == []
 
 
+class _RingSlot:
+    __slots__ = ("frame", "value_obj", "tag")
+
+    def __init__(self) -> None:
+        self.frame = None
+        self.value_obj = None
+        self.tag = -1
+
+
+class _RingRegisterFile:
+    """The eager ring buffer the log-backed :class:`RegisterFile` replaced,
+    kept as the oracle: every write overwrites the next slot in turn."""
+
+    def __init__(self, capacity: int) -> None:
+        self.slots = [_RingSlot() for _ in range(capacity)]
+        self.cursor = 0
+        self.writes = 0
+
+    def write(self, frame, value_obj) -> None:
+        slot = self.slots[self.cursor]
+        slot.frame, slot.value_obj, slot.tag = frame, value_obj, self.writes
+        self.writes += 1
+        self.cursor = (self.cursor + 1) % len(self.slots)
+
+    def occupied_slots(self):
+        return [s for s in self.slots if s.frame is not None]
+
+    def pick_biased(self, rng, recent_window, live_bias, is_live):
+        slot = None
+        if rng.random() < live_bias:
+            candidates = [
+                s for s in self.occupied_slots()
+                if (recent_window <= 0
+                    or s.tag >= self.writes - recent_window)
+                and is_live(s)
+            ]
+            if candidates:
+                slot = candidates[rng.randrange(len(candidates))]
+        if slot is None:
+            slot = self.pick_random(rng, recent_window)
+        return slot
+
+    def pick_random(self, rng, recent_window=0):
+        occupied = self.occupied_slots()
+        if not occupied:
+            return None
+        if recent_window > 0:
+            recent = [s for s in occupied
+                      if s.tag >= self.writes - recent_window]
+            if recent:
+                occupied = recent
+        return occupied[rng.randrange(len(occupied))]
+
+
+def _view(slot):
+    return None if slot is None else (slot.tag, slot.frame, slot.value_obj)
+
+
+@given(
+    capacity=st.integers(min_value=1, max_value=40),
+    data=st.data(),
+    recent_window=st.integers(min_value=0, max_value=48),
+    live_bias=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_log_view_picks_like_the_ring_buffer(capacity, data, recent_window,
+                                             live_bias, seed):
+    """Same picked ``(tag, frame, producer)``, same slot order and the same
+    RNG state afterwards, for any capacity, write count (below and above
+    capacity), recent window (0 included), live predicate, and for a file
+    restored from a snapshot's trimmed log (frames by stack position)."""
+    frames = [f"frame{i}" for i in range(3)]
+    producers = [object() for _ in range(5)]
+    writes = [
+        (data.draw(st.sampled_from(frames)),
+         data.draw(st.sampled_from(producers)))
+        for _ in range(data.draw(st.integers(min_value=0,
+                                             max_value=3 * capacity + 2)))
+    ]
+    live = data.draw(st.sets(st.sampled_from(producers)))
+
+    def is_live(slot):
+        return slot.value_obj in live and slot.frame != "frame0"
+
+    oracle = _RingRegisterFile(capacity)
+    for frame, obj in writes:
+        oracle.write(frame, obj)
+    # The same history as a restored run sees it: ``base`` writes dropped,
+    # then the snapshot's entries (frames by stack position), then appends.
+    base = data.draw(st.integers(min_value=0,
+                                 max_value=max(0, len(writes) - capacity)))
+    split = data.draw(st.integers(min_value=base, max_value=len(writes)))
+    restored = [(frames.index(f), obj) for f, obj in writes[base:split]]
+    views = [RegisterFile(capacity), RegisterFile(capacity, restored,
+                                                  tuple(frames), base)]
+    for frame, obj in writes:
+        views[0].write(frame, obj)
+    for frame, obj in writes[split:]:
+        views[1].log.append((frame, obj))
+    if data.draw(st.booleans()):
+        views[1].trim()
+
+    def run(rf):
+        rng = random.Random(seed)
+        picks = [_view(rf.pick_biased(rng, recent_window, live_bias, is_live)),
+                 _view(rf.pick_random(rng, recent_window))]
+        return picks, [_view(s) for s in rf.occupied_slots()], rng.getstate()
+
+    expected = run(oracle)
+    for rf in views:
+        assert rf.writes == len(writes)
+        assert run(rf) == expected
+
+
 class TestCache:
     def test_hit_after_miss(self):
         cache = SetAssociativeCache(CacheConfig(1024, 2, 64))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ir import F64, I8, I16, I32, I64
+from repro.ir import F64, I1, I8, I16, I32, I64
 from repro.sim import Memory, MemoryTrap
 
 INT_TYPES = {I8: 8, I16: 16, I32: 32, I64: 64}
@@ -82,3 +82,32 @@ class TestMemoryProperties:
             mem.store(I32, seg.base, i + 1)
         for i, seg in enumerate(segs):
             assert mem.load(I32, seg.base) == i + 1
+
+
+@pytest.mark.parametrize("type_", [I1, I8, I16, I32, I64],
+                         ids=lambda t: f"i{t.bits}")
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_read_array_matches_wrap_formula(type_, data):
+    """``read_array`` equals the unsigned unpack plus two's-complement wrap
+    it replaced for types that fill their format (kept here as the
+    oracle), and every element equals a scalar ``load``."""
+    import struct
+
+    step = type_.size_bytes
+    raw = data.draw(st.binary(min_size=step, max_size=step * 24))
+    count = len(raw) // step
+    mem = Memory()
+    seg = mem.map_segment("s", len(raw))
+    seg.data[:] = raw
+    fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}[step]
+    sign = type_.sign_bit if type_.bits > 1 else 0
+    expected = [
+        ((x & type_.mask) ^ sign) - sign
+        for x in struct.unpack_from(f"<{count}{fmt}", seg.data, 0)
+    ]
+    got = mem.read_array(seg, type_, count)
+    assert got == expected
+    assert all(type(v) is int for v in got)
+    assert got == [mem.load(type_, seg.base + i * step) for i in range(count)]
+
