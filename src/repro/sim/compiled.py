@@ -20,6 +20,12 @@ resolution **once per module** and caches the result:
   after a control fault);
 * calls and returns pre-bind the callee entry block and the return-resume
   point, so the inter-procedural transfer is a couple of attribute writes;
+* loads and stores of the untracked variants (golden, profiling, timing and
+  post-injection runs) index the memory's segment map inline and read or
+  write with one ``struct`` call; only a miss goes through
+  ``Memory._locate``, which raises the reference trap.  The tracked variant
+  keeps calling the interpreter's address translators, which the
+  occupancy capture wraps (capture runs are tracked);
 * maximal straight-line runs of non-control instructions are additionally
   fused into **superblock closures** (``CompiledBlock.fused``): one Python
   call executes the whole run with no per-instruction driver-loop iteration,
@@ -53,13 +59,19 @@ driving loop (:class:`~repro.sim.events.SimTrap` messages are built at
 construction), and ``Interpreter.cycle`` is only synced at injection points,
 trap exits, and run end (no in-tree value hook reads it mid-run).
 
+Each variant bakes in what its runs need: ``track`` the register-file write
+log (injection and capture runs), ``hooked`` the value hook (profiling),
+and ``timed`` the attached :class:`~repro.sim.timing.TimingModel`'s calls,
+made at the reference loop's points in its order (Figure 12's timing runs).
+
 Compiled code is cached on the module object and keyed by an identity token
 over every function, block, instruction, operand, successor, and callee.  The
 cache *pins* those objects, so a matching token proves the structure is
 unchanged (a live ``id`` cannot be reused); any in-place transform produces a
 new token and triggers recompilation.  A campaign walks the token once for
 all its trials (``campaign._ensure_compiled``) and hands the variants to
-each trial's interpreter; every other run checks it itself.
+each trial's interpreter; every other run checks it itself.  A timed
+variant is built for its one run and not cached.
 """
 
 from __future__ import annotations
@@ -91,10 +103,11 @@ from ..ir.instructions import (
     Store,
 )
 from ..ir.module import Module
-from ..ir.types import F32, F64, FloatType, IntType, PointerType
+from ..ir.types import F32, F64, I8, I16, I32, I64, PTR, IntType
 from ..ir.values import Constant, GlobalVariable, UndefValue
 from ..obs.metrics import global_registry as _obs_registry
 from .events import ArithmeticTrap, GuardTrap, StackOverflowTrap
+from .memory import SEGMENT_SHIFT
 from .ops import ICMP_EVAL, INTRINSIC_EVAL, c_div, c_rem, float_div
 
 __all__ = [
@@ -104,12 +117,21 @@ __all__ = [
     "CompiledFunction",
     "CompiledModule",
     "compile_variants",
-    "module_token",
-    "superblock_stats",
 ]
 
 _F32_STRUCT = struct.Struct("<f")
 _F64_STRUCT = struct.Struct("<d")
+
+#: (load, store) struct of each type whose memory access is one ``struct``
+#: call: a full-width integer loads with its signed format, which is the
+#: two's-complement wrap, and stores ``v & mask`` with its unsigned one
+_ACCESS_STRUCTS = {
+    t: (struct.Struct(f"<{c}"), struct.Struct(f"<{c.upper()}"))
+    for t, c in ((I8, "b"), (I16, "h"), (I32, "i"), (I64, "q"))
+}
+_ACCESS_STRUCTS[PTR] = (struct.Struct("<Q"),) * 2
+_ACCESS_STRUCTS[F32] = (_F32_STRUCT,) * 2
+_ACCESS_STRUCTS[F64] = (_F64_STRUCT,) * 2
 
 #: Step-closure return sentinels: ``None`` means fall through to the next
 #: instruction; a :class:`CompiledBlock` means jump; ``UNWIND`` means the
@@ -174,7 +196,8 @@ class CompiledFunction:
 
 
 class CompiledModule:
-    """All compiled functions of one module for one (track, hooked) variant.
+    """All compiled functions of one module for one (track, hooked, timed)
+    variant.
 
     ``pinned`` holds a strong reference to every object whose ``id`` appears
     in ``token`` — that is what makes token comparison sound (see module
@@ -183,7 +206,7 @@ class CompiledModule:
 
     __slots__ = ("module", "variant", "token", "functions", "pinned")
 
-    def __init__(self, module: Module, variant: Tuple[bool, bool],
+    def __init__(self, module: Module, variant: Tuple[bool, bool, bool],
                  token: Tuple, pinned: List) -> None:
         self.module = module
         self.variant = variant
@@ -219,11 +242,6 @@ def _snapshot(module: Module) -> List:
                 elif cls is Call:
                     add(instr.callee)
     return pinned
-
-
-def module_token(module: Module) -> Tuple[int, ...]:
-    """Identity token over the module structure; changes on any IR mutation."""
-    return tuple(map(id, _snapshot(module)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +317,17 @@ def _operand(op, i: int, bindings: List[Tuple[str, object]], dest: str,
     )
 
 
-def _post(instr, track: bool, hooked: bool,
+def _post(instr, track: bool, hooked: bool, timed: bool,
           bindings: List[Tuple[str, object]], result: str = "r",
-          hook: bool = True) -> str:
-    """Register-file / value-hook writes after a producing instruction.
+          hook: bool = True, observe: str = "observe(ins)") -> str:
+    """Register-file / value-hook writes after a producing instruction, then
+    its timing-model call (``observe``), in the reference loop's order.
 
     ``hook=False`` for GEP and Alloca, whose results the reference loop never
-    reports to the value hook.
+    reports to the value hook.  Stores, guards and branches, which produce
+    nothing, pass ``track=hooked=False`` for the timing call alone.
     """
-    if not (track or (hooked and hook)):
+    if not (track or (hooked and hook) or timed):
         return ""
     bindings.append(("ins", instr))
     code = ""
@@ -318,7 +338,33 @@ def _post(instr, track: bool, hooked: bool,
         code += "I._rf_log.append((frame, ins))\n"
     if hooked and hook:
         code += f"I.value_hook(ins, {result})\n"
+    if timed:
+        code += f"I.timing.{observe}\n"
     return code
+
+
+def _locate_code(track: bool, translate: str) -> str:
+    """Code binding ``seg, off`` for an access of ``sz`` bytes at ``p``.
+
+    Tracked code calls ``translate`` (``I._mem_locate`` or
+    ``I._mem_store_locate``), which the occupancy capture wraps with its
+    recording hooks; capture runs are tracked.  Untracked code indexes the
+    segment map itself and calls ``I._mem_locate`` only on a miss: a null,
+    negative, unmapped or non-integer address, or one whose access leaves
+    its segment.  ``Memory._locate`` then raises the reference loop's trap
+    (or ``TypeError``), in its order.
+    """
+    if track:
+        return f"seg, off = {translate}(p, sz)\n"
+    return (
+        "try:\n"
+        f"    seg = I._segments[p >> {SEGMENT_SHIFT}]\n"
+        "except (KeyError, TypeError):\n"
+        "    I._mem_locate(p, sz)\n"
+        "off = p - seg.base\n"
+        "if off < 0 or off + sz > seg.size:\n"
+        "    I._mem_locate(p, sz)\n"
+    )
 
 
 def _int_wrap_expr(expr: str) -> str:
@@ -391,7 +437,7 @@ _FCMP_EXPR = {
 # ---------------------------------------------------------------------------
 
 
-def _compile_binop(instr, track, hooked, local):
+def _compile_binop(instr, track, hooked, timed, local):
     b: List[Tuple[str, object]] = []
     ops = instr._operands
     code = (_operand(ops[0], 0, b, "a", local)
@@ -424,16 +470,24 @@ def _compile_binop(instr, track, hooked, local):
         code += f"r = {_FLOAT_BINOP_EXPR[opcode]}\n"
     b.append(("kr", id(instr)))
     code += "vals[kr] = r\n"
-    code += _post(instr, track, hooked, b)
+    code += _post(instr, track, hooked, timed, b)
     code += "return None\n"
     return b, code
 
 
-def _compile_load(instr, track, hooked, local):
+def _compile_load(instr, track, hooked, timed, local):
     b: List[Tuple[str, object]] = []
     code = _operand(instr._operands[0], 0, b, "p", local)
     t = instr.type
-    if isinstance(t, IntType):
+    structs = _ACCESS_STRUCTS.get(t)
+    if structs is not None:
+        b.append(("sz", t.size_bytes))
+        b.append(("st", structs[0]))
+        code += (
+            _locate_code(track, "I._mem_locate")
+            + "r = st.unpack_from(seg.data, off)[0]\n"
+        )
+    elif isinstance(t, IntType):  # i1
         b.append(("sz", t.size_bytes))
         _bind_int_type(t, b)
         raw = "from_bytes(seg.data[off:off + sz], 'little')"
@@ -441,67 +495,57 @@ def _compile_load(instr, track, hooked, local):
             "seg, off = I._mem_locate(p, sz)\n"
             f"r = {_int_wrap_expr(raw)}\n"
         )
-    elif isinstance(t, FloatType):
-        b.append(("sz", t.size_bytes))
-        b.append(("st", _F64_STRUCT if t is F64 else _F32_STRUCT))
-        code += (
-            "seg, off = I._mem_locate(p, sz)\n"
-            "r = st.unpack_from(seg.data, off)[0]\n"
-        )
-    elif isinstance(t, PointerType):
-        code += (
-            "seg, off = I._mem_locate(p, 8)\n"
-            "r = from_bytes(seg.data[off:off + 8], 'little')\n"
-        )
     else:  # pragma: no cover - mirrors Memory.load's TypeError
         b.append(("t", t))
         code += "r = I.memory.load(t, p)\n"
     b.append(("kr", id(instr)))
     code += "vals[kr] = r\n"
-    code += _post(instr, track, hooked, b)
+    code += _post(instr, track, hooked, timed, b,
+                  observe="observe_load(ins, p)")
     code += "return None\n"
     return b, code
 
 
-def _compile_store(instr, track, hooked, local):
+def _compile_store(instr, track, hooked, timed, local):
     b: List[Tuple[str, object]] = []
     ops = instr._operands
     code = (_operand(ops[0], 0, b, "v", local)
             + _operand(ops[1], 1, b, "p", local))
     t = ops[0].type
-    if isinstance(t, IntType):
+    structs = _ACCESS_STRUCTS.get(t)
+    if structs is not None:
+        b.append(("sz", t.size_bytes))
+        b.append(("st", structs[1]))
+        code += _locate_code(track, "I._mem_store_locate")
+        if t is F32 or t is F64:
+            b.append(("inf", float("inf")))
+            b.append(("ninf", float("-inf")))
+            code += (
+                "try:\n"
+                "    st.pack_into(seg.data, off, v)\n"
+                "except (OverflowError, ValueError):\n"
+                "    st.pack_into(seg.data, off, inf if v > 0 else ninf)\n"
+            )
+        else:
+            b.append(("m", (1 << t.bits) - 1))
+            code += "st.pack_into(seg.data, off, v & m)\n"
+    elif isinstance(t, IntType):  # i1
         b.append(("sz", t.size_bytes))
         b.append(("m", t.mask))
         code += (
             "seg, off = I._mem_store_locate(p, sz)\n"
             "seg.data[off:off + sz] = (v & m).to_bytes(sz, 'little')\n"
         )
-    elif isinstance(t, FloatType):
-        b.append(("sz", t.size_bytes))
-        b.append(("st", _F64_STRUCT if t is F64 else _F32_STRUCT))
-        b.append(("inf", float("inf")))
-        b.append(("ninf", float("-inf")))
-        code += (
-            "seg, off = I._mem_store_locate(p, sz)\n"
-            "try:\n"
-            "    st.pack_into(seg.data, off, v)\n"
-            "except (OverflowError, ValueError):\n"
-            "    st.pack_into(seg.data, off, inf if v > 0 else ninf)\n"
-        )
-    elif isinstance(t, PointerType):
-        code += (
-            "seg, off = I._mem_store_locate(p, 8)\n"
-            "seg.data[off:off + 8] = (v & 0xFFFFFFFFFFFFFFFF)"
-            ".to_bytes(8, 'little')\n"
-        )
     else:  # pragma: no cover - mirrors Memory.store's TypeError
         b.append(("t", t))
         code += "I.memory.store(t, p, v)\n"
+    code += _post(instr, False, False, timed, b,
+                  observe="observe_store(ins, p)")
     code += "return None\n"
     return b, code
 
 
-def _compile_gep(instr, track, hooked, local):
+def _compile_gep(instr, track, hooked, timed, local):
     b: List[Tuple[str, object]] = []
     ops = instr._operands
     code = (_operand(ops[0], 0, b, "a", local)
@@ -509,12 +553,12 @@ def _compile_gep(instr, track, hooked, local):
     b.append(("esz", instr.elem_size))
     b.append(("kr", id(instr)))
     code += "r = (a + b * esz) & 0xFFFFFFFFFFFFFFFF\nvals[kr] = r\n"
-    code += _post(instr, track, hooked, b, hook=False)
+    code += _post(instr, track, hooked, timed, b, hook=False)
     code += "return None\n"
     return b, code
 
 
-def _compile_icmp(instr, track, hooked, local):
+def _compile_icmp(instr, track, hooked, timed, local):
     b: List[Tuple[str, object]] = []
     ops = instr._operands
     code = (_operand(ops[0], 0, b, "a", local)
@@ -533,12 +577,12 @@ def _compile_icmp(instr, track, hooked, local):
     code += f"r = 1 if {expr} else 0\n"
     b.append(("kr", id(instr)))
     code += "vals[kr] = r\n"
-    code += _post(instr, track, hooked, b)
+    code += _post(instr, track, hooked, timed, b)
     code += "return None\n"
     return b, code
 
 
-def _compile_fcmp(instr, track, hooked, local):
+def _compile_fcmp(instr, track, hooked, timed, local):
     b: List[Tuple[str, object]] = []
     ops = instr._operands
     code = (_operand(ops[0], 0, b, "a", local)
@@ -546,12 +590,12 @@ def _compile_fcmp(instr, track, hooked, local):
     code += f"r = 1 if {_FCMP_EXPR[instr.predicate]} else 0\n"
     b.append(("kr", id(instr)))
     code += "vals[kr] = r\n"
-    code += _post(instr, track, hooked, b)
+    code += _post(instr, track, hooked, timed, b)
     code += "return None\n"
     return b, code
 
 
-def _compile_cast(instr, track, hooked, local):
+def _compile_cast(instr, track, hooked, timed, local):
     b: List[Tuple[str, object]] = []
     code = _operand(instr._operands[0], 0, b, "v", local)
     opcode = instr.opcode
@@ -603,7 +647,7 @@ def _compile_cast(instr, track, hooked, local):
         code += "raise RuntimeError(f'unhandled cast {opc}')\n"
     b.append(("kr", id(instr)))
     code += "vals[kr] = r\n"
-    code += _post(instr, track, hooked, b)
+    code += _post(instr, track, hooked, timed, b)
     code += "return None\n"
     return b, code
 
@@ -614,7 +658,7 @@ def _indent(code: str) -> str:
     )
 
 
-def _compile_select(instr, track, hooked, local):
+def _compile_select(instr, track, hooked, timed, local):
     b: List[Tuple[str, object]] = []
     ops = instr._operands
     code = _operand(ops[0], 0, b, "c", local)
@@ -626,12 +670,12 @@ def _compile_select(instr, track, hooked, local):
     code += "else:\n" + _indent(false_frag)
     b.append(("kr", id(instr)))
     code += "vals[kr] = r\n"
-    code += _post(instr, track, hooked, b)
+    code += _post(instr, track, hooked, timed, b)
     code += "return None\n"
     return b, code
 
 
-def _compile_intrinsic(instr, track, hooked, local):
+def _compile_intrinsic(instr, track, hooked, timed, local):
     b: List[Tuple[str, object]] = []
     ops = instr._operands
     code = ""
@@ -649,34 +693,38 @@ def _compile_intrinsic(instr, track, hooked, local):
         code += f"r = fn({', '.join(argv)})\n"
     b.append(("kr", id(instr)))
     code += "vals[kr] = r\n"
-    code += _post(instr, track, hooked, b)
+    code += _post(instr, track, hooked, timed, b)
     code += "return None\n"
     return b, code
 
 
-_GUARD_RAISE = (
-    "    if I._guard_detect and I._guard_armed and gid not in I.disabled_guards:\n"
-)
+def _guard_tail(instr, kind: str, failed: str, timed: bool,
+                b: List[Tuple[str, object]]) -> str:
+    """A guard's failure accounting when ``failed`` holds, then (for a guard
+    that did not raise) its timing-model call."""
+    b.append(("gid", instr.guard_id))
+    return (
+        f"if {failed}:\n"
+        "    gs.record_failure(gid)\n"
+        "    if (I._guard_detect and I._guard_armed\n"
+        "            and gid not in I.disabled_guards):\n"
+        f"        raise GuardTrap(gid, '{kind}', -1)\n"
+        + _post(instr, False, False, timed, b, observe="observe_guard(ins)")
+        + "return None\n"
+    )
 
 
-def _compile_guard_eq(instr, track, hooked, local):
+def _compile_guard_eq(instr, track, hooked, timed, local):
     b: List[Tuple[str, object]] = []
     ops = instr._operands
     code = "gs = I.guard_stats\ngs.evaluations += 1\n"
     code += (_operand(ops[0], 0, b, "a", local)
              + _operand(ops[1], 1, b, "b", local))
-    b.append(("gid", instr.guard_id))
-    code += (
-        "if a != b:\n"
-        "    gs.record_failure(gid)\n"
-        + _GUARD_RAISE
-        + "        raise GuardTrap(gid, 'eq', -1)\n"
-        "return None\n"
-    )
+    code += _guard_tail(instr, "eq", "a != b", timed, b)
     return b, code
 
 
-def _compile_guard_range(instr, track, hooked, local):
+def _compile_guard_range(instr, track, hooked, timed, local):
     b: List[Tuple[str, object]] = []
     ops = instr._operands
     code = "gs = I.guard_stats\ngs.evaluations += 1\n"
@@ -687,20 +735,13 @@ def _compile_guard_range(instr, track, hooked, local):
         else:  # pragma: no cover - transforms always emit constant bounds
             b.append((f"{name}_op", op))
             code += f"{name} = {name}_op.value\n"
-    b.append(("gid", instr.guard_id))
     # NaN comparisons are False, so ``not (lo <= v <= hi)`` already covers the
     # reference loop's explicit isnan clause.
-    code += (
-        "if not (lo <= v <= hi):\n"
-        "    gs.record_failure(gid)\n"
-        + _GUARD_RAISE
-        + "        raise GuardTrap(gid, 'range', -1)\n"
-        "return None\n"
-    )
+    code += _guard_tail(instr, "range", "not (lo <= v <= hi)", timed, b)
     return b, code
 
 
-def _compile_guard_values(instr, track, hooked, local):
+def _compile_guard_values(instr, track, hooked, timed, local):
     b: List[Tuple[str, object]] = []
     ops = instr._operands
     code = "gs = I.guard_stats\ngs.evaluations += 1\n"
@@ -714,30 +755,23 @@ def _compile_guard_values(instr, track, hooked, local):
     else:  # pragma: no cover - transforms always emit constant expecteds
         b.append(("cs", tuple(ops[1:])))
         cond = "any(v == c.value for c in cs)"
-    b.append(("gid", instr.guard_id))
-    code += (
-        f"if not ({cond}):\n"
-        "    gs.record_failure(gid)\n"
-        + _GUARD_RAISE
-        + "        raise GuardTrap(gid, 'values', -1)\n"
-        "return None\n"
-    )
+    code += _guard_tail(instr, "values", f"not ({cond})", timed, b)
     return b, code
 
 
 def _edge_code(src: BasicBlock, dst: CompiledBlock, pre: str, track: bool,
-               hooked: bool, local: Locals,
+               hooked: bool, timed: bool, local: Locals,
                b: List[Tuple[str, object]]) -> str:
     """Code taking the edge ``src`` → ``dst`` and returning ``dst``.
 
     Mirrors the reference loop's ``_enter_block``: the target's phi moves
     as one parallel copy (every incoming read into a local before any phi
-    is written), each write followed by its register-log and value-hook
-    lines as the variant needs, then the frame's block fields.  An incoming
-    that was never computed raises ``KeyError`` before any write, and the
-    edge is retaken by the interpreter's generic ``_edge``; so is an edge
-    the target's phis name no incoming for.  Binding names carry ``pre``,
-    so a ``cond_br`` can hold two edges.
+    is written), each write followed by its register-log, value-hook and
+    timing-model lines as the variant needs, then the frame's block
+    fields.  An incoming that was never computed raises ``KeyError``
+    before any write, and the edge is retaken by the interpreter's generic
+    ``_edge``; so is an edge the target's phis name no incoming for.
+    Binding names carry ``pre``, so a ``cond_br`` can hold two edges.
     """
     b.append((f"{pre}cb", dst))
     phis = dst.block.instructions[:dst.n_phis]
@@ -764,12 +798,15 @@ def _edge_code(src: BasicBlock, dst: CompiledBlock, pre: str, track: bool,
             fetch += f"    {t} = vals[{pre}k{i}]\n"
         b.append((f"{pre}d{i}", id(phi)))
         commit += f"vals[{pre}d{i}] = {t}\n"
-        if track or hooked:
+        if track or hooked or timed:
             b.append((f"{pre}p{i}", phi))
         if track:
             commit += f"I._rf_log.append((frame, {pre}p{i}))\n"
         if hooked:
             commit += f"I.value_hook({pre}p{i}, {t})\n"
+        if timed:
+            b.append((f"{pre}o{i}", op))
+            commit += f"I.timing.observe_phi({pre}p{i}, {pre}o{i})\n"
     code = ""
     if fetch:
         code = (
@@ -785,27 +822,30 @@ def _edge_code(src: BasicBlock, dst: CompiledBlock, pre: str, track: bool,
     )
 
 
-def _compile_br(instr, src, cf, track, hooked, local):
+def _compile_br(instr, src, cf, track, hooked, timed, local):
     b: List[Tuple[str, object]] = []
     edge = _edge_code(src, cf.blocks[instr.target], "t", track, hooked,
-                      local, b)
+                      timed, local, b)
     code = (
-        "if I._pending_control_fault:\n"
+        _post(instr, False, False, timed, b, observe="observe_jump(ins)")
+        + "if I._pending_control_fault:\n"
         "    return I._edge(frame, tcb)\n"
         + edge
     )
     return b, code
 
 
-def _compile_condbr(instr, src, cf, track, hooked, local):
+def _compile_condbr(instr, src, cf, track, hooked, timed, local):
     b: List[Tuple[str, object]] = []
     code = _operand(instr._operands[0], 0, b, "c", local)
     taken = _edge_code(src, cf.blocks[instr.if_true], "t", track, hooked,
-                       local, b)
+                       timed, local, b)
     fallen = _edge_code(src, cf.blocks[instr.if_false], "f", track, hooked,
-                        local, b)
+                        timed, local, b)
     code += (
-        "if I._pending_control_fault:\n"
+        _post(instr, False, False, timed, b,
+              observe="observe_branch(ins, bool(c & 1))")
+        + "if I._pending_control_fault:\n"
         "    return I._edge(frame, tcb if c & 1 else fcb)\n"
         "if c & 1:\n"
         + _indent(taken)
@@ -814,7 +854,7 @@ def _compile_condbr(instr, src, cf, track, hooked, local):
     return b, code
 
 
-def _compile_call(instr, pos, own_cb, cm, track, hooked):
+def _compile_call(instr, pos, own_cb, cm, track, hooked, timed):
     callee = instr.callee
     callee_cf = cm.functions[callee]
     b: List[Tuple[str, object]] = [
@@ -830,7 +870,8 @@ def _compile_call(instr, pos, own_cb, cm, track, hooked):
         "frames = I._frames\n"
         "if len(frames) >= I._max_depth:\n"
         "    raise StackOverflowTrap(-1)\n"
-        "nf = Frame(callee, ins, I._stack_sp)\n"
+        + ("I.timing.observe_call(ins)\n" if timed else "")
+        + "nf = Frame(callee, ins, I._stack_sp)\n"
         "nv = nf.values\n"
     )
     for i, (formal, op) in enumerate(zip(callee.args, instr._operands)):
@@ -852,7 +893,7 @@ def _compile_call(instr, pos, own_cb, cm, track, hooked):
     return b, code
 
 
-def _compile_ret(instr, track, hooked, local):
+def _compile_ret(instr, track, hooked, timed, local):
     b: List[Tuple[str, object]] = []
     if instr._operands:
         code = _operand(instr._operands[0], 0, b, "v", local)
@@ -874,6 +915,12 @@ def _compile_ret(instr, track, hooked, local):
         code += "    I._rf_log.append((caller, frame.call_instr))\n"
     if hooked:
         code += "    I.value_hook(frame.call_instr, v)\n"
+    if timed:
+        ready = "0.0"
+        if instr._operands:
+            b.append(("rv", instr._operands[0]))
+            ready = "I.timing.value_ready_time(rv)"
+        code += f"I.timing.observe_return(frame.call_instr, {ready})\n"
     code += (
         "I._frame = caller\n"
         "I._resume_cb = frame.ret_cb\n"
@@ -883,7 +930,7 @@ def _compile_ret(instr, track, hooked, local):
     return b, code
 
 
-def _compile_alloca(instr, track, hooked, local):
+def _compile_alloca(instr, track, hooked, timed, local):
     b: List[Tuple[str, object]] = [("sz", instr.size_bytes), ("kr", id(instr))]
     code = (
         "r = (I._stack_sp + 7) & -8\n"
@@ -892,7 +939,7 @@ def _compile_alloca(instr, track, hooked, local):
         "vals[kr] = r\n"
         "I._stack_sp = r + sz\n"
     )
-    code += _post(instr, track, hooked, b, hook=False)
+    code += _post(instr, track, hooked, timed, b, hook=False)
     code += "return None\n"
     return b, code
 
@@ -931,9 +978,11 @@ _DIV_OPCODES = frozenset({"sdiv", "udiv", "srem", "urem"})
 def _can_trap(instr) -> bool:
     """Can this (linear) instruction raise a :class:`SimTrap`?
 
-    Integer div/rem raise :class:`ArithmeticTrap`, memory ops raise
-    :class:`MemoryTrap` via ``I._mem_locate``, guards raise
-    :class:`GuardTrap`, and alloca raises :class:`StackOverflowTrap`.
+    Integer div/rem raise :class:`ArithmeticTrap`; loads and stores raise
+    :class:`MemoryTrap` from ``Memory._locate``, which tracked code calls
+    on every access and untracked code only on a miss (see
+    ``_locate_code``); guards raise :class:`GuardTrap`, and alloca raises
+    :class:`StackOverflowTrap`.
     Everything else either cannot raise or raises non-``SimTrap`` exceptions
     that need no cycle re-timing (identical on the reference path).
     """
@@ -1009,18 +1058,20 @@ def _build_fused(
 
 
 def _fragment(instr, pos: int, cb: CompiledBlock, cf: CompiledFunction,
-              cm: CompiledModule, track: bool, hooked: bool, local: Locals):
+              cm: CompiledModule, track: bool, hooked: bool, timed: bool,
+              local: Locals):
     """``(bindings, code)`` of the step fragment for ``instr``."""
     cls = instr.__class__
     compiler = _SIMPLE_COMPILERS.get(cls)
     if compiler is not None:
-        return compiler(instr, track, hooked, local)
+        return compiler(instr, track, hooked, timed, local)
     if cls is Br:
-        return _compile_br(instr, cb.block, cf, track, hooked, local)
+        return _compile_br(instr, cb.block, cf, track, hooked, timed, local)
     if cls is CondBr:
-        return _compile_condbr(instr, cb.block, cf, track, hooked, local)
+        return _compile_condbr(instr, cb.block, cf, track, hooked, timed,
+                               local)
     if cls is Call:
-        return _compile_call(instr, pos, cb, cm, track, hooked)
+        return _compile_call(instr, pos, cb, cm, track, hooked, timed)
     return _compile_unhandled(instr)  # pragma: no cover - verifier prevents
 
 
@@ -1043,11 +1094,11 @@ _TERMINATOR_CLASSES = (Br, CondBr, Ret)
 
 
 def _fill_block(cb: CompiledBlock, cf: CompiledFunction, cm: CompiledModule,
-                track: bool, hooked: bool) -> None:
+                track: bool, hooked: bool, timed: bool) -> None:
     instrs = cb.block.instructions
     code: List[Optional[Callable]] = [None] * len(instrs)
     fused: List[Optional[Tuple[Callable, int]]] = [None] * len(instrs)
-    context = (cb, cf, cm, track, hooked)
+    context = (cb, cf, cm, track, hooked, timed)
     run_start: Optional[int] = None
     run_parts: List[Tuple[List[Tuple[str, object]], str, bool]] = []
     local: Locals = {}
@@ -1085,17 +1136,22 @@ def _fill_block(cb: CompiledBlock, cf: CompiledFunction, cm: CompiledModule,
 
 
 def compile_variants(
-    module: Module, hooked: bool, tracks: Tuple[bool, ...]
+    module: Module, hooked: bool, tracks: Tuple[bool, ...],
+    timed: bool = False,
 ) -> Tuple[CompiledModule, ...]:
     """Return (building and caching as needed) the compiled forms of
     ``module``, one per entry of ``tracks``.
 
     ``track`` bakes in register-file bookkeeping (fault-injection runs);
-    ``hooked`` bakes in value-hook dispatch (profiling/tracing runs).  The
-    cache lives on the module object and is invalidated whenever the structure
-    token changes — i.e. after any in-place transform.  The token walk runs
-    once per call, shared by every variant asked for (an injection run needs
-    the tracked and the untracked one).
+    ``hooked`` bakes in value-hook dispatch (profiling/tracing runs);
+    ``timed`` bakes in the attached :class:`~repro.sim.timing.TimingModel`'s
+    calls (Figure 12's timing runs).  The cache lives on the module object
+    and is invalidated whenever the structure token changes — i.e. after any
+    in-place transform.  The token walk runs once per call, shared by every
+    variant asked for (an injection run needs the tracked and the untracked
+    one).  Timed variants are built afresh and never cached: a module's
+    timing run happens once (``ExperimentCache.runtime_cycles`` memoises
+    it), so keeping them would only hold memory.
     """
     if "Frame" not in _ENV:
         from .interpreter import Frame
@@ -1104,25 +1160,28 @@ def compile_variants(
     pinned = _snapshot(module)
     token = tuple(map(id, pinned))
     cache = getattr(module, "_compiled_cache", None)
-    if cache is None or cache.get("token") != token:
+    if timed:
+        cache = {"token": token}
+    elif cache is None or cache.get("token") != token:
         cache = {"token": token}
         module._compiled_cache = cache
     return tuple(
-        _cached_variant(module, cache, token, pinned, track, hooked)
+        _cached_variant(module, cache, token, pinned, track, hooked, timed)
         for track in tracks
     )
 
 
 def _cached_variant(module: Module, cache: Dict, token: Tuple, pinned: List,
-                    track: bool, hooked: bool) -> CompiledModule:
-    variant = (track, hooked)
+                    track: bool, hooked: bool, timed: bool) -> CompiledModule:
+    variant = (track, hooked, timed)
     cm = cache.get(variant)
     registry = _obs_registry()
     if cm is None:
         from ..obs import trace as _trace_mod
 
         with _trace_mod.current().span(
-            "compile_module", cat="compile", track=track, hooked=hooked
+            "compile_module", cat="compile", track=track, hooked=hooked,
+            timed=timed,
         ):
             cm = CompiledModule(module, variant, token, pinned)
             for fn in module.functions.values():
@@ -1130,7 +1189,7 @@ def _cached_variant(module: Module, cache: Dict, token: Tuple, pinned: List,
             n_blocks = n_superblocks = 0
             for cf in cm.functions.values():
                 for cb in cf.blocks.values():
-                    _fill_block(cb, cf, cm, track, hooked)
+                    _fill_block(cb, cf, cm, track, hooked, timed)
                     n_blocks += 1
                     n_superblocks += sum(
                         1 for sb in cb.fused if sb is not None
@@ -1143,19 +1202,3 @@ def _cached_variant(module: Module, cache: Dict, token: Tuple, pinned: List,
     elif registry.enabled:
         registry.counter("sim.compile.cache_hits").inc()
     return cm
-
-
-def superblock_stats(cm: CompiledModule) -> Tuple[int, int]:
-    """``(instructions inside fused superblocks, total instructions)``.
-
-    A static measure of how much of the module executes as straight-line
-    fused runs — the portion a batched lane sweep can stride through without
-    per-instruction dispatch.  The ratio bounds the vectorizable fraction of
-    a lock-step batch between injection stops.
-    """
-    covered = total = 0
-    for cf in cm.functions.values():
-        for cb in cf.blocks.values():
-            total += len(cb.code)
-            covered += sum(sb[1] for sb in cb.fused if sb is not None)
-    return covered, total

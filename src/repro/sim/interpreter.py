@@ -7,7 +7,10 @@ This is the execution substrate standing in for the paper's gem5 setup:
   of gem5's atomic CPU for coverage runs;
 * **timing model** — attach a :class:`~repro.sim.timing.TimingModel` and the
   run also produces an out-of-order cycle estimate (the paper's Figure 12
-  performance numbers come from the detailed CPU; ours from this model);
+  performance numbers come from the detailed CPU; ours from this model).
+  Both loops call it at the same points in the same order: the fast path
+  runs a timed compiled variant, and ``REPRO_FASTPATH=0`` times the run on
+  the reference loop, cycle for cycle the same;
 * **fault injection** — pass an :class:`~repro.sim.faults.InjectionPlan`; at
   the planned cycle a random occupied physical register is chosen and one bit
   flipped (see :mod:`repro.sim.regfile`);
@@ -171,9 +174,8 @@ class Interpreter:
         self.config = config or SimConfig()
         self.guard_mode = guard_mode
         self._guard_detect = guard_mode == "detect"
-        #: compiled-dispatch fast path (see :mod:`repro.sim.compiled`);
-        #: timing-model runs always use the reference loop, which observes
-        #: every retired instruction (the detailed-CPU analogue).
+        #: compiled-dispatch fast path (see :mod:`repro.sim.compiled`); with
+        #: a timing model attached it runs the timed compiled variant
         self.fastpath = (
             settings.FASTPATH.read() if fastpath is None else fastpath
         )
@@ -217,6 +219,9 @@ class Interpreter:
         #: store-side address translation; normally the same bound method as
         #: _mem_locate, swapped independently by the occupancy capture pass
         self._mem_store_locate = None
+        #: the memory's segment map, which untracked compiled loads and
+        #: stores index inline (bound wherever ``memory`` is assigned)
+        self._segments = None
         self._cm = None
         self._untracked_cm = None
         #: (tracked, untracked) compiled variants for injection runs,
@@ -403,12 +408,11 @@ class Interpreter:
         run-terminating event (memory trap, arithmetic trap, guard detection,
         timeout); returns a :class:`~repro.sim.events.RunResult` otherwise.
 
-        Dispatches to the compiled fast path unless a timing model is
-        attached (the detailed-CPU analogue observes every retired
-        instruction, so it keeps the reference loop) or the fast path is
-        disabled (``fastpath=False`` / ``REPRO_FASTPATH=0``).  Both paths are
-        bit-identical — same results, traps, guard statistics, and injection
-        behaviour.
+        Dispatches to the compiled fast path unless it is disabled
+        (``fastpath=False`` / ``REPRO_FASTPATH=0``).  Both paths are
+        bit-identical — same results, traps, guard statistics, injection
+        behaviour, and the attached timing model's cycles, which
+        ``RunResult.cycles`` reports.
 
         ``restore_from`` fast-forwards an injection run from a golden-run
         :class:`~repro.sim.snapshot.Snapshot` (bit-identical by
@@ -418,18 +422,18 @@ class Interpreter:
         injection run at the first of those golden snapshots its state
         re-converges with (:class:`~repro.sim.snapshot.ConvergenceWatch`;
         the caller guarantees ``max_instructions`` covers the golden run).
-        All four are fast-path features: on the reference loop (or with a
-        value hook, whose callbacks would be skipped over the restored
-        prefix) they are silently ignored, preserving from-scratch
-        semantics.
+        All four are fast-path features: on the reference loop, or with a
+        value hook or a timing model (which must see every retirement, the
+        restored prefix's too), they are silently ignored, preserving
+        from-scratch semantics.
         """
         fn = self.module.function(entry)
         if len(args) != len(fn.args):
             raise ValueError(
                 f"@{entry} expects {len(fn.args)} args, got {len(args)}"
             )
-        use_fast = self.fastpath and self.timing is None
-        if not use_fast or self.value_hook is not None:
+        use_fast = self.fastpath
+        if not (use_fast and self.value_hook is None and self.timing is None):
             restore_from = None
             capture = None
             converge = None
@@ -522,6 +526,7 @@ class Interpreter:
         ``track`` gives the run a register file to log retirements in.
         """
         self.memory = Memory()
+        self._segments = self.memory._segments
         self._bind_globals(inputs)
         stack_seg = self.memory.map_segment("__stack__", self.config.stack_segment_bytes)
         self._stack_sp = stack_seg.base
@@ -561,9 +566,10 @@ class Interpreter:
     ) -> RunResult:
         """The original per-instruction dispatch loop.
 
-        Retained as the semantic ground truth for the compiled fast path and
-        as the only loop that drives a :class:`TimingModel` (its observe
-        callbacks need every retired instruction).
+        Retained as the semantic ground truth for the compiled fast path,
+        its timed variant included: with ``REPRO_FASTPATH=0`` it drives the
+        attached :class:`TimingModel`, and its observe calls fix the points
+        and order the timed variant's must match.
         """
         inject_cycle = self._setup_run(inputs, injection, injection is not None)
         stack_sp = self._stack_sp
@@ -912,6 +918,7 @@ class Interpreter:
         """
         track = injection is not None or capture is not None
         hooked = self.value_hook is not None
+        timed = self.timing is not None
         # Injection *commits* at most once; everything the tracked variant
         # records after that instant is dead bookkeeping, so the loop swaps in
         # the untracked variant the moment the fault lands (for a batched lane
@@ -920,13 +927,13 @@ class Interpreter:
         # alive for the next lane's register-file pick).
         if injection is not None:
             variants = self._trial_variants
-            if variants is None or hooked:
+            if variants is None or hooked or timed:
                 variants = compile_variants(
-                    self.module, hooked, (True, False)
+                    self.module, hooked, (True, False), timed
                 )
             cm, self._untracked_cm = variants
         else:
-            (cm,) = compile_variants(self.module, hooked, (track,))
+            (cm,) = compile_variants(self.module, hooked, (track,), timed)
             self._untracked_cm = None
         self._cm = cm
         self._max_depth = self.config.max_call_depth
@@ -1062,7 +1069,7 @@ class Interpreter:
             instructions=cycle,
             guard_stats=self.guard_stats,
             injection=self.injection_record,
-            cycles=None,
+            cycles=self.timing.cycles if timed else None,
         )
 
     # -- helpers ---------------------------------------------------------------------------
@@ -1095,15 +1102,16 @@ class Interpreter:
         a pending control fault corrupts, and an edge with a phi input that
         was never computed (reachable only after a control fault).  Takes
         the edge as the reference loop does (:meth:`_enter_block`, with
-        ``_fetch`` semantics and the current variant's register logging)
-        and returns the entered block, whose phis the driver counts.
+        ``_fetch`` semantics, the current variant's register logging and
+        the timing model's phi observations) and returns the entered block,
+        whose phis the driver counts.
         """
         if self._pending_control_fault:
             wrong = self._corrupt_target(frame, cb.block)
             if wrong is not cb.block:
                 cb = self._cm.functions[frame.function].blocks[wrong]
         self._enter_block(
-            frame, cb.block, self._cm.variant[0], self.value_hook, None
+            frame, cb.block, self._cm.variant[0], self.value_hook, self.timing
         )
         return cb
 

@@ -359,6 +359,7 @@ class Snapshot:
                 memory._segments[i] = seg
         memory._next_index = self.next_index
         interp.memory = memory
+        interp._segments = memory._segments
         interp._mem_locate = memory._locate
         interp._mem_store_locate = memory._locate
         interp.global_segments = {

@@ -3,7 +3,10 @@
 Consumes the retired instruction stream from the interpreter and estimates
 execution cycles for the Table II core: dependence-limited issue with a finite
 issue width, a finite reorder buffer, per-opcode latencies, an L1-D cache, and
-a branch predictor.
+a branch predictor.  The interpreter's fast path calls it from a timed
+compiled variant (:mod:`repro.sim.compiled`) and ``REPRO_FASTPATH=0`` from
+the reference loop, at the same points in the same order, so both give the
+same cycles bit for bit.
 
 The model is a dataflow lower bound with structural constraints — the standard
 "ideal fetch, finite width/ROB" approximation:

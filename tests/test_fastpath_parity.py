@@ -249,3 +249,90 @@ def test_uncomputed_phi_input_takes_the_generic_edge():
     assert entered is cf.blocks[end]
     assert frame.values[id(p)] == 0
     assert (frame.prev_block, frame.block) == (mid, end)
+
+
+def _access_module(type_name, op):
+    """``main(p)`` loading one ``type_name`` value from ``p``, or
+    ``main(p, v)`` storing ``v`` there; ``@buf`` holds four elements."""
+    from repro.ir import IRBuilder, Module, parse_type
+    from repro.ir.types import PTR, VOID
+
+    t = parse_type(type_name)
+    init = {
+        "f32": [1.5, -0.0, float("inf"), 3.25],
+        "f64": [0.1, -2.5, float("nan"), 1e300],
+        "ptr": [0, (1 << 64) - 1, 1 << 20, 12345],
+    }.get(type_name)
+    if init is None:
+        init = [-1, t.min_signed, t.max_signed, 1]
+    m = Module()
+    m.add_global("buf", t, 4, initializer=init)
+    if op == "load":
+        fn = m.add_function("main", t, [(PTR, "p")])
+        b = IRBuilder(fn.add_block("entry"))
+        b.ret(b.load(t, fn.args[0]))
+    else:
+        fn = m.add_function("main", VOID, [(PTR, "p"), (t, "v")])
+        b = IRBuilder(fn.add_block("entry"))
+        b.store(fn.args[1], fn.args[0])
+        b.ret()
+    return m, t.size_bytes
+
+
+def _access_outcome(m, fastpath, injection, args):
+    """The trap (class, kind, address, cycle), the escaping exception, or
+    the loaded value and the final bytes of ``@buf``."""
+    from repro.sim.events import SimTrap
+
+    interp = Interpreter(m, fastpath=fastpath)
+    try:
+        result = interp.run(args=args, injection=injection)
+    except SimTrap as trap:
+        return (type(trap).__name__, getattr(trap, "kind", None),
+                getattr(trap, "address", None), trap.cycle, str(trap))
+    except (TypeError, ValueError) as err:
+        return (type(err).__name__, str(err))
+    if fastpath and injection is not None:
+        assert interp._cm.variant == (False, False, False)
+    return ("ok", repr(result.return_value),
+            bytes(interp.global_segments["buf"].data))
+
+
+@pytest.mark.parametrize(
+    "type_name", ["i1", "i8", "i16", "i32", "i64", "f32", "f64", "ptr"]
+)
+def test_inline_memory_access_matches_reference(type_name):
+    """Untracked compiled loads and stores index the segment map inline.
+    On a golden run and after an injection (both untracked), every access
+    ends as on the reference loop: the same trap class, kind, address and
+    cycle (null before unmapped before out-of-bounds, for non-integer
+    addresses too), or the same loaded value and memory bytes, with f32
+    stores saturating alike."""
+    from repro.sim.faults import InjectionPlan
+    from repro.sim.memory import SEGMENT_STRIDE
+
+    # Fires before the access, on an empty register file: the access runs
+    # on the untracked variant the run switched to.
+    early = InjectionPlan(cycle=1, bit=0)
+    values = {
+        "f32": [1.1, 1e300, -1e300, float("nan")],
+        "f64": [1.1, -0.0],
+        "ptr": [(1 << 64) + 5, -1],
+    }.get(type_name, [-3, (1 << 65) + 0x8000000000000081])
+    for op in ("load", "store"):
+        m, size = _access_module(type_name, op)
+        base = SEGMENT_STRIDE  # @buf is the first segment mapped
+        end = base + 4 * size
+        addresses = [
+            base + size, end - size, end - size // 2, end + 64,
+            100 * SEGMENT_STRIDE, 0, -8, float(base), -1.5,
+        ]
+        for address in addresses:
+            for args in ([(address,)] if op == "load"
+                         else [(address, v) for v in values]):
+                for injection in (None, early):
+                    assert (
+                        _access_outcome(m, True, injection, args)
+                        == _access_outcome(m, False, injection, args)
+                    ), (op, args, injection)
+    assert _access_outcome(m, True, None, (base, values[0]))[0] == "ok"

@@ -172,3 +172,138 @@ def test_figure12_cycles_pinned():
         key: cache.runtime_cycles(*key).hex() for key in FIGURE12_CYCLES
     }
     assert measured == FIGURE12_CYCLES
+
+
+SCHEMES = ("original", "dup", "dup_valchk", "full_dup")
+
+
+def test_timed_fast_path_matches_reference_loop(monkeypatch):
+    """Figure 12's timing runs on the timed compiled variant and on the
+    reference loop (``REPRO_FASTPATH=0``): the same cycles bit for bit, and
+    the same retirements, D-cache hits and misses and branch mispredicts,
+    for three workloads under all four schemes."""
+    from repro.experiments import ExperimentCache, ExperimentSettings, runner
+
+    models = []
+
+    def recorded_model(config):
+        models.append(TimingModel(config))
+        return models[-1]
+
+    reference_runs = []
+    run_reference = Interpreter._run_reference
+
+    def counted(self, *args):
+        reference_runs.append(self)
+        return run_reference(self, *args)
+
+    monkeypatch.setattr(runner, "TimingModel", recorded_model)
+    monkeypatch.setattr(Interpreter, "_run_reference", counted)
+    workloads = ("tiff2bw", "g721dec", "jpegdec")
+    keys = [(w, s) for w in workloads for s in SCHEMES]
+    cache = ExperimentCache(ExperimentSettings(trials=10, workloads=workloads))
+    for key in keys:
+        cache.prepared(*key)
+    observed = {}
+    for fastpath in ("0", "1"):
+        monkeypatch.setenv("REPRO_FASTPATH", fastpath)
+        cache._runtimes.clear()  # runtime_cycles memoises each key
+        del models[:], reference_runs[:]
+        cycles = [cache.runtime_cycles(*key).hex() for key in keys]
+        observed[fastpath] = [
+            (c, t.retired, t.dcache.hits, t.dcache.misses,
+             t.branch_predictor.mispredicts)
+            for c, t in zip(cycles, models)
+        ]
+        assert len(reference_runs) == (len(keys) if fastpath == "0" else 0)
+    assert observed["1"] == observed["0"]
+
+
+def _observe_kernel():
+    """A loop reaching every timing-model call: calls with and without a
+    result, a ``ret`` of a computed value (ready long after the issue front),
+    of a constant and a bare one,
+    ``alloca``, f32 and f64 loads and stores, an intrinsic, ``select``,
+    phis, both branch kinds, and all three guard kinds (the range guard
+    fails from ``i = 6`` on, which count mode records and survives).  SCL
+    has no f32, ``select`` or guards, so it is built as IR."""
+    from repro.ir import F32, I32, PTR, VOID, verify_module
+
+    m = Module("observe")
+    f32buf = m.add_global("f32buf", F32, 4, initializer=[0.5, 1.5, 2.5, 3.5])
+    f64buf = m.add_global("f64buf", F64, 4)
+
+    slow = m.add_function("slow", I32, [(I32, "x")])
+    b = IRBuilder(slow.add_block("entry"))
+    square = b.mul(slow.args[0], slow.args[0])
+    b.ret(b.binop("sdiv", b.binop("sdiv", square, Constant(I32, 3)),
+                  Constant(I32, 5)))
+    seven = m.add_function("seven", I32)
+    IRBuilder(seven.add_block("entry")).ret(Constant(I32, 7))
+    poke = m.add_function("poke", VOID, [(PTR, "p"), (F32, "v")])
+    b = IRBuilder(poke.add_block("entry"))
+    slot = b.alloca(F32)
+    b.store(poke.args[1], slot)
+    b.store(b.load(F32, slot), poke.args[0])
+    b.ret()
+
+    main = m.add_function("main", I32)
+    entry, loop, done = (main.add_block(n) for n in ("entry", "loop", "done"))
+    IRBuilder(entry).br(loop)
+    b = IRBuilder(loop)
+    i, acc = b.phi(I32, "i"), b.phi(I32, "acc")
+    quotient = b.call(slow, [i])
+    const = b.call(seven, [])
+    p32 = b.gep(f32buf, b.binop("and", i, Constant(I32, 3)), F32)
+    x = b.cast("fpext", b.load(F32, p32), F64)
+    b.call(poke, [p32, Constant(F32, 4.25)])
+    p64 = b.gep(f64buf, b.binop("and", i, Constant(I32, 3)), F64)
+    b.store(b.fmul(x, Constant(F64, 2.0)), p64)
+    root = b.intrinsic("sqrt", [b.load(F64, p64)])
+    pick = b.select(b.fcmp("ogt", root, Constant(F64, 2.5)), quotient, const)
+    b.guard_eq(pick, pick, 1)
+    b.guard_range(i, Constant(I32, 0), Constant(I32, 5), 2)
+    b.guard_values(const, [Constant(I32, 7)], 3)
+    acc_next = b.add(acc, pick)
+    i_next = b.add(i, Constant(I32, 1))
+    b.condbr(b.icmp("slt", i_next, Constant(I32, 10)), loop, done)
+    i.add_incoming(Constant(I32, 0), entry)
+    i.add_incoming(i_next, loop)
+    acc.add_incoming(Constant(I32, 0), entry)
+    acc.add_incoming(acc_next, loop)
+    IRBuilder(done).ret(acc_next)
+    verify_module(m)
+    return m
+
+
+def test_timed_variant_makes_every_observe_call():
+    """Both loops give the kernel the same cycles, mispredicts, D-cache
+    hits and ready time of every value, with and without an injection;
+    ``RunResult.cycles`` is the model's on the fast path, and a snapshot
+    capture hook is dropped on a timed run: same cycles, no snapshot
+    stored."""
+    from repro.sim.faults import InjectionPlan
+    from repro.sim.snapshot import SnapshotRecorder
+
+    m = _observe_kernel()
+    values = [ins for fn in m.functions.values() for ins in fn.instructions()]
+
+    def timed(fastpath, **kwargs):
+        timing = TimingModel()
+        interp = Interpreter(m, guard_mode="count", timing=timing,
+                             fastpath=fastpath)
+        result = interp.run(**kwargs)
+        assert result.cycles == timing.cycles
+        return (timing.cycles.hex(), timing.retired, result.return_value,
+                result.instructions, result.guard_stats.failures_by_guard,
+                timing.branch_predictor.mispredicts, timing.dcache.hits,
+                [timing.value_ready_time(v) for v in values])
+
+    reference = timed(False)
+    assert reference[4] == {2: 4}
+    assert timed(True) == reference
+    recorder = SnapshotRecorder(every=5)
+    assert timed(True, capture=recorder) == reference
+    assert len(recorder.store) == 0
+    plan = InjectionPlan(cycle=40, bit=3, seed=11)
+    assert timed(True, injection=plan) == timed(False, injection=plan)
