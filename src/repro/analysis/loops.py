@@ -57,12 +57,11 @@ class Loop:
 
 
 class LoopInfo:
-    """All natural loops of a function, with header→loop lookup and nesting."""
+    """All natural loops of a function, with their nesting."""
 
     def __init__(self, fn: Function, loops: List[Loop]) -> None:
         self.function = fn
         self.loops = loops
-        self._by_header: Dict[int, Loop] = {id(l.header): l for l in loops}
 
     @classmethod
     def compute(cls, fn: Function, dt: Optional[DominatorTree] = None) -> "LoopInfo":
@@ -87,9 +86,6 @@ class LoopInfo:
 
     # -- queries ------------------------------------------------------------------
 
-    def loop_for_header(self, block: BasicBlock) -> Optional[Loop]:
-        return self._by_header.get(id(block))
-
     def innermost_loop_containing(self, block: BasicBlock) -> Optional[Loop]:
         best: Optional[Loop] = None
         for loop in self.loops:
@@ -99,9 +95,6 @@ class LoopInfo:
 
     def headers(self) -> List[BasicBlock]:
         return [l.header for l in self.loops]
-
-    def top_level_loops(self) -> List[Loop]:
-        return [l for l in self.loops if l.parent is None]
 
 
 def _grow_loop(

@@ -1,4 +1,5 @@
-"""Durable JSON state files: atomic writes, checksums, verify-or-quarantine.
+"""Durable files: atomic JSON writes, checksums, verify-or-quarantine, and
+append-only JSONL logs.
 
 Every JSON document the program keeps on disk — cache entries, campaign
 checkpoints, the service's state snapshot, job results and specs,
@@ -10,10 +11,15 @@ torn file.  Documents that carry an integrity digest use
 ``quarantine/`` directory next to it (the evidence is kept), reported, and
 treated as absent.  Writes are not fsynced.
 
-Append-only JSONL files (the service journal, plain obs logs and their
-``<log>.resilience`` sidecars) are healed by :func:`truncate_torn_tail`
-before each append, so a line torn by a mid-write crash never swallows the
-next record.
+Append-only JSONL logs — the campaign trial log, its ``<log>.resilience``
+sidecar and the service journal — are written by one writer,
+:class:`AppendLog`, and read by one reader, :func:`read_log`.  Each record
+is one canonical line (:func:`canonical_json`), flushed before the append
+returns.  Opening a log heals it first (:func:`truncate_torn_tail`): a last
+line with no newline, torn by a mid-write crash, is dropped, so the next
+record never glues onto it.  The reader leaves that same torn line out of
+its records and its end offset, and counts garbled lines rather than
+failing on them.
 """
 
 from __future__ import annotations
@@ -22,26 +28,33 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
+    "AppendLog",
+    "canonical_json",
     "canonical_sha256",
     "load_verified",
     "quarantine_file",
+    "read_log",
     "truncate_torn_tail",
     "write_json_atomic",
 ]
 
 
+def canonical_json(document: Any) -> str:
+    """The canonical JSON encoding: sorted keys, no spaces, one line."""
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_sha256(document: Any) -> str:
-    """sha256 of the canonical JSON encoding (sorted keys, no spaces).
+    """sha256 of :func:`canonical_json`.
 
     Computed over parsed data, not file bytes, so the digest stored at write
     time equals the one recomputed from the parsed file iff the payload is
     undamaged.
     """
-    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return hashlib.sha256(canonical_json(document).encode()).hexdigest()
 
 
 def write_json_atomic(path, document: Any) -> None:
@@ -102,6 +115,81 @@ def truncate_torn_tail(path) -> None:
             fh.truncate(last_newline + 1)
     except FileNotFoundError:
         return
+
+
+class AppendLog:
+    """Append-only JSONL writer: one canonical line per record.
+
+    Opening creates the file (and its directory) or heals its torn last
+    line (:func:`truncate_torn_tail`).  Each :meth:`append` is flushed
+    before it returns, so a SIGKILL can tear at most the line being
+    written.  ``offset`` is the end-of-log byte position: checkpoints and
+    state snapshots store it to know where their coverage ends.
+    """
+
+    def __init__(self, path) -> None:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        truncate_torn_tail(path)
+        self._fh = open(path, "ab")
+
+    @property
+    def offset(self) -> int:
+        return self._fh.tell()
+
+    def append(self, record: Dict) -> None:
+        self._fh.write(canonical_json(record).encode() + b"\n")
+        self._fh.flush()
+
+    def rollback(self, offset: int) -> None:
+        """Drop every byte past ``offset``; a log no longer than that (rotated
+        or deleted since ``offset`` was taken) is left as it is."""
+        if offset < self.offset:
+            self._fh.truncate(offset)
+            self._fh.seek(offset)
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "AppendLog":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def read_log(path, offset: int = 0) -> Tuple[List[Dict], int, int]:
+    """``(records, skipped, end)`` of the JSONL log at ``path`` from byte
+    ``offset`` on.
+
+    ``records`` are the lines that parse to JSON objects; ``skipped``
+    counts the other non-blank lines (garbled or stray text), which never
+    stop the read.  A last line with no newline is torn — its append never
+    completed — so it is neither a record nor skipped, and ``end``, the
+    offset just past the last complete line, does not cover it: the next
+    :class:`AppendLog` drops it.  A missing file raises
+    ``FileNotFoundError``.
+    """
+    records: List[Dict] = []
+    skipped = 0
+    end = offset
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break
+            end += len(line)
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                skipped += 1
+                continue
+            if isinstance(record, dict):
+                records.append(record)
+            else:
+                skipped += 1
+    return records, skipped, end
 
 
 def quarantine_file(path) -> Optional[str]:

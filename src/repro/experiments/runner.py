@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
-from .. import settings
+from .. import durable, settings
 from ..settings import resolve as resolve_settings
 from ..faultinjection.campaign import (
     CampaignConfig,
@@ -164,8 +164,8 @@ class ExperimentCache:
         obs_log = self.settings.obs_log
         if not obs_log:
             return
-        with obs_events.EventLogWriter(obs_log) as writer:
-            writer.emit(
+        with durable.AppendLog(obs_log) as log:
+            log.append(
                 obs_events.cache_hit_event(name, scheme, disk_key, meta)
             )
 

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .. import settings
+from .. import durable, settings
 from ..obs import events as obs_events
 from ..obs import heartbeat as heartbeat_mod
 from ..obs import trace as trace_mod
@@ -804,11 +804,13 @@ def _open_checkpointer(
     prepared: PreparedWorkload,
     config: CampaignConfig,
     rlog: resilience_mod.ResilienceLogger,
+    log: Optional[durable.AppendLog],
 ) -> Optional[resilience_mod.Checkpointer]:
     """Load (or initialise) the campaign's checkpoint, keyed like the disk
     cache so a checkpoint can never be replayed against different code,
-    config, or seed.  On a genuine resume the obs log is rolled back to the
-    byte offset recorded before the interrupted campaign started, so the
+    config, or seed.  The checkpoint records the obs ``log``'s offset
+    before the campaign's first record; on a genuine resume the log is
+    rolled back to the offset the interrupted campaign recorded, so the
     resumed run rewrites a log byte-identical to an uninterrupted one.
     """
     if not config.checkpoint or not config.resilience.enabled:
@@ -822,15 +824,10 @@ def _open_checkpointer(
         config.checkpoint, key, config.trials, logger=rlog
     )
     restored = loaded.completed if loaded is not None else {}
-    if config.obs_log:
-        # Record a line boundary: the log writer drops a torn tail anyway.
-        obs_events.heal_log(config.obs_log)
-    obs_offset = resilience_mod.obs_log_size(config.obs_log)
+    obs_offset = log.offset if log is not None else 0
     if restored:
-        if config.obs_log and loaded.obs_log == config.obs_log:
-            resilience_mod.truncate_obs_log(
-                config.obs_log, loaded.obs_log_offset
-            )
+        if log is not None and loaded.obs_log == config.obs_log:
+            log.rollback(loaded.obs_log_offset)
             obs_offset = loaded.obs_log_offset
         rlog.emit(
             "checkpoint_load",
@@ -867,9 +864,9 @@ class _TrialSink:
     therefore streams, and every mode writes the same bytes in plan order.
     """
 
-    def __init__(self, plans, writer, checkpointer, status, on_trial) -> None:
+    def __init__(self, plans, log, checkpointer, status, on_trial) -> None:
         self.plans = plans
-        self.writer = writer
+        self.log = log
         self.checkpointer = checkpointer
         self.status = status
         self.on_trial = on_trial
@@ -894,10 +891,10 @@ class _TrialSink:
         if self.on_trial is not None:
             for _, trial in chunk.completions:
                 self.on_trial(trial)
-        if self.writer is not None:
+        if self.log is not None:
             while self._logged in self.trials:
                 index = self._logged
-                self.writer.emit(obs_events.trial_event(
+                self.log.append(obs_events.trial_event(
                     index, self.plans[index], self.trials[index]
                 ))
                 self._logged += 1
@@ -988,33 +985,32 @@ def run_campaign(
         rlog = resilience_mod.ResilienceLogger(
             config.obs_log, echo=status.incident
         )
-        checkpointer = _open_checkpointer(prepared, config, rlog)
-        restored = (
-            dict(checkpointer.completed) if checkpointer is not None else {}
-        )
-
-        result = CampaignResult(
-            workload=workload.name,
-            scheme=scheme,
-            golden_instructions=prepared.golden_instructions,
-            golden_guard_failures=prepared.golden_guard_failures,
-            golden_guard_evaluations=prepared.golden_guard_evaluations,
-            fault_model=config.fault_model,
-        )
-        writer = None
-        if config.obs_log:
-            writer = obs_events.EventLogWriter(config.obs_log)
+        log = durable.AppendLog(config.obs_log) if config.obs_log else None
+        checkpointer = None
         try:
-            if writer is not None:
-                writer.emit(obs_events.campaign_begin_event(result))
-            sink = _TrialSink(plans, writer, checkpointer, status, on_trial)
+            checkpointer = _open_checkpointer(prepared, config, rlog, log)
+            restored = (
+                dict(checkpointer.completed)
+                if checkpointer is not None else {}
+            )
+            result = CampaignResult(
+                workload=workload.name,
+                scheme=scheme,
+                golden_instructions=prepared.golden_instructions,
+                golden_guard_failures=prepared.golden_guard_failures,
+                golden_guard_evaluations=prepared.golden_guard_evaluations,
+                fault_model=config.fault_model,
+            )
+            if log is not None:
+                log.append(obs_events.campaign_begin_event(result))
+            sink = _TrialSink(plans, log, checkpointer, status, on_trial)
             _run_trials(prepared, plans, restored, config, sink, rlog)
             result.trials.extend(sink.trials[i] for i in range(len(plans)))
             _record_prefix_stats(config, result, sink.stats)
             _record_batched_stats(config, result, sink.stats)
             _record_occupancy_event(config, result, prepared)
-            if writer is not None:
-                writer.emit(obs_events.campaign_end_event(result))
+            if log is not None:
+                log.append(obs_events.campaign_end_event(result))
         except BaseException:
             # Persist every trial that did finish, so the interrupted
             # campaign (KeyboardInterrupt, lost pool, reboot) is resumable.
@@ -1022,8 +1018,8 @@ def run_campaign(
                 checkpointer.flush(force=True)
             raise
         finally:
-            if writer is not None:
-                writer.close()
+            if log is not None:
+                log.close()
         if checkpointer is not None:
             checkpointer.clear()
         campaign_ok = True

@@ -53,12 +53,6 @@ class RecoveryResult:
     #: the run ended in an unrecoverable trap (symptom outside software reach)
     trapped: bool = False
 
-    @property
-    def overhead_fraction(self) -> float:
-        """Replayed work relative to the non-replayed work of this run."""
-        useful = max(self.total_instructions - self.replayed_instructions, 1)
-        return self.replayed_instructions / useful
-
 
 def run_with_recovery(
     prepared: PreparedWorkload,

@@ -282,38 +282,6 @@ class Checkpointer:
         )
 
 
-# ---------------------------------------------------------------------------
-# obs-log resume support
-# ---------------------------------------------------------------------------
-
-
-def obs_log_size(path: Optional[str]) -> int:
-    """Current byte length of the (append-mode) obs log; 0 when absent."""
-    if not path:
-        return 0
-    try:
-        return os.path.getsize(path)
-    except OSError:
-        return 0
-
-
-def truncate_obs_log(path: str, offset: int) -> None:
-    """Drop the partial campaign a crashed run appended after ``offset``.
-
-    The resuming campaign rewrites its events from the first byte it owns,
-    which is what makes a resumed log byte-identical to an uninterrupted
-    one.  A log shorter than ``offset`` is left alone (someone rotated or
-    deleted it — the resumed campaign simply appends a complete log).
-    """
-    try:
-        if os.path.getsize(path) <= offset:
-            return
-        with open(path, "r+", encoding="utf-8") as fh:
-            fh.truncate(offset)
-    except OSError:  # pragma: no cover - resume degrades to plain append
-        pass
-
-
 def backoff_delay(base: float, attempt: int) -> float:
     """Exponential backoff: ``base * 2**(attempt-1)`` seconds, capped at 30."""
     return min(base * (2 ** max(0, attempt - 1)), 30.0)

@@ -11,13 +11,10 @@ recorded), and ``REPRO_HEARTBEAT``/``--heartbeat`` (live status file for
 
 from .events import (
     SCHEMA_VERSION,
-    EventLogWriter,
     cache_hit_event,
     campaign_begin_event,
     campaign_end_event,
-    encode_event,
     read_events,
-    read_events_detailed,
     trial_event,
 )
 from .heartbeat import (
@@ -49,12 +46,12 @@ from .trace import (
 __all__ = [
     "HEARTBEAT_SCHEMA_VERSION", "SCHEMA_VERSION", "TRACE_SCHEMA_VERSION",
     "Counter", "MetricsRegistry",
-    "EventLogWriter", "LiveStatus", "LogReport", "TraceSummary",
+    "LiveStatus", "LogReport", "TraceSummary",
     "Tracer",
     "activate", "cache_hit_event", "campaign_begin_event",
-    "campaign_end_event", "current", "encode_event", "enable_global",
+    "campaign_end_event", "current", "enable_global",
     "global_registry", "load_trace", "percentile",
-    "read_events", "read_events_detailed", "read_heartbeat",
+    "read_events", "read_heartbeat",
     "render_heartbeat", "render_summary", "reset_global", "summarize_trace",
     "trial_event", "validate_trace", "watch",
 ]

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.obs report campaign.jsonl
-    python -m repro.obs report a.jsonl b.jsonl.gz --top 20
+    python -m repro.obs report a.jsonl b.jsonl --top 20
     python -m repro.obs report campaign.jsonl --json report.json
     python -m repro.obs report campaign.jsonl --avf      # vulnerability view
     python -m repro.obs report --trace trace.json        # phase breakdown
@@ -87,7 +87,7 @@ def main(argv=None) -> int:
     )
     report.add_argument("logs", nargs="*", metavar="LOG",
                         help="JSONL trial event log(s) written via --obs-log "
-                             "or REPRO_OBS (.jsonl or .jsonl.gz)")
+                             "or REPRO_OBS")
     report.add_argument("--top", type=int, default=10, metavar="N",
                         help="rows per breakdown table (default 10)")
     report.add_argument("--json", metavar="PATH", default=None,

@@ -39,49 +39,34 @@ The last three are written to the sidecar log too: the main trial log must
 stay byte-identical with snapshots, triage, the occupancy pass and batching
 on or off.
 
-Reading is *corrupt-line tolerant*: a truncated or garbled line (e.g. a
-campaign killed mid-write) is counted and skipped, never fatal.  Unknown
-schema versions are surfaced to the caller via the ``v`` field rather than
-rejected — the reader is forward-compatible by construction.
-
-Logs may be **gzip-compressed**: a path ending in ``.gz`` is read (and
-written) through :mod:`gzip` transparently — 40k-trial chaos runs produce
-unwieldy plain JSONL.  Writing stamps ``mtime=0`` into the gzip header so a
-compressed log stays byte-deterministic like the plain one.  A truncated
-compressed stream (campaign killed mid-write) is handled like a corrupt
-plain line: the readable prefix is returned and the torn tail is counted
-(see :func:`read_events_detailed`).
-
-Appending *heals* a plain log first: a torn last line left by a killed
-writer is dropped before the next record is written (the writer, and every
-sidecar append), so one crash costs at most the record it tore.  ``.gz``
-logs are not healed.
+Logs are written and read through :mod:`repro.durable`'s one append-only
+log (:class:`~repro.durable.AppendLog`, :func:`~repro.durable.read_log`),
+which the service journal shares.  Reading is *corrupt-line tolerant*: a
+garbled line is counted and skipped, never fatal, and a torn last line (a
+campaign killed mid-write) is left out.  Appending heals the log first: the
+torn line is dropped before the next record is written (the trial log and
+every sidecar append alike), so one crash costs at most the record it
+tore.  Unknown schema versions are surfaced to the caller via the ``v``
+field rather than rejected — the reader is forward-compatible by
+construction.
 """
 
 from __future__ import annotations
 
-import gzip
-import io
-import json
-import os
 from typing import Dict, List, Optional, Tuple
 
 from .. import durable
 
 __all__ = [
     "SCHEMA_VERSION",
-    "EventLogWriter",
     "PREFIX_STATS",
     "batched_event",
     "cache_hit_event",
     "campaign_begin_event",
     "campaign_end_event",
     "append_sidecar_event",
-    "encode_event",
-    "heal_log",
     "prefix_sharing_event",
     "read_events",
-    "read_events_detailed",
     "resilience_event",
     "resilience_log_path",
     "trial_event",
@@ -89,11 +74,6 @@ __all__ = [
 
 #: bump on any change to event field names or semantics
 SCHEMA_VERSION = 1
-
-
-def encode_event(event: Dict) -> str:
-    """Canonical one-line JSON encoding (byte-deterministic) + newline."""
-    return json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -302,132 +282,21 @@ def append_sidecar_event(log_path: str, event: Dict) -> None:
     Shared by the resilience layer and the shared-prefix stats: everything
     that must stay out of the byte-identical main log lands here.
     """
-    path = resilience_log_path(log_path)
     try:
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        durable.truncate_torn_tail(path)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(encode_event(event))
+        with durable.AppendLog(resilience_log_path(log_path)) as log:
+            log.append(event)
     except OSError:  # pragma: no cover - diagnostics must not kill campaigns
         pass
-
-
-# ---------------------------------------------------------------------------
-# writing
-# ---------------------------------------------------------------------------
-
-
-def _is_gzip_path(path) -> bool:
-    return str(path).endswith(".gz")
-
-
-def heal_log(path) -> None:
-    """Drop a plain log's torn last line; ``.gz`` logs are left as they are."""
-    if not _is_gzip_path(path):
-        durable.truncate_torn_tail(path)
-
-
-class EventLogWriter:
-    """Append-only JSONL writer (several campaigns may share one log).
-
-    Opening a plain log first drops a torn last line (a killed writer's
-    partial record, see :func:`repro.durable.truncate_torn_tail`), so the
-    next record starts on a line of its own.  A ``.gz`` path writes a gzip
-    member per open — appending another later produces a multi-member
-    file, which the reader handles transparently.
-    The gzip header is stamped with ``mtime=0`` and an empty name so the
-    compressed bytes are a pure function of the logged events, preserving
-    the byte-identity guarantee for compressed logs.
-    """
-
-    def __init__(self, path: str, mode: str = "a") -> None:
-        self.path = path
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        if _is_gzip_path(path):
-            self._raw = open(path, mode + "b")
-            self._gz = gzip.GzipFile(
-                filename="", mode="wb", fileobj=self._raw, mtime=0
-            )
-            self._fh = io.TextIOWrapper(self._gz, encoding="utf-8")
-        else:
-            self._raw = self._gz = None
-            heal_log(path)
-            self._fh = open(path, mode, encoding="utf-8")
-
-    def emit(self, event: Dict) -> None:
-        self._fh.write(encode_event(event))
-
-    def flush(self) -> None:
-        self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
-        if self._raw is not None:
-            self._raw.close()
-
-    def __enter__(self) -> "EventLogWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-# ---------------------------------------------------------------------------
-# reading
-# ---------------------------------------------------------------------------
 
 
 def read_events(path) -> Tuple[List[Dict], int]:
     """Parse one JSONL log; returns ``(events, skipped_line_count)``.
 
-    Corrupt lines (truncated writes, stray text) are skipped and counted —
-    a partially written log from an interrupted campaign stays readable.
-    ``.gz`` paths are decompressed transparently; a truncated compressed
-    tail counts as one skipped line (see :func:`read_events_detailed`).
+    Corrupt lines (stray text, records without an ``event`` field) are
+    skipped and counted, and a torn last line is left out (see
+    :func:`repro.durable.read_log`): a log of an interrupted campaign stays
+    readable.
     """
-    events, skipped, truncated = read_events_detailed(path)
-    return events, skipped + truncated
-
-
-def read_events_detailed(path) -> Tuple[List[Dict], int, int]:
-    """Like :func:`read_events` but returns ``(events, skipped, truncated)``.
-
-    ``truncated`` is 1 when the file's tail could not be decoded at the
-    stream level — a gzip member cut off mid-write by a killed campaign —
-    as opposed to ``skipped``, which counts individually garbled lines.
-    Everything decodable before the tear is still returned.
-    """
-    events: List[Dict] = []
-    skipped = 0
-    truncated = 0
-    if _is_gzip_path(path):
-        fh = io.TextIOWrapper(
-            gzip.open(path, "rb"), encoding="utf-8", errors="replace"
-        )
-    else:
-        fh = open(path, encoding="utf-8", errors="replace")
-    with fh:
-        while True:
-            try:
-                line = fh.readline()
-            except (EOFError, OSError, ValueError):
-                # Torn gzip tail (or undecodable stream): keep the prefix.
-                truncated = 1
-                break
-            if not line:
-                break
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                skipped += 1
-                continue
-            if not isinstance(record, dict) or "event" not in record:
-                skipped += 1
-                continue
-            events.append(record)
-    return events, skipped, truncated
+    records, skipped, _ = durable.read_log(path)
+    events = [record for record in records if "event" in record]
+    return events, skipped + len(records) - len(events)

@@ -1,7 +1,7 @@
 """Aggregate campaign trial logs into human/machine-readable reports.
 
-Consumes one or more JSONL event logs — plain or gzip-compressed
-``.jsonl.gz`` (see :mod:`repro.obs.events`) — and produces:
+Consumes one or more JSONL event logs (see :mod:`repro.obs.events`) and
+produces:
 
 * outcome tallies, per campaign and overall;
 * outcome breakdowns by register (IR value name), bit position, program
@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import os
 
-from .events import PREFIX_STATS, read_events_detailed, resilience_log_path
+from .events import PREFIX_STATS, read_events, resilience_log_path
 
 __all__ = ["LogReport", "percentile"]
 
@@ -121,8 +121,6 @@ class LogReport:
     occupancy: List[Dict] = field(default_factory=list)
     trials: int = 0
     skipped_lines: int = 0
-    #: logs whose tail was torn at the stream level (truncated gzip member)
-    truncated_tails: int = 0
     schema_versions: set = field(default_factory=set)
     outcome_counts: Dict[str, int] = field(
         default_factory=lambda: {o: 0 for o in _OUTCOMES}
@@ -156,9 +154,8 @@ class LogReport:
                 all_paths.append(sidecar)
         report = cls(paths=all_paths)
         for path in all_paths:
-            events, skipped, truncated = read_events_detailed(path)
+            events, skipped = read_events(path)
             report.skipped_lines += skipped
-            report.truncated_tails += truncated
             for event in events:
                 report._ingest(event)
         return report
@@ -323,7 +320,6 @@ class LogReport:
             },
             "trials": self.trials,
             "skipped_lines": self.skipped_lines,
-            "truncated_tails": self.truncated_tails,
             "landed": self.landed,
             "live": self.live,
             "outcomes": dict(self.outcome_counts),
@@ -366,9 +362,7 @@ class LogReport:
         w(f"logs: {len(self.paths)}  campaigns: {len(self.campaigns)}  "
           f"cache hits: {len(self.cache_hits)}  trials: {self.trials}"
           + (f"  corrupt lines skipped: {self.skipped_lines}"
-             if self.skipped_lines else "")
-          + (f"  truncated log tails: {self.truncated_tails}"
-             if self.truncated_tails else ""))
+             if self.skipped_lines else ""))
         for c in self.campaigns:
             w(f"  - {c.get('workload')}/{c.get('scheme')} "
               f"(golden {c.get('golden_instructions', '?')} instrs)")

@@ -24,10 +24,6 @@ class Bin:
     count: int
 
     @property
-    def is_point(self) -> bool:
-        return self.lb == self.rb
-
-    @property
     def width(self) -> float:
         return self.rb - self.lb
 

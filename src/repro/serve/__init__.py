@@ -17,7 +17,7 @@ from .client import (
     wait_for_result,
     wait_for_terminal,
 )
-from .journal import Journal, read_journal
+from .journal import read_journal
 from .queue import FairScheduler, Job, JobState, QueueState
 from .service import Service, ServiceConfig, service_paths
 from .spec import DEFAULT_TENANT, CampaignSpec
@@ -29,7 +29,6 @@ __all__ = [
     "FairScheduler",
     "Job",
     "JobState",
-    "Journal",
     "QueueState",
     "Service",
     "ServiceConfig",

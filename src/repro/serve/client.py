@@ -23,7 +23,7 @@ from typing import Dict, Optional
 
 from ..durable import write_json_atomic
 from ..obs.heartbeat import read_heartbeat
-from .journal import load_state_snapshot, read_journal
+from .journal import replay_queue
 from .queue import Job, JobState, QueueState
 from .spec import DEFAULT_TENANT, CampaignSpec
 from .service import service_paths
@@ -61,16 +61,7 @@ def submit_to_inbox(root, spec: CampaignSpec,
 def load_queue_state(root) -> QueueState:
     """Read-only queue reconstruction: snapshot + journal tail replay."""
     paths = service_paths(root)
-    state = QueueState()
-    offset = 0
-    loaded = load_state_snapshot(paths.state)
-    if loaded is not None:
-        state_doc, offset = loaded
-        state = QueueState.from_doc(state_doc)
-    records, _ = read_journal(paths.journal, offset)
-    for record in records:
-        state.apply(record)
-    return state
+    return replay_queue(paths.state, paths.journal)
 
 
 def service_status(root) -> Optional[Dict]:

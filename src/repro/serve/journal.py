@@ -21,30 +21,31 @@ offset.  A snapshot that does not verify is quarantined (``quarantine/``
 — evidence preserved, same policy as corrupt caches and checkpoints) and
 recovery falls back to a full journal replay, which is always sufficient.
 
-Torn tails are expected, not errors: a SIGKILL mid-append leaves a partial
-last line, which replay ignores (the transition it described never
-happened, by definition — the reducer had not run yet) and which the
-reopening :class:`Journal` truncates away before its first append, so a
-post-crash record is never glued onto the torn bytes and a later
-full-journal replay sees every record that was ever applied.
+The journal is :mod:`repro.durable`'s append-only log, the one the
+campaign trial logs share (:class:`~repro.durable.AppendLog`,
+:func:`~repro.durable.read_log`).  Torn tails are expected, not errors: a
+SIGKILL mid-append leaves a partial last line, which replay ignores (the
+transition it described never happened, by definition — the reducer had
+not run yet) and which the restarted service's writer truncates away
+before its first append, so a post-crash record is never glued onto the
+torn bytes and a later full-journal replay sees every record that was ever
+applied.
 """
 
 from __future__ import annotations
 
-import io
-import json
 import os
 from typing import Dict, List, Optional, Tuple
 
 from .. import durable
 from ..faultinjection.resilience import ResilienceLogger
-from ..obs.events import encode_event
+from .queue import QueueState
 
 __all__ = [
     "JOURNAL_SCHEMA_VERSION",
-    "Journal",
     "load_state_snapshot",
     "read_journal",
+    "replay_queue",
     "save_state_snapshot",
 ]
 
@@ -52,74 +53,33 @@ __all__ = [
 JOURNAL_SCHEMA_VERSION = 1
 
 
-class Journal:
-    """Append-only JSONL writer for queue transitions.
-
-    Lines are written whole and flushed per append: a SIGKILL can tear at
-    most the final line, which replay discards.  ``offset`` is the current
-    end-of-journal byte position — snapshots store it so recovery knows
-    where their coverage ends.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = os.fspath(path)
-        parent = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(parent, exist_ok=True)
-        durable.truncate_torn_tail(self.path)
-        self._fh: Optional[io.TextIOWrapper] = open(
-            self.path, "a", encoding="utf-8"
-        )
-
-    @property
-    def offset(self) -> int:
-        if self._fh is None:
-            return 0
-        return self._fh.tell()
-
-    def append(self, record: Dict) -> None:
-        if self._fh is None:
-            raise ValueError("journal is closed")
-        self._fh.write(encode_event(record))
-        self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "Journal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def read_journal(path, offset: int = 0) -> Tuple[List[Dict], int]:
     """Records from ``offset`` to the end, plus the clean end offset.
 
-    Tolerates a torn final line (counted out of the returned offset, so a
-    subsequent snapshot never claims to cover bytes it did not parse) and
-    skips non-object lines rather than failing recovery over one bad byte.
+    The clean end leaves out a torn final line, so a subsequent snapshot
+    never claims to cover bytes it did not parse; garbled lines are
+    skipped rather than failing recovery over one bad byte.  A journal not
+    written yet has no records.
     """
-    records: List[Dict] = []
-    clean_end = offset
     try:
-        with open(path, "rb") as fh:
-            fh.seek(offset)
-            for raw in fh:
-                if not raw.endswith(b"\n"):
-                    break  # torn tail: the append never completed
-                try:
-                    record = json.loads(raw)
-                except ValueError:
-                    clean_end += len(raw)
-                    continue
-                clean_end += len(raw)
-                if isinstance(record, dict):
-                    records.append(record)
+        records, _, end = durable.read_log(path, offset)
     except FileNotFoundError:
         return [], offset
-    return records, clean_end
+    return records, end
+
+
+def replay_queue(state_path, journal_path) -> QueueState:
+    """The queue as the journal left it: the state snapshot, if one
+    verifies, plus the journal tail after the offset it covers."""
+    state = QueueState()
+    offset = 0
+    loaded = load_state_snapshot(state_path)
+    if loaded is not None:
+        state_doc, offset = loaded
+        state = QueueState.from_doc(state_doc)
+    for record in read_journal(journal_path, offset)[0]:
+        state.apply(record)
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -53,16 +53,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .. import settings
-from ..durable import quarantine_file, write_json_atomic
+from ..durable import AppendLog, quarantine_file, write_json_atomic
 from ..faultinjection.resilience import jittered_backoff
 from ..obs.heartbeat import pid_alive, read_heartbeat
 from ..obs.metrics import global_registry
-from .journal import (
-    Journal,
-    load_state_snapshot,
-    read_journal,
-    save_state_snapshot,
-)
+from .journal import replay_queue, save_state_snapshot
 from .queue import ACTIVE_STATES, FairScheduler, Job, JobState, QueueState
 from .spec import DEFAULT_TENANT, CampaignSpec
 from .worker import (
@@ -208,7 +203,7 @@ class Service:
         os.makedirs(self.paths.control, exist_ok=True)
         self.state = QueueState()
         self.scheduler = FairScheduler()
-        self.journal: Optional[Journal] = None
+        self.journal: Optional[AppendLog] = None
         self.live: Dict[str, _LiveWorker] = {}
         self.draining = False
         self._drain_requested = False
@@ -248,15 +243,8 @@ class Service:
         ``interrupt`` — requeued with no retry charge, resuming from its
         campaign checkpoint.
         """
-        loaded = load_state_snapshot(self.paths.state)
-        offset = 0
-        if loaded is not None:
-            state_doc, offset = loaded
-            self.state = QueueState.from_doc(state_doc)
-        records, _ = read_journal(self.paths.journal, offset)
-        for record in records:
-            self.state.apply(record)
-        self.journal = Journal(self.paths.journal)
+        self.state = replay_queue(self.paths.state, self.paths.journal)
+        self.journal = AppendLog(self.paths.journal)
         # The previous incarnation may have died mid-drain; a fresh service
         # accepts work again.
         if self.state.draining:

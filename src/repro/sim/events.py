@@ -28,7 +28,9 @@ class MemoryTrap(SimTrap):
     """
 
     def __init__(self, kind: str, address: int, cycle: int) -> None:
-        super().__init__(f"memory trap [{kind}] at address {address:#x}", cycle)
+        # A non-integer address (a float cast into a pointer) has no hex form.
+        shown = f"{address:#x}" if isinstance(address, int) else repr(address)
+        super().__init__(f"memory trap [{kind}] at address {shown}", cycle)
         self.kind = kind
         self.address = address
 

@@ -306,8 +306,8 @@ def test_inline_memory_access_matches_reference(type_name):
     On a golden run and after an injection (both untracked), every access
     ends as on the reference loop: the same trap class, kind, address and
     cycle (null before unmapped before out-of-bounds, for non-integer
-    addresses too), or the same loaded value and memory bytes, with f32
-    stores saturating alike."""
+    addresses too, so a negative float is a null trap), or the same loaded
+    value and memory bytes, with f32 stores saturating alike."""
     from repro.sim.faults import InjectionPlan
     from repro.sim.memory import SEGMENT_STRIDE
 
@@ -331,8 +331,10 @@ def test_inline_memory_access_matches_reference(type_name):
             for args in ([(address,)] if op == "load"
                          else [(address, v) for v in values]):
                 for injection in (None, early):
+                    outcome = _access_outcome(m, True, injection, args)
                     assert (
-                        _access_outcome(m, True, injection, args)
-                        == _access_outcome(m, False, injection, args)
+                        outcome == _access_outcome(m, False, injection, args)
                     ), (op, args, injection)
+                    if address == -1.5:
+                        assert outcome[:3] == ("MemoryTrap", "null", -1.5)
     assert _access_outcome(m, True, None, (base, values[0]))[0] == "ok"

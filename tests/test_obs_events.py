@@ -1,20 +1,26 @@
-"""JSONL event schema: round-trips, schema version, corrupt-line tolerance."""
+"""JSONL event schema: round-trips, schema version, corrupt-line tolerance,
+and the torn-tail heal every append-only stream shares."""
 
 from __future__ import annotations
 
 import json
+import os
 
+import pytest
+
+from repro.durable import AppendLog, canonical_json, read_log
 from repro.faultinjection.outcomes import Outcome, TrialResult
 from repro.obs.events import (
     SCHEMA_VERSION,
-    EventLogWriter,
+    append_sidecar_event,
     cache_hit_event,
     campaign_begin_event,
     campaign_end_event,
-    encode_event,
     read_events,
+    resilience_log_path,
     trial_event,
 )
+from repro.serve.journal import read_journal
 from repro.sim.faults import InjectionPlan
 
 
@@ -85,9 +91,9 @@ def test_begin_event_excludes_jobs_and_timestamps():
 
 def test_encode_is_canonical_and_round_trips():
     event = {"b": 1, "a": [1, 2], "event": "trial", "v": SCHEMA_VERSION}
-    line = encode_event(event)
-    assert line.endswith("\n")
-    assert line == encode_event(dict(reversed(list(event.items()))))  # sorted keys
+    line = canonical_json(event)
+    assert "\n" not in line
+    assert line == canonical_json(dict(reversed(list(event.items()))))  # sorted keys
     assert json.loads(line) == event
 
 
@@ -95,9 +101,9 @@ def test_writer_reader_round_trip(tmp_path):
     path = tmp_path / "log.jsonl"
     plan = InjectionPlan(cycle=5, bit=1, seed=9)
     original = [trial_event(i, plan, _trial()) for i in range(4)]
-    with EventLogWriter(str(path)) as writer:
+    with AppendLog(path) as log:
         for event in original:
-            writer.emit(event)
+            log.append(event)
     events, skipped = read_events(path)
     assert skipped == 0
     assert events == original
@@ -106,10 +112,51 @@ def test_writer_reader_round_trip(tmp_path):
 def test_writer_appends_across_openings(tmp_path):
     path = tmp_path / "log.jsonl"
     for _ in range(2):
-        with EventLogWriter(str(path)) as writer:
-            writer.emit({"event": "x", "v": SCHEMA_VERSION})
+        with AppendLog(path) as log:
+            log.append({"event": "x", "v": SCHEMA_VERSION})
     events, _ = read_events(path)
     assert len(events) == 2
+
+
+def _append(path, record):
+    with AppendLog(path) as log:
+        log.append(record)
+
+
+def _journal_records(path):
+    records, skipped, end = read_log(path)
+    assert read_journal(path) == (records, end)
+    return records, skipped
+
+
+#: each append-only stream: (the file it writes, its append, its reader)
+STREAMS = {
+    "trial_log": (str, _append, read_events),
+    "sidecar": (
+        resilience_log_path, append_sidecar_event,
+        lambda path: read_events(resilience_log_path(path)),
+    ),
+    "journal": (str, _append, _journal_records),
+}
+
+
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+def test_append_heals_torn_tail(tmp_path, stream):
+    """A writer killed mid-line leaves a torn last record; the stream's next
+    append drops it instead of gluing itself on, so the record after the
+    crash reads back intact and no line counts as garbled."""
+    file_of, append, read = STREAMS[stream]
+    log = str(tmp_path / "log.jsonl")
+    records = [{"event": "x", "v": SCHEMA_VERSION, "i": i} for i in range(4)]
+    for record in records[:3]:
+        append(log, record)
+    path = file_of(log)
+    with open(path, "rb+") as fh:
+        fh.truncate(os.path.getsize(path) - 9)  # SIGKILL mid-write
+    append(log, records[3])
+    got, skipped = read(log)
+    assert got == records[:2] + records[3:]
+    assert skipped == 0
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +166,7 @@ def test_writer_appends_across_openings(tmp_path):
 
 def test_reader_skips_corrupt_lines(tmp_path):
     path = tmp_path / "log.jsonl"
-    good = encode_event({"event": "trial", "v": SCHEMA_VERSION, "i": 0})
+    good = canonical_json({"event": "trial", "v": SCHEMA_VERSION, "i": 0}) + "\n"
     path.write_text(
         good
         + "{truncated mid-wri\n"
@@ -136,7 +183,9 @@ def test_reader_skips_corrupt_lines(tmp_path):
 
 def test_reader_preserves_unknown_versions(tmp_path):
     path = tmp_path / "log.jsonl"
-    path.write_text(encode_event({"event": "trial", "v": 999, "future": True}))
+    path.write_text(
+        canonical_json({"event": "trial", "v": 999, "future": True}) + "\n"
+    )
     events, skipped = read_events(path)
     assert skipped == 0
     assert events[0]["v"] == 999

@@ -2,22 +2,24 @@
 
 from __future__ import annotations
 
+import gzip
 import json
 
 import pytest
 
+from repro.durable import AppendLog
 from repro.obs.__main__ import main as obs_main
-from repro.obs.events import SCHEMA_VERSION, EventLogWriter
+from repro.obs.events import SCHEMA_VERSION
 from repro.obs.report import LogReport, percentile
 
 
 def _write_synthetic_log(path):
     """Two-campaign log with known outcomes, latencies, and check fires."""
-    with EventLogWriter(str(path)) as w:
-        w.emit({"event": "campaign_begin", "v": SCHEMA_VERSION,
-                "workload": "w1", "scheme": "dup",
-                "golden_instructions": 1000,
-                "golden_guard_failures": 0, "golden_guard_evaluations": 10})
+    with AppendLog(path) as w:
+        w.append({"event": "campaign_begin", "v": SCHEMA_VERSION,
+                  "workload": "w1", "scheme": "dup",
+                  "golden_instructions": 1000,
+                  "golden_guard_failures": 0, "golden_guard_evaluations": 10})
         trials = [
             # (outcome, bit, register, function, latency, check)
             ("Masked", 0, "a", "main", None, None),
@@ -30,7 +32,7 @@ def _write_synthetic_log(path):
             ("USDC", 7, "d", "main", None, None),
         ]
         for i, (outcome, bit, reg, fn, latency, check) in enumerate(trials):
-            w.emit({
+            w.append({
                 "event": "trial", "v": SCHEMA_VERSION, "i": i,
                 "cycle": 100 + i, "bit": bit, "seed": i,
                 "outcome": outcome, "landed": True, "live": outcome != "Masked",
@@ -42,13 +44,13 @@ def _write_synthetic_log(path):
                 "fidelity": None, "sdc": outcome == "USDC",
                 "asdc": False, "magnitude": 0.0,
             })
-        w.emit({"event": "campaign_end", "v": SCHEMA_VERSION,
-                "workload": "w1", "scheme": "dup", "trials": len(trials),
-                "counts": {"Masked": 2, "SWDetect": 3, "HWDetect": 1,
-                           "Failure": 1, "USDC": 1}})
-        w.emit({"event": "cache_hit", "v": SCHEMA_VERSION,
-                "workload": "w2", "scheme": "full_dup", "key": "f" * 64,
-                "meta": {"created_iso": "2026-08-06T00:00:00Z", "trials": 60}})
+        w.append({"event": "campaign_end", "v": SCHEMA_VERSION,
+                  "workload": "w1", "scheme": "dup", "trials": len(trials),
+                  "counts": {"Masked": 2, "SWDetect": 3, "HWDetect": 1,
+                             "Failure": 1, "USDC": 1}})
+        w.append({"event": "cache_hit", "v": SCHEMA_VERSION,
+                  "workload": "w2", "scheme": "full_dup", "key": "f" * 64,
+                  "meta": {"created_iso": "2026-08-06T00:00:00Z", "trials": 60}})
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +115,22 @@ def test_report_counts_corrupt_lines(tmp_path):
     report = LogReport.from_paths([log])
     assert report.skipped_lines == 1
     assert "corrupt lines skipped: 1" in report.render_text()
+
+
+def test_report_counts_gzip_lines_as_skipped(tmp_path):
+    """Logs are plain JSONL only: a gzip-compressed one is read as garbled
+    lines, counted and skipped, never a decompression error."""
+    plain = tmp_path / "log.jsonl"
+    _write_synthetic_log(plain)
+    compressed = gzip.compress(plain.read_bytes(), mtime=0)
+    log = tmp_path / "log.jsonl.gz"
+    log.write_bytes(compressed)
+    out = tmp_path / "report.json"
+    assert obs_main(["report", str(log), "--json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    lines = compressed.split(b"\n")[:-1]  # the last one has no newline
+    assert data["skipped_lines"] == sum(1 for line in lines if line.strip())
+    assert data["trials"] == 0
 
 
 def test_render_text_contains_key_sections(tmp_path):

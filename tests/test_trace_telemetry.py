@@ -5,13 +5,12 @@ heartbeat (``REPRO_HEARTBEAT``/``--heartbeat``) are pure sidecars — campaign
 results, the main obs JSONL log, cache keys, and checkpoints are
 byte-identical with them on or off, serial or parallel.  Plus unit coverage
 for the trace schema round-trip, the phase summary's self-time accounting,
-heartbeat atomicity, the ``repro.obs top`` watcher, gzip event logs, and the
-progress line's EMA/ETA columns.
+heartbeat atomicity, the ``repro.obs top`` watcher, and the progress line's
+EMA/ETA columns.
 """
 
 from __future__ import annotations
 
-import gzip
 import io
 import json
 import os
@@ -22,7 +21,6 @@ import pytest
 
 from repro.faultinjection.campaign import CampaignConfig, prepare, run_campaign
 from repro.faultinjection.resilience import Checkpoint, save_checkpoint
-from repro.obs import events as obs_events
 from repro.obs import trace as trace_mod
 from repro.obs.heartbeat import (
     HEARTBEAT_SCHEMA_VERSION,
@@ -30,7 +28,6 @@ from repro.obs.heartbeat import (
     format_eta,
     read_heartbeat,
 )
-from repro.obs.report import LogReport
 from repro.obs.top import render_heartbeat, watch
 from repro.obs.trace import (
     load_trace,
@@ -336,75 +333,6 @@ def test_watch_until_done(tmp_path):
     LiveStatus("w", "s", 4, path=str(path)).finish("done")
     stream = io.StringIO()
     assert watch(str(path), interval=0.0, until_done=True, stream=stream) == 0
-
-
-# ---------------------------------------------------------------------------
-# gzip event logs
-# ---------------------------------------------------------------------------
-
-
-def _sample_events(n=5):
-    return [{"event": "trial", "v": 1, "i": i} for i in range(n)]
-
-
-def test_gzip_log_roundtrip_and_determinism(tmp_path):
-    events = _sample_events()
-    paths = []
-    for name in ("a.jsonl.gz", "b.jsonl.gz"):
-        path = tmp_path / name
-        with obs_events.EventLogWriter(str(path)) as writer:
-            for event in events:
-                writer.emit(event)
-        paths.append(path)
-    got, skipped, truncated = obs_events.read_events_detailed(paths[0])
-    assert got == events
-    assert (skipped, truncated) == (0, 0)
-    # mtime=0 + empty name in the gzip header: byte-deterministic output.
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
-def test_gzip_log_append_is_multi_member(tmp_path):
-    path = tmp_path / "log.jsonl.gz"
-    for batch in (_sample_events(2), _sample_events(3)):
-        with obs_events.EventLogWriter(str(path)) as writer:
-            for event in batch:
-                writer.emit(event)
-    got, _ = obs_events.read_events(path)
-    assert len(got) == 5
-
-
-def test_gzip_truncated_tail_counted(tmp_path):
-    path = tmp_path / "log.jsonl.gz"
-    with obs_events.EventLogWriter(str(path)) as writer:
-        for event in _sample_events(2):
-            writer.emit(event)
-    # Second member torn mid-write (campaign killed): cut its tail off.
-    intact = path.read_bytes()
-    with obs_events.EventLogWriter(str(path)) as writer:
-        for event in _sample_events(50):
-            writer.emit(event)
-    full = path.read_bytes()
-    path.write_bytes(full[: len(intact) + (len(full) - len(intact)) // 2])
-
-    got, skipped, truncated = obs_events.read_events_detailed(path)
-    assert truncated == 1
-    assert got[:2] == _sample_events(2)  # readable prefix survives
-
-    report = LogReport.from_paths([str(path)])
-    assert report.truncated_tails == 1
-    assert "truncated log tails: 1" in report.render_text()
-    assert report.to_json()["truncated_tails"] == 1
-
-
-def test_plain_and_gzip_logs_read_identically(tmp_path, prepared_g721):
-    """A campaign logging to ``.jsonl.gz`` decompresses to the exact bytes
-    of the plain log."""
-    cfg = _base_config()
-    _, plain = _campaign(prepared_g721, cfg, tmp_path / "log.jsonl")
-    gz_path = tmp_path / "log.jsonl.gz"
-    _campaign(prepared_g721, cfg, gz_path)
-    with gzip.open(gz_path, "rb") as fh:
-        assert fh.read() == plain
 
 
 # ---------------------------------------------------------------------------
