@@ -10,12 +10,15 @@ real processes and real signals — things unit tests approximate:
    partway through, then re-invoked; the resumed run must be byte-identical
    (results *and* obs log) and the sidecar must show the checkpoint
    load/clear audit trail.
-3. **worker kill** — a `--jobs 2` campaign has one pool worker SIGKILLed
-   mid-run; the campaign must recover (retry → serial fallback) and still be
-   byte-identical, with `worker_failure` visible in the sidecar.
-4. **cache corruption** — a cached experiment campaign has its disk-cache
-   entry corrupted; the next run must quarantine the entry (preserving the
-   evidence in `quarantine/`) and recompute instead of trusting it.
+3. **worker kill** — a larger `--jobs 2` campaign, slowed down by turning
+   snapshots and triage off, has one pool worker SIGKILLed while trials
+   remain; the campaign must recover (retry → serial fallback), be
+   byte-identical to its own `--jobs 1` reference, and show
+   `worker_failure` in the sidecar.
+4. **cache corruption** — one disk-cache entry of each kind (a campaign, a
+   Figure 12 cycle count, a recovery row) is corrupted; the next run must
+   quarantine each (preserving the evidence in `quarantine/`), report each
+   as `cache_corrupt`, and recompute and rewrite it instead of trusting it.
 
 Exits non-zero on the first violated invariant; artifacts stay in the
 ``--workdir`` (CI uploads them on failure).
@@ -38,6 +41,9 @@ WORKLOAD = "tiff2bw"  # fastest workload in the suite
 SCHEME = "dup_valchk"
 TRIALS = 60
 SEED = 3
+#: the worker-kill campaign's size: with snapshots and triage off it runs
+#: for seconds, so the kill lands while trials remain
+WORKER_KILL_TRIALS = 1200
 
 
 def log(message: str) -> None:
@@ -60,25 +66,42 @@ def campaign_env(workdir: Path) -> dict:
     return env
 
 
-def campaign_cmd(json_out: Path, obs_log: Path, *extra: str) -> list:
+def campaign_cmd(json_out: Path, obs_log: Path, *extra: str,
+                 trials: int = TRIALS) -> list:
     return [
         sys.executable, "-m", "repro.faultinjection", WORKLOAD, SCHEME,
-        "--trials", str(TRIALS), "--seed", str(SEED), "--quiet",
+        "--trials", str(trials), "--seed", str(SEED), "--quiet",
         "--json", str(json_out), "--obs-log", str(obs_log), *extra,
     ]
 
 
-def read_sidecar_kinds(obs_log: Path) -> list:
+def slow_env(env: dict) -> dict:
+    """``env`` with the snapshot and triage accelerators off.
+
+    A campaign runs several times slower without them, and its results and
+    logs stay byte-identical (the house invariant; both are excluded from
+    checkpoint compatibility too), so a kill phase can use it to land its
+    signal mid-campaign even on a fast machine.
+    """
+    return {**env, "REPRO_SNAPSHOT_EVERY": "0", "REPRO_TRIAGE": "0"}
+
+
+def read_sidecar(obs_log: Path) -> list:
+    """The parsable events of ``obs_log``'s ``.resilience`` sidecar."""
     sidecar = Path(f"{obs_log}.resilience")
     if not sidecar.exists():
         return []
-    kinds = []
+    events = []
     for line in sidecar.read_text().splitlines():
         try:
-            kinds.append(json.loads(line)["kind"])
-        except (ValueError, KeyError):
+            events.append(json.loads(line))
+        except ValueError:
             pass
-    return kinds
+    return events
+
+
+def read_sidecar_kinds(obs_log: Path) -> list:
+    return [e["kind"] for e in read_sidecar(obs_log) if "kind" in e]
 
 
 def expect_identical(path_a: Path, path_b: Path, what: str) -> None:
@@ -101,16 +124,10 @@ def phase_kill_and_resume(workdir: Path, env: dict) -> None:
         workdir / "resume.json", workdir / "resume.jsonl",
         "--jobs", "1", "--checkpoint", str(ckpt), "--checkpoint-every", "5",
     )
-    # Run this phase with the snapshot/triage accelerators off: on a fast
-    # machine the accelerated campaign can finish inside the kill window,
-    # clearing its checkpoint before the SIGKILL lands.  Accelerators
-    # on/off is byte-identical by the house invariant (and excluded from
-    # checkpoint compatibility), so the reference comparison still holds.
-    slow_env = dict(env)
-    slow_env["REPRO_SNAPSHOT_EVERY"] = "0"
-    slow_env["REPRO_TRIAGE"] = "0"
+    # Slowed down: on a fast machine the accelerated campaign can finish
+    # inside the kill window, clearing its checkpoint before the SIGKILL.
     log("kill+resume: starting campaign, will SIGKILL after first checkpoint")
-    proc = subprocess.Popen(cmd, env=slow_env, cwd=REPO)
+    proc = subprocess.Popen(cmd, env=slow_env(env), cwd=REPO)
     deadline = time.time() + 120
     while not ckpt.exists():
         if proc.poll() is not None:
@@ -160,18 +177,26 @@ def worker_pids(parent_pid: int) -> list:
 
 
 def phase_worker_kill(workdir: Path, env: dict) -> None:
+    trials = WORKER_KILL_TRIALS
+    log(f"worker-kill: reference of {trials} trials, jobs=1")
+    subprocess.run(
+        campaign_cmd(workdir / "workerkill-ref.json",
+                     workdir / "workerkill-ref.jsonl", "--jobs", "1",
+                     trials=trials),
+        check=True, env=env, cwd=REPO,
+    )
     cmd = campaign_cmd(
         workdir / "workerkill.json", workdir / "workerkill.jsonl",
-        "--jobs", "2", "--max-retries", "2",
+        "--jobs", "2", "--max-retries", "2", trials=trials,
     )
     log("worker-kill: starting jobs=2 campaign, will SIGKILL one worker")
-    proc = subprocess.Popen(cmd, env=env, cwd=REPO)
+    proc = subprocess.Popen(cmd, env=slow_env(env), cwd=REPO)
     victim = None
     deadline = time.time() + 120
     while victim is None:
         if proc.poll() is not None:
             fail("campaign finished before a worker could be killed "
-                 "(raise TRIALS)")
+                 "(raise WORKER_KILL_TRIALS)")
         if time.time() > deadline:
             proc.kill()
             fail("no worker process appeared within 120s")
@@ -182,56 +207,75 @@ def phase_worker_kill(workdir: Path, env: dict) -> None:
             time.sleep(0.02)
     # Give the worker a moment to pick up a chunk, then kill it.
     time.sleep(0.2)
+    if proc.poll() is not None:
+        fail("campaign finished before the kill (raise WORKER_KILL_TRIALS)")
     try:
         os.kill(victim, signal.SIGKILL)
-        log(f"SIGKILLed worker pid {victim}")
     except ProcessLookupError:
-        log("worker exited before the kill landed; campaign may not "
-            "exercise recovery this round")
+        fail("the worker exited before the kill landed")
+    log(f"SIGKILLed worker pid {victim}")
     returncode = proc.wait(timeout=600)
     if returncode != 0:
         fail(f"campaign did not survive the worker kill (exit {returncode})")
-    expect_identical(workdir / "workerkill.json", workdir / "ref.json",
+    expect_identical(workdir / "workerkill.json",
+                     workdir / "workerkill-ref.json",
                      "worker-kill result JSON")
-    expect_identical(workdir / "workerkill.jsonl", workdir / "ref.jsonl",
-                     "worker-kill obs log")
+    expect_identical(workdir / "workerkill.jsonl",
+                     workdir / "workerkill-ref.jsonl", "worker-kill obs log")
     kinds = read_sidecar_kinds(workdir / "workerkill.jsonl")
-    if "worker_failure" in kinds:
-        log(f"ok: recovery audit trail {sorted(set(kinds))}")
-    else:
-        # The pool can drain the remaining chunks before the signal lands;
-        # results above were still verified identical.
-        log("note: kill landed too late to break the pool (no "
-            "worker_failure event); parity still verified")
+    if "worker_failure" not in kinds:
+        fail(f"the kill broke no pool: no worker_failure event in {kinds}")
+    log(f"ok: recovery audit trail {sorted(set(kinds))}")
 
 
 def phase_cache_corruption(workdir: Path, env: dict) -> None:
     cache_dir = workdir / "cache"
+    obs_log = workdir / "experiments.jsonl"
     exp_env = dict(env)
     exp_env["REPRO_CACHE"] = "1"
     exp_env["REPRO_CACHE_DIR"] = str(cache_dir)
     exp_env["REPRO_TRIALS"] = "6"
-    exp_env["REPRO_OBS"] = str(workdir / "experiments.jsonl")
-    cmd = [sys.executable, "-m", "repro.experiments", "figure2",
-           "--workloads", WORKLOAD, "--quiet"]
+    exp_env["REPRO_OBS"] = str(obs_log)
+    # One report per kind of entry: campaigns, cycle counts, recovery rows.
+    cmd = [sys.executable, "-m", "repro.experiments", "figure2", "figure12",
+           "recovery", "--workloads", WORKLOAD, "--quiet"]
+
+    def reports() -> str:
+        out = subprocess.run(cmd, check=True, env=exp_env, cwd=REPO,
+                             stdout=subprocess.PIPE, text=True).stdout
+        return "\n".join(line for line in out.splitlines()
+                         if " done in " not in line)
+
     log("cache-corruption: priming the disk cache via repro.experiments")
-    subprocess.run(cmd, check=True, env=exp_env, cwd=REPO)
-    entries = sorted(cache_dir.glob("campaign-*.json"))
-    if not entries:
-        fail("experiment run produced no cache entries")
-    victim = entries[0]
-    log(f"corrupting {victim.name}")
-    victim.write_text(victim.read_text()[:-40] + "garbage")
-    subprocess.run(cmd, check=True, env=exp_env, cwd=REPO)
-    quarantine = cache_dir / "quarantine"
-    if not quarantine.exists() or not list(quarantine.iterdir()):
-        fail("corrupt cache entry was not quarantined")
-    if not victim.exists():
-        fail("corrupt cache entry was not recomputed after quarantine")
-    kinds = read_sidecar_kinds(Path(exp_env["REPRO_OBS"]))
-    if "cache_corrupt" not in kinds:
-        fail(f"no cache_corrupt audit event: {kinds}")
-    log("ok: corrupt entry quarantined, recomputed, and audited")
+    primed = reports()
+    victims = []
+    for kind in ("campaign", "cycles", "recovery"):
+        entries = sorted(cache_dir.glob(f"{kind}-*.json"))
+        if not entries:
+            fail(f"experiment run produced no {kind} cache entries")
+        victims.append(entries[0])
+    for victim in victims:
+        log(f"corrupting {victim.name}")
+        victim.write_text(victim.read_text()[:-40] + "garbage")
+    if reports() != primed:
+        fail("reports differ after recomputing the corrupt entries")
+    quarantined = {p.name.split(".")[0] for p in
+                   (cache_dir / "quarantine").glob("*")}
+    reported = {Path(e["path"]).name for e in read_sidecar(obs_log)
+                if e.get("kind") == "cache_corrupt"}
+    for victim in victims:
+        if victim.stem not in quarantined:
+            fail(f"corrupt cache entry {victim.name} was not quarantined")
+        if victim.name not in reported:
+            fail(f"no cache_corrupt audit event for {victim.name}")
+        if not victim.exists():
+            fail(f"corrupt cache entry {victim.name} was not rewritten")
+        try:
+            json.loads(victim.read_text())
+        except ValueError:
+            fail(f"rewritten cache entry {victim.name} does not parse")
+    log("ok: one corrupt entry of each kind quarantined, audited, "
+        "recomputed and rewritten")
 
 
 def main() -> int:

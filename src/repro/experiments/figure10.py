@@ -40,7 +40,7 @@ def compute(cache: Optional[ExperimentCache] = None) -> List[Figure10Row]:
     cache = cache or global_cache()
     rows = []
     for name in cache.settings.workloads:
-        stats = cache.prepared(name, "dup_valchk").scheme_stats
+        stats = cache.prepared_module(name, "dup_valchk").scheme_stats
         rows.append(
             Figure10Row(
                 benchmark=name,

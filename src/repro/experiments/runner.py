@@ -9,9 +9,11 @@ Trial counts honour the ``REPRO_TRIALS`` environment variable (paper: 1000
 per benchmark; default here: 60, chosen so the full benchmark suite
 regenerates every figure in minutes on a laptop — the margin-of-error helper
 reports the resulting confidence).  ``REPRO_JOBS`` selects the worker count
-for parallel campaign execution, and finished campaigns are persisted to the
-on-disk cache (``REPRO_CACHE_DIR``, disable with ``REPRO_CACHE=0``) so
-repeated figure/benchmark invocations skip recomputation entirely.
+for parallel campaign execution.  Finished campaigns, Figure 12's cycle
+counts and the §IV-D recovery rows are persisted to the on-disk cache
+(``REPRO_CACHE_DIR``, disable with ``REPRO_CACHE=0``), so a repeated
+invocation recomputes none of them and runs no golden run for them: it
+only builds and protects the modules their keys need.
 """
 
 from __future__ import annotations
@@ -19,17 +21,26 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .. import durable, settings
 from ..settings import resolve as resolve_settings
 from ..faultinjection.campaign import (
     CampaignConfig,
+    PreparedModule,
     PreparedWorkload,
     prepare,
+    prepare_module,
     run_campaign,
 )
-from ..faultinjection.diskcache import CampaignCache, campaign_key
+from ..faultinjection.diskcache import (
+    CAMPAIGN,
+    CYCLES,
+    CampaignCache,
+    EntryKind,
+    campaign_key,
+    entry_key,
+)
 from ..faultinjection.outcomes import CampaignResult
 from ..faultinjection.resilience import ResilienceLogger, ResiliencePolicy
 from ..obs import events as obs_events
@@ -93,12 +104,19 @@ class ExperimentSettings:
 class ExperimentCache:
     """Memoises prepared workloads, campaigns, and timing runs.
 
-    Campaign results are additionally persisted through the on-disk
-    :class:`CampaignCache`: before running trials the disk cache is checked
-    (the key covers the printed module IR, scheme, config, trial count, and
-    seed — see :mod:`repro.faultinjection.diskcache`), and fresh results are
-    written back, so a re-invocation with unchanged code and settings loads
-    every campaign instead of recomputing it.
+    Campaign results, Figure 12's cycle counts and the §IV-D recovery rows
+    are additionally persisted through the on-disk :class:`CampaignCache`
+    (:meth:`stored`): each value is looked up before it is computed, and a
+    fresh value is written back, so a re-invocation with unchanged code and
+    settings loads every one of them instead of recomputing it.  Every key
+    covers the printed module IR, the workload, and the result-affecting
+    config (see :mod:`repro.faultinjection.diskcache`).
+
+    :func:`~repro.faultinjection.campaign.prepare` runs in two stages, and
+    each is memoised per (workload, scheme, swap): the module stage
+    (:meth:`prepared_module`: build, value profile, transform) gives every
+    key, and the golden stage (:meth:`prepared`: golden run, capture) runs
+    only when trials run, so a cache hit never pays for it.
     """
 
     def __init__(self, settings: Optional[ExperimentSettings] = None,
@@ -109,21 +127,63 @@ class ExperimentCache:
                 logger=ResilienceLogger(self.settings.obs_log)
             )
         self.disk_cache = disk_cache
+        self._modules: Dict[Tuple[str, str, bool], PreparedModule] = {}
         self._prepared: Dict[Tuple[str, str, bool], PreparedWorkload] = {}
         self._campaigns: Dict[Tuple[str, str, bool], CampaignResult] = {}
         self._runtimes: Dict[Tuple[str, str], float] = {}
 
+    def _config(self, swap_train_test: bool) -> CampaignConfig:
+        return replace(
+            self.settings.campaign_config(), swap_train_test=swap_train_test
+        )
+
     # -- prepared modules ----------------------------------------------------------
+
+    def prepared_module(
+        self, name: str, scheme: str, swap_train_test: bool = False
+    ) -> PreparedModule:
+        """The module stage of ``prepare()``: no golden run."""
+        key = (name, scheme, swap_train_test)
+        if key not in self._modules:
+            self._modules[key] = prepare_module(
+                get_workload(name), scheme, self._config(swap_train_test)
+            )
+        return self._modules[key]
 
     def prepared(
         self, name: str, scheme: str, swap_train_test: bool = False
     ) -> PreparedWorkload:
+        """The module stage plus the golden stage: ready for trials."""
         key = (name, scheme, swap_train_test)
         if key not in self._prepared:
-            config = self.settings.campaign_config()
-            config = replace(config, swap_train_test=swap_train_test)
-            self._prepared[key] = prepare(get_workload(name), scheme, config)
+            stage = self.prepared_module(*key)
+            self._prepared[key] = prepare(
+                stage.workload, scheme, self._config(swap_train_test), stage
+            )
         return self._prepared[key]
+
+    # -- the disk cache ----------------------------------------------------------
+
+    def stored(self, kind: EntryKind, key: str, name: str, scheme: str,
+               compute: Callable[[], Any], **meta) -> Any:
+        """The ``kind`` value of ``name``/``scheme`` under ``key`` in the
+        disk cache, else ``compute()``'s, which is then written back with
+        ``meta`` (e.g. ``trials``, see :meth:`CampaignCache.put`)."""
+        entry = self.disk_cache.get_entry(key, kind)
+        if entry is not None:
+            value, entry_meta = entry
+            # Observability must not go dark on a cache hit: log the
+            # provenance of the served value instead of its computation.
+            if self.settings.obs_log:
+                with durable.AppendLog(self.settings.obs_log) as log:
+                    log.append(obs_events.cache_hit_event(
+                        name, scheme, key, entry_meta, kind.name
+                    ))
+            return value
+        value = compute()
+        self.disk_cache.put(key, value, kind, workload=name, scheme=scheme,
+                            **meta)
+        return value
 
     # -- campaigns ---------------------------------------------------------------------
 
@@ -132,42 +192,30 @@ class ExperimentCache:
     ) -> CampaignResult:
         key = (name, scheme, swap_train_test)
         if key not in self._campaigns:
-            config = self.settings.campaign_config()
-            config = replace(config, swap_train_test=swap_train_test)
-            prepared = self.prepared(name, scheme, swap_train_test)
-            disk_key = campaign_key(prepared.module, name, scheme, config)
-            entry = self.disk_cache.get_entry(disk_key)
-            if entry is not None:
-                result, meta = entry
-                # Observability must not go dark on a cache hit: log the
-                # provenance of the served result instead of the trials.
-                self._emit_cache_hit(name, scheme, disk_key, meta)
-            else:
-                if self.settings.checkpoint_dir:
-                    config = replace(
-                        config,
-                        checkpoint=os.path.join(
-                            self.settings.checkpoint_dir,
-                            f"checkpoint-{disk_key[:16]}.json",
-                        ),
-                    )
-                result = run_campaign(
+            config = self._config(swap_train_test)
+            disk_key = campaign_key(
+                self.prepared_module(*key).module, name, scheme, config
+            )
+            if self.settings.checkpoint_dir:
+                config = replace(
+                    config,
+                    checkpoint=os.path.join(
+                        self.settings.checkpoint_dir,
+                        f"checkpoint-{disk_key[:16]}.json",
+                    ),
+                )
+
+            def run() -> CampaignResult:
+                prepared = self.prepared(*key)
+                return run_campaign(
                     prepared.workload, scheme, config, prepared=prepared,
                     progress=sys.stderr if self.settings.progress else None,
                 )
-                self.disk_cache.put(disk_key, result)
-            self._campaigns[key] = result
-        return self._campaigns[key]
 
-    def _emit_cache_hit(self, name: str, scheme: str, disk_key: str,
-                        meta: Dict) -> None:
-        obs_log = self.settings.obs_log
-        if not obs_log:
-            return
-        with durable.AppendLog(obs_log) as log:
-            log.append(
-                obs_events.cache_hit_event(name, scheme, disk_key, meta)
+            self._campaigns[key] = self.stored(
+                CAMPAIGN, disk_key, name, scheme, run
             )
+        return self._campaigns[key]
 
     # -- timing runs (Figure 12) -----------------------------------------------------------
 
@@ -175,16 +223,25 @@ class ExperimentCache:
         """Estimated out-of-order cycles of one golden run under ``scheme``."""
         key = (name, scheme)
         if key not in self._runtimes:
-            prepared = self.prepared(name, scheme)
-            timing = TimingModel(self.settings.campaign.sim)
-            interp = Interpreter(
-                prepared.module,
-                config=self.settings.campaign.sim,
-                guard_mode="count",
-                timing=timing,
+            stage = self.prepared_module(name, scheme)
+            # The config the timing run reads its core and caches from.
+            config = self.settings.campaign
+
+            def run() -> float:
+                timing = TimingModel(config.sim)
+                interp = Interpreter(
+                    stage.module, config=config.sim, guard_mode="count",
+                    timing=timing,
+                )
+                stage.workload.run(
+                    stage.module, stage.inputs, interpreter=interp
+                )
+                return timing.cycles
+
+            self._runtimes[key] = self.stored(
+                CYCLES, entry_key(CYCLES, stage.module, name, scheme, config),
+                name, scheme, run,
             )
-            prepared.workload.run(prepared.module, prepared.inputs, interpreter=interp)
-            self._runtimes[key] = timing.cycles
         return self._runtimes[key]
 
     def overhead(self, name: str, scheme: str) -> float:

@@ -161,14 +161,27 @@ class CampaignConfig:
 
 
 @dataclass
-class PreparedWorkload:
-    """A workload compiled + protected + golden-run, ready for trials."""
+class PreparedModule:
+    """A workload compiled and protected: :func:`prepare`'s module stage.
+
+    It holds everything a disk-cache key needs (the protected module's IR)
+    and everything a Figure 12 timing run or Figure 10's static counts
+    read, but no golden run.
+    """
 
     workload: Workload
     scheme: str
     module: object
     scheme_stats: SchemeStats
+    #: the golden run's inputs (the test input, or the train input when
+    #: ``swap_train_test`` swaps them)
     inputs: Dict[str, Sequence]
+
+
+@dataclass
+class PreparedWorkload(PreparedModule):
+    """A prepared module plus its golden run: ready for trials."""
+
     golden_outputs: Dict[str, np.ndarray]
     golden_instructions: int
     golden_guard_failures: int
@@ -190,55 +203,76 @@ class PreparedWorkload:
     compiled: Optional[Tuple] = None
 
 
-def prepare(
+def prepare_module(
     workload: Workload, scheme: str, config: Optional[CampaignConfig] = None
+) -> PreparedModule:
+    """:func:`prepare`'s module stage: build, value profile, transform.
+
+    The value profile runs on the train input (the test input under
+    ``swap_train_test``) and only for ``dup_valchk``.
+    """
+    config = settings.resolve(config or CampaignConfig())
+    tracer = trace_mod.activate(config.trace)
+    with tracer.span("build_module", cat="prepare"):
+        module = workload.build_module()
+
+    profile_inputs = workload.train_inputs()
+    run_inputs = workload.test_inputs()
+    if config.swap_train_test:
+        profile_inputs, run_inputs = run_inputs, profile_inputs
+
+    profiles = None
+    if scheme == "dup_valchk":
+        with tracer.span("profile", cat="prepare"):
+            profiles = collect_profiles(
+                module,
+                inputs=profile_inputs,
+                entry=workload.entry,
+                num_bins=config.protection.histogram_bins,
+                top_capacity=config.protection.top_value_capacity,
+                config=config.sim,
+            )
+    with tracer.span("apply_scheme", cat="prepare"):
+        stats = apply_scheme(
+            module, scheme, profiles=profiles, config=config.protection
+        )
+    return PreparedModule(workload, scheme, module, stats, run_inputs)
+
+
+def prepare(
+    workload: Workload, scheme: str, config: Optional[CampaignConfig] = None,
+    stage: Optional[PreparedModule] = None,
 ) -> PreparedWorkload:
-    """Compile, protect, and golden-run a workload under one scheme."""
+    """Compile, protect, and golden-run a workload under one scheme.
+
+    Runs the module stage (:func:`prepare_module`), unless ``stage`` is
+    that stage already done under the same config, then the golden stage:
+    the golden run, then the capture run (:func:`_capture_golden_state`).
+    """
     config = settings.resolve(config or CampaignConfig())
     tracer = trace_mod.activate(config.trace)
     with tracer.span(
         "prepare", cat="prepare", workload=workload.name, scheme=scheme
     ):
-        with tracer.span("build_module", cat="prepare"):
-            module = workload.build_module()
-
-        profile_inputs = workload.train_inputs()
-        run_inputs = workload.test_inputs()
-        if config.swap_train_test:
-            profile_inputs, run_inputs = run_inputs, profile_inputs
-
-        profiles = None
-        if scheme == "dup_valchk":
-            with tracer.span("profile", cat="prepare"):
-                profiles = collect_profiles(
-                    module,
-                    inputs=profile_inputs,
-                    entry=workload.entry,
-                    num_bins=config.protection.histogram_bins,
-                    top_capacity=config.protection.top_value_capacity,
-                    config=config.sim,
-                )
-        with tracer.span("apply_scheme", cat="prepare"):
-            stats = apply_scheme(
-                module, scheme, profiles=profiles, config=config.protection
-            )
-
+        if stage is None:
+            stage = prepare_module(workload, scheme, config)
         with tracer.span("golden_run", cat="prepare"):
             golden_interp = Interpreter(
-                module, config=config.sim, guard_mode="count"
+                stage.module, config=config.sim, guard_mode="count"
             )
             golden_outputs, golden_result = workload.run(
-                module, run_inputs, interpreter=golden_interp
+                stage.module, stage.inputs, interpreter=golden_interp
             )
         snapshots, occupancy = _capture_golden_state(
-            workload, module, run_inputs, golden_result.instructions, config
+            workload, stage.module, stage.inputs, golden_result.instructions,
+            config,
         )
     return PreparedWorkload(
         workload=workload,
         scheme=scheme,
-        module=module,
-        scheme_stats=stats,
-        inputs=run_inputs,
+        module=stage.module,
+        scheme_stats=stage.scheme_stats,
+        inputs=stage.inputs,
         golden_outputs=golden_outputs,
         golden_instructions=golden_result.instructions,
         golden_guard_failures=golden_result.guard_stats.total_failures,

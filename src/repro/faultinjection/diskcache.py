@@ -1,9 +1,16 @@
-"""On-disk campaign result cache.
+"""On-disk result cache: campaigns, Figure 12 cycles, §IV-D recovery rows.
 
-Repeated figure/benchmark invocations re-run identical fault-injection
-campaigns; since a campaign is a pure function of (module IR, scheme,
-campaign config, trial count, seed), its result can be cached on disk and
-reloaded bit-identically (see :meth:`CampaignResult.from_dict`).
+Repeated figure/benchmark invocations recompute identical results; each is
+a pure function of the protected module and its config, so it can be cached
+on disk and reloaded bit-identically.  An entry holds one value of one
+:class:`EntryKind`:
+
+* ``campaign`` — a fault-injection campaign's :class:`CampaignResult`
+  (:meth:`CampaignResult.from_dict` round-trips it bit-exactly);
+* ``cycles`` — the estimated cycles of one Figure 12 timing run, stored as
+  ``float.hex``;
+* ``recovery`` — one row of the §IV-D recovery table
+  (:mod:`repro.experiments.recovery_analysis` defines its codec).
 
 **Key contents.**  The cache key is the sha256 of a canonical JSON document
 containing:
@@ -21,22 +28,25 @@ containing:
   when it is not the default ``single_bit``.  Execution-only fields —
   ``jobs``, the telemetry paths, checkpointing, resilience, snapshot,
   triage and batch settings — cannot affect results and stay out;
-* ``trials`` and ``seed``.
+* for a campaign, ``trials`` and ``seed`` (:func:`campaign_key`); for the
+  other kinds, a ``kind`` tag plus the kind's own fields, e.g. a recovery
+  row's seed, trial count and checkpoint interval (:func:`entry_key`).
 
-**Location.**  ``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``.  Set
-``REPRO_CACHE=0`` to disable reads and writes; delete the directory (or any
-single ``campaign-*.json`` file) to invalidate manually.
+**Location.**  ``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``, one
+``<kind>-<key>.json`` file per entry.  Set ``REPRO_CACHE=0`` to disable
+reads and writes; delete the directory (or any single entry) to invalidate
+manually.
 
 Writes are atomic (:func:`repro.durable.write_json_atomic`), so concurrent
 campaigns — including the workers of a parallel campaign on a shared
 filesystem — can only ever observe complete entries.
 
-**Integrity.**  Every entry embeds a sha256 of its canonical result payload,
+**Integrity.**  Every entry embeds a sha256 of its canonical payload,
 verified on load.  A corrupt entry (unparsable JSON, checksum mismatch, or
-an undecodable result) is *quarantined* — moved into a ``quarantine/``
+an undecodable payload) is *quarantined* — moved into a ``quarantine/``
 subdirectory of the cache, preserving the evidence — counted in the
 ``cache.corrupt`` metric, and reported as a ``cache_corrupt`` event through
-the cache's resilience logger; the campaign is then recomputed.  Entries are
+the cache's resilience logger; the value is then recomputed.  Entries are
 never silently ignored and never trusted unverified (see
 ``docs/RESILIENCE.md``).
 """
@@ -46,7 +56,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .. import durable, settings
 from ..ir.printer import module_to_str
@@ -58,9 +68,13 @@ from .resilience import ResilienceLogger
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
+    "CAMPAIGN",
+    "CYCLES",
     "CampaignCache",
+    "EntryKind",
     "cache_dir",
     "campaign_key",
+    "entry_key",
 ]
 
 #: bump on any change to trial semantics, the campaign RNG, or the
@@ -104,44 +118,77 @@ def _config_fingerprint(config: CampaignConfig) -> dict:
     return fields
 
 
-def campaign_key(module, workload: str, scheme: str,
-                 config: CampaignConfig) -> str:
-    """sha256 key of one campaign (see module docstring for contents)."""
-    return durable.canonical_sha256({
+@dataclasses.dataclass(frozen=True)
+class EntryKind:
+    """One kind of cache entry: its name (the file prefix and the
+    ``cache_hit`` event's ``kind``) and its JSON codec.  ``decode``
+    raising ``ValueError``, ``KeyError`` or ``TypeError`` marks the entry
+    corrupt."""
+
+    name: str
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any], Any]
+
+
+CAMPAIGN = EntryKind(
+    "campaign", CampaignResult.to_dict, CampaignResult.from_dict
+)
+#: Figure 12's estimated cycles of one timing run, bit-exact as float.hex
+CYCLES = EntryKind("cycles", float.hex, float.fromhex)
+
+
+def entry_key(kind: EntryKind, module, workload: str, scheme: str,
+              config: CampaignConfig, **fields) -> str:
+    """sha256 key of one ``kind`` value (see module docstring for contents);
+    ``fields`` are the kind's own key fields.  A campaign key carries no
+    ``kind`` tag, so every campaign cached before the other kinds existed
+    stays warm."""
+    document = {
         "schema": CACHE_SCHEMA_VERSION,
         "ir": module_to_str(module),
         "workload": workload,
         "scheme": scheme,
         "config": _config_fingerprint(config),
-        "trials": config.trials,
-        "seed": config.seed,
-    })
+        **fields,
+    }
+    if kind is not CAMPAIGN:
+        document["kind"] = kind.name
+    return durable.canonical_sha256(document)
 
 
-def _decode_entry(data) -> Tuple[CampaignResult, Dict]:
-    """``(result, meta)`` of a parsed entry, its checksum verified.
+def campaign_key(module, workload: str, scheme: str,
+                 config: CampaignConfig) -> str:
+    """sha256 key of one campaign (see module docstring for contents)."""
+    return entry_key(CAMPAIGN, module, workload, scheme, config,
+                     trials=config.trials, seed=config.seed)
 
-    Legacy (unwrapped or checksum-less) entries decode with empty meta.
+
+def _decode_entry(data, kind: EntryKind) -> Tuple[Any, Dict]:
+    """``(value, meta)`` of a parsed entry, its checksum verified.
+
+    Legacy (unwrapped or checksum-less) campaign entries decode with empty
+    meta.
     """
     if not isinstance(data, dict):
         raise ValueError("cache entry is not a JSON object")
-    if "result" not in data:
+    if "result" not in data and kind is CAMPAIGN:
         return CampaignResult.from_dict(data), {}
     stored = (data.get("integrity") or {}).get("sha256")
     result = data["result"]
     if stored is not None and stored != durable.canonical_sha256(result):
         raise ValueError("cache entry checksum mismatch")
-    return CampaignResult.from_dict(result), data.get("meta") or {}
+    return kind.decode(result), data.get("meta") or {}
 
 
 class CampaignCache:
-    """Directory of serialized :class:`CampaignResult`s keyed by sha256.
+    """Directory of cached values keyed by sha256, one file per entry.
 
     Entries are stored wrapped as ``{"meta": {...}, "result": {...}}`` so a
     cache hit retains provenance: when it was created, by which cache schema,
-    and for how many trials — surfaced as ``cache_hit`` events in the
-    observability log instead of the hit being invisible.  Bare legacy
-    entries (a plain result document) are still readable.
+    and for which workload, scheme and trial count — surfaced as
+    ``cache_hit`` events in the observability log instead of the hit being
+    invisible.  Bare legacy campaign entries (a plain result document) are
+    still readable.
     """
 
     def __init__(self, root: Optional[Path] = None,
@@ -153,29 +200,31 @@ class CampaignCache:
         #: binds it to an obs log)
         self.logger = logger or ResilienceLogger()
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"campaign-{key}.json"
+    def _path(self, key: str, kind: EntryKind = CAMPAIGN) -> Path:
+        return self.root / f"{kind.name}-{key}.json"
 
-    def get_entry(self, key: str) -> Optional[Tuple[CampaignResult, Dict]]:
-        """Cached ``(result, creation meta)`` for ``key``, or None.
+    def get_entry(self, key: str, kind: EntryKind = CAMPAIGN
+                  ) -> Optional[Tuple[Any, Dict]]:
+        """Cached ``(value, creation meta)`` for ``key``, or None.
 
         Absent entries miss.  Corrupt or unreadable entries also miss — but
         loudly: the file is quarantined (moved to ``quarantine/`` inside the
         cache directory), the ``cache.corrupt`` counter is incremented, and
-        a ``cache_corrupt`` resilience event is emitted, so the campaign is
+        a ``cache_corrupt`` resilience event is emitted, so the value is
         recomputed instead of the damage being silently swallowed.  Legacy
-        (unwrapped or checksum-less) entries load with empty meta.
+        (unwrapped or checksum-less) campaign entries load with empty meta.
         """
         if not self.enabled:
             return None
         registry = global_registry()
-        path = self._path(key)
+        path = self._path(key, kind)
         if not path.exists():
             registry.counter("cache.miss").inc()
             return None
         with trace_mod.current().span("cache.get", cat="cache", key=key[:16]):
             entry = durable.load_verified(
-                path, _decode_entry, self.logger, "cache_corrupt",
+                path, lambda data: _decode_entry(data, kind), self.logger,
+                "cache_corrupt",
                 note=f"corrupt cache entry quarantined: {path.name}",
                 key=key,
             )
@@ -187,16 +236,25 @@ class CampaignCache:
             return entry
 
     def get(self, key: str) -> Optional[CampaignResult]:
-        """Cached result for ``key``, or None (corrupt entries miss)."""
+        """Cached campaign for ``key``, or None (corrupt entries miss)."""
         entry = self.get_entry(key)
         return entry[0] if entry is not None else None
 
-    def put(self, key: str, result: CampaignResult) -> None:
-        """Atomically persist ``result`` under ``key`` (best-effort)."""
+    def put(self, key: str, value, kind: EntryKind = CAMPAIGN,
+            **meta) -> None:
+        """Atomically persist ``value`` under ``key`` (best-effort).
+
+        ``meta`` names what the value belongs to (``workload``, ``scheme``,
+        ``trials``) for the entry's ``cache_hit`` events; a campaign result
+        names itself.
+        """
         if not self.enabled:
             return
+        if kind is CAMPAIGN:
+            meta = {"workload": value.workload, "scheme": value.scheme,
+                    "trials": value.num_trials}
         now = time.time()
-        result_doc = result.to_dict()
+        payload = kind.encode(value)
         document = {
             "meta": {
                 "key": key,
@@ -205,16 +263,14 @@ class CampaignCache:
                 "created_iso": time.strftime(
                     "%Y-%m-%dT%H:%M:%SZ", time.gmtime(now)
                 ),
-                "workload": result.workload,
-                "scheme": result.scheme,
-                "trials": result.num_trials,
+                **meta,
             },
-            "result": result_doc,
-            "integrity": {"sha256": durable.canonical_sha256(result_doc)},
+            "result": payload,
+            "integrity": {"sha256": durable.canonical_sha256(payload)},
         }
         with trace_mod.current().span("cache.put", cat="cache", key=key[:16]):
             try:
-                durable.write_json_atomic(self._path(key), document)
+                durable.write_json_atomic(self._path(key, kind), document)
             except OSError:
                 # A read-only or full cache directory must never fail a
                 # campaign.

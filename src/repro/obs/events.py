@@ -17,9 +17,10 @@ Event kinds (every record carries ``"v": SCHEMA_VERSION``):
   in cycles and fidelity score;
 * ``campaign_end`` — final outcome tallies (must match the
   :class:`~repro.faultinjection.outcomes.CampaignResult`);
-* ``cache_hit`` — the campaign was served from the on-disk cache; carries
-  the cache key and the entry's creation metadata so provenance survives
-  even when no trial is re-executed;
+* ``cache_hit`` — a campaign, a Figure 12 cycle count or a §IV-D recovery
+  row was served from the on-disk cache; carries the cache key, the entry's
+  creation metadata and, for the last two, a ``kind`` field (``cycles`` or
+  ``recovery``), so provenance survives even when nothing is re-executed;
 * ``resilience`` — one recovery action of the campaign resilience layer
   (checkpoint write/load, chunk retry, serial fallback, quarantine — the
   ``kind`` field says which, see :mod:`repro.faultinjection.resilience`).
@@ -152,14 +153,17 @@ def campaign_end_event(result) -> Dict:
 
 
 def cache_hit_event(workload: str, scheme: str, key: str,
-                    meta: Optional[Dict] = None) -> Dict:
-    """The campaign was served from the on-disk cache.
+                    meta: Optional[Dict] = None,
+                    kind: str = "campaign") -> Dict:
+    """A value was served from the on-disk cache.
 
     ``meta`` is the cache entry's creation metadata (creation time, trial
     count, cache schema), so a log retains provenance for results that were
-    never recomputed.
+    never recomputed.  ``kind`` names what was served (see
+    :mod:`repro.faultinjection.diskcache`); a campaign hit carries no
+    ``kind`` field, as before the other kinds existed.
     """
-    return {
+    event = {
         "event": "cache_hit",
         "v": SCHEMA_VERSION,
         "workload": workload,
@@ -167,6 +171,9 @@ def cache_hit_event(workload: str, scheme: str, key: str,
         "key": key,
         "meta": meta or {},
     }
+    if kind != "campaign":
+        event["kind"] = kind
+    return event
 
 
 def resilience_event(kind: str, **fields) -> Dict:

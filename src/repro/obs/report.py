@@ -11,7 +11,8 @@ produces:
   by software (guard) and hardware (trap) detection;
 * per-check effectiveness: how often each guard id fired, its share of all
   software detections, and its median detection latency;
-* cache provenance: campaigns served from the on-disk cache;
+* cache provenance: campaigns, Figure 12 cycle counts and recovery rows
+  served from the on-disk cache (the last two labelled by kind);
 * resilience audit: recovery actions (checkpoint writes/loads, chunk
   retries, serial fallbacks, quarantines) from the ``<log>.resilience``
   sidecar, which is read automatically when it exists next to a given log;
@@ -368,8 +369,9 @@ class LogReport:
               f"(golden {c.get('golden_instructions', '?')} instrs)")
         for c in self.cache_hits:
             meta = c.get("meta") or {}
-            w(f"  - {c.get('workload')}/{c.get('scheme')} served from cache "
-              f"key={str(c.get('key', ''))[:12]} "
+            kind = f" {c['kind']}" if "kind" in c else ""
+            w(f"  - {c.get('workload')}/{c.get('scheme')}{kind} served from "
+              f"cache key={str(c.get('key', ''))[:12]} "
               f"(created {meta.get('created_iso', 'unknown')})")
         if self.resilience_actions:
             w("")

@@ -164,9 +164,12 @@ FIGURE12_CYCLES = {
 
 def test_figure12_cycles_pinned():
     from repro.experiments import ExperimentCache, ExperimentSettings
+    from repro.faultinjection.diskcache import CampaignCache
 
+    # No disk cache: every cycle count comes from a timing run here.
     cache = ExperimentCache(
-        ExperimentSettings(trials=10, workloads=("tiff2bw", "g721dec"))
+        ExperimentSettings(trials=10, workloads=("tiff2bw", "g721dec")),
+        disk_cache=CampaignCache(enabled=False),
     )
     measured = {
         key: cache.runtime_cycles(*key).hex() for key in FIGURE12_CYCLES
@@ -183,6 +186,7 @@ def test_timed_fast_path_matches_reference_loop(monkeypatch):
     the same retirements, D-cache hits and misses and branch mispredicts,
     for three workloads under all four schemes."""
     from repro.experiments import ExperimentCache, ExperimentSettings, runner
+    from repro.faultinjection.diskcache import CampaignCache
 
     models = []
 
@@ -201,7 +205,11 @@ def test_timed_fast_path_matches_reference_loop(monkeypatch):
     monkeypatch.setattr(Interpreter, "_run_reference", counted)
     workloads = ("tiff2bw", "g721dec", "jpegdec")
     keys = [(w, s) for w in workloads for s in SCHEMES]
-    cache = ExperimentCache(ExperimentSettings(trials=10, workloads=workloads))
+    # No disk cache, so clearing the memo below forces every timing run.
+    cache = ExperimentCache(
+        ExperimentSettings(trials=10, workloads=workloads),
+        disk_cache=CampaignCache(enabled=False),
+    )
     for key in keys:
         cache.prepared(*key)
     observed = {}
