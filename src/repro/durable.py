@@ -2,14 +2,14 @@
 append-only JSONL logs.
 
 Every JSON document the program keeps on disk — cache entries, campaign
-checkpoints, the service's state snapshot, job results and specs,
-heartbeats and span traces — is written by :func:`write_json_atomic`, so a
-reader sees either the previous complete document or the new one, never a
-torn file.  Documents that carry an integrity digest use
-:func:`canonical_sha256`, and the loaders that verify one go through
-:func:`load_verified`: a file that fails to parse or verify is moved into a
-``quarantine/`` directory next to it (the evidence is kept), reported, and
-treated as absent.  Writes are not fsynced.
+checkpoints, the service's state snapshot, job results and specs, and
+heartbeats — is written by :func:`write_json_atomic`, so a reader sees
+either the previous complete document or the new one, never a torn file.
+Documents that carry an integrity digest use :func:`canonical_sha256`,
+and the loaders that verify one go through :func:`load_verified`: a file
+that fails to parse or verify is moved into a ``quarantine/`` directory
+next to it (the evidence is kept), reported, and treated as absent.
+Writes are not fsynced.
 
 Append-only JSONL logs — the campaign trial log, its ``<log>.resilience``
 sidecar and the service journal — are written by one writer,
@@ -19,7 +19,7 @@ returns.  Opening a log heals it first (:func:`truncate_torn_tail`): a last
 line with no newline, torn by a mid-write crash, is dropped, so the next
 record never glues onto it.  The reader leaves that same torn line out of
 its records and its end offset, and counts garbled lines rather than
-failing on them.
+failing on them.  A span trace takes :func:`append_bytes` instead.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "AppendLog",
+    "append_bytes",
     "canonical_json",
     "canonical_sha256",
     "load_verified",
@@ -155,6 +156,20 @@ class AppendLog:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def append_bytes(path, data: bytes, fresh: bool = False) -> None:
+    """Append ``data`` to ``path`` in one ``write`` to an ``O_APPEND``
+    descriptor, so appends from several processes never split each other;
+    ``fresh`` empties the file (creating it and its directory) first."""
+    if fresh:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND
+    fd = os.open(path, flags | (os.O_TRUNC if fresh else 0), 0o644)
+    try:
+        os.write(fd, data)
+    finally:
+        os.close(fd)
 
 
 def read_log(path, offset: int = 0) -> Tuple[List[Dict], int, int]:

@@ -38,7 +38,7 @@ def compute(cache: Optional[ExperimentCache] = None) -> List[FalsePositiveRow]:
     cache = cache or global_cache()
     rows = []
     for name in cache.settings.workloads:
-        prepared = cache.prepared(name, "dup_valchk")
+        prepared = cache.golden(name, "dup_valchk")
         rows.append(
             FalsePositiveRow(
                 benchmark=name,

@@ -162,6 +162,14 @@ class ExperimentCache:
             )
         return self._prepared[key]
 
+    def golden(self, name: str, scheme: str) -> PreparedWorkload:
+        """The workload this run prepared, else a golden run with no capture
+        pass: enough for the golden run's counts, not for trials."""
+        stage = self.prepared_module(name, scheme)
+        return self._prepared.get((name, scheme, False)) or prepare(
+            stage.workload, scheme, self._config(False), stage, capture=False
+        )
+
     # -- the disk cache ----------------------------------------------------------
 
     def stored(self, kind: EntryKind, key: str, name: str, scheme: str,

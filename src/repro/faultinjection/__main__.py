@@ -84,7 +84,7 @@ def main(argv=None) -> int:
         print(f"  trial event log appended to {config.obs_log} "
               f"(python -m repro.obs report {config.obs_log})")
     if config.trace:
-        print(f"  span trace exported to {config.trace} "
+        print(f"  span trace written to {config.trace} "
               f"(python -m repro.obs report --trace {config.trace}, "
               f"or load at ui.perfetto.dev)")
     return 0

@@ -128,7 +128,7 @@ class CampaignConfig:
     fault_model: Optional[str] = field(
         default=None, metadata=settings.tags(settings.FAULT_MODEL, result=True)
     )
-    #: Chrome trace-event JSON output path for hierarchical wall-clock spans
+    #: Chrome trace-event file for hierarchical wall-clock spans
     #: ("" = off).  Spans live in the trace file only — results, obs logs,
     #: and checkpoints are byte-identical with tracing on or off.
     trace: Optional[str] = field(
@@ -241,13 +241,14 @@ def prepare_module(
 
 def prepare(
     workload: Workload, scheme: str, config: Optional[CampaignConfig] = None,
-    stage: Optional[PreparedModule] = None,
+    stage: Optional[PreparedModule] = None, capture: bool = True,
 ) -> PreparedWorkload:
     """Compile, protect, and golden-run a workload under one scheme.
 
     Runs the module stage (:func:`prepare_module`), unless ``stage`` is
     that stage already done under the same config, then the golden stage:
-    the golden run, then the capture run (:func:`_capture_golden_state`).
+    the golden run, then the capture run (:func:`_capture_golden_state`),
+    which ``capture=False`` skips: no snapshots and no occupancy map.
     """
     config = settings.resolve(config or CampaignConfig())
     tracer = trace_mod.activate(config.trace)
@@ -266,7 +267,7 @@ def prepare(
         snapshots, occupancy = _capture_golden_state(
             workload, stage.module, stage.inputs, golden_result.instructions,
             config,
-        )
+        ) if capture else (None, None)
     return PreparedWorkload(
         workload=workload,
         scheme=scheme,
@@ -892,7 +893,7 @@ class _TrialSink:
     Restored, in-process, pool and serial-fallback trials all arrive as
     :class:`~.parallel.ChunkResult` values.  Per chunk, the sink stores each
     trial by plan index and records it in the checkpoint, folds its stats
-    (and a pool worker's counters and spans), counts the chunk in the live
+    (and a pool worker's counters), counts the chunk in the live
     status in one step, fires ``on_trial`` once per trial, and writes trial
     events as soon as the completed prefix of the plan grows.  A serial log
     therefore streams, and every mode writes the same bytes in plan order.
@@ -919,8 +920,6 @@ class _TrialSink:
             registry = global_registry()
             for name, value in chunk.counters.items():
                 registry.counter(name).inc(value)
-        if chunk.spans:
-            trace_mod.current().extend(chunk.spans)
         self.status.add(trial.outcome.value for _, trial in chunk.completions)
         if self.on_trial is not None:
             for _, trial in chunk.completions:
@@ -991,8 +990,9 @@ def run_campaign(
     to in-process serial execution per ``config.resilience``.
 
     When ``config.trace`` (or ``REPRO_TRACE``) names a path, hierarchical
-    wall-clock spans are exported there as Chrome trace-event JSON at
-    campaign end; ``config.heartbeat`` (or ``REPRO_HEARTBEAT``) maintains a
+    wall-clock spans are appended there as Chrome trace events, each once,
+    by the process that recorded it (:mod:`repro.obs.trace`);
+    ``config.heartbeat`` (or ``REPRO_HEARTBEAT``) maintains a
     live status file for ``python -m repro.obs top``, fed by the same tally
     as the ``progress`` line.  Both are pure sidecars: results, the main
     obs log, cache keys, and checkpoints are byte-identical with them on or
@@ -1059,7 +1059,6 @@ def run_campaign(
         campaign_ok = True
     finally:
         campaign_span.__exit__(None, None, None)
-        tracer.export()
         status.finish("done" if campaign_ok else "failed")
     return result
 

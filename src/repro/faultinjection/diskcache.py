@@ -47,8 +47,8 @@ an undecodable payload) is *quarantined* — moved into a ``quarantine/``
 subdirectory of the cache, preserving the evidence — counted in the
 ``cache.corrupt`` metric, and reported as a ``cache_corrupt`` event through
 the cache's resilience logger; the value is then recomputed.  Entries are
-never silently ignored and never trusted unverified (see
-``docs/RESILIENCE.md``).
+never silently ignored; one written before entries carried a checksum
+loads unverified (see ``docs/RESILIENCE.md``).
 """
 
 from __future__ import annotations
@@ -164,15 +164,9 @@ def campaign_key(module, workload: str, scheme: str,
 
 
 def _decode_entry(data, kind: EntryKind) -> Tuple[Any, Dict]:
-    """``(value, meta)`` of a parsed entry, its checksum verified.
-
-    Legacy (unwrapped or checksum-less) campaign entries decode with empty
-    meta.
-    """
+    """``(value, meta)`` of a parsed entry, its checksum (if any) verified."""
     if not isinstance(data, dict):
         raise ValueError("cache entry is not a JSON object")
-    if "result" not in data and kind is CAMPAIGN:
-        return CampaignResult.from_dict(data), {}
     stored = (data.get("integrity") or {}).get("sha256")
     result = data["result"]
     if stored is not None and stored != durable.canonical_sha256(result):
@@ -187,8 +181,7 @@ class CampaignCache:
     cache hit retains provenance: when it was created, by which cache schema,
     and for which workload, scheme and trial count — surfaced as
     ``cache_hit`` events in the observability log instead of the hit being
-    invisible.  Bare legacy campaign entries (a plain result document) are
-    still readable.
+    invisible.
     """
 
     def __init__(self, root: Optional[Path] = None,
@@ -211,8 +204,7 @@ class CampaignCache:
         loudly: the file is quarantined (moved to ``quarantine/`` inside the
         cache directory), the ``cache.corrupt`` counter is incremented, and
         a ``cache_corrupt`` resilience event is emitted, so the value is
-        recomputed instead of the damage being silently swallowed.  Legacy
-        (unwrapped or checksum-less) campaign entries load with empty meta.
+        recomputed instead of the damage being silently swallowed.
         """
         if not self.enabled:
             return None
@@ -234,11 +226,6 @@ class CampaignCache:
                 return None
             registry.counter("cache.hit").inc()
             return entry
-
-    def get(self, key: str) -> Optional[CampaignResult]:
-        """Cached campaign for ``key``, or None (corrupt entries miss)."""
-        entry = self.get_entry(key)
-        return entry[0] if entry is not None else None
 
     def put(self, key: str, value, kind: EntryKind = CAMPAIGN,
             **meta) -> None:

@@ -13,11 +13,11 @@ Design (see ``docs/PERFORMANCE.md``):
   ``(index, plan)`` trials, scalar or batched, and returns a
   :class:`ChunkResult`; it writes no file.  Serial campaigns call it
   in-process; pool workers call it through :func:`_run_chunk`, which adds
-  the spans the worker's tracer buffered and the worker's metric-counter
-  increments.  The pickled chunk result is the only way worker output
-  reaches the parent, whose campaign sink stores trials by plan index and
-  writes the obs log in plan order — so the log is byte-identical for any
-  ``jobs``.
+  the worker's metric-counter increments.  The pickled chunk result is the
+  only way trials and counters reach the parent, whose campaign sink
+  stores trials by plan index and writes the obs log in plan order — so
+  the log is byte-identical for any ``jobs``.  A worker appends its spans
+  to the trace file itself (:mod:`repro.obs.trace`).
 
 * **Per-worker prepared workloads.** A :class:`PreparedWorkload` holds a live
   IR module, memoised liveness/compiled-code caches, and numpy goldens —
@@ -78,9 +78,6 @@ class ChunkResult(NamedTuple):
     completions: List[Tuple[int, TrialResult]]
     #: shared-prefix and batched-lane counts to fold into campaign totals
     stats: Optional[Dict[str, int]] = None
-    #: trace events a pool worker buffered (in-process chunks record into
-    #: the parent's tracer directly)
-    spans: Sequence[Dict] = ()
     #: metric-counter increments made in a pool worker — deltas, not
     #: totals: a forked worker starts with a copy of the parent's counts
     counters: Optional[Dict[str, int]] = None
@@ -171,17 +168,15 @@ def _execute_chunk(
 def _run_chunk(chunk: Sequence[Tuple[int, InjectionPlan]]) -> ChunkResult:
     """Worker entry: run one chunk under a ``chunk`` span.
 
-    The result also carries the spans this worker buffered and the counter
-    increments it made, so a worker writes no file: the parent appends the
-    spans (each keeps its worker pid, so Perfetto shows one track per
-    worker) and folds the counters into its own registry.
+    The result also carries the counter increments this worker made, which
+    the parent folds into its own registry.  Closing the span appends the
+    worker's spans to the trace file.
     """
     name, scheme, config = _WORKER_CAMPAIGN  # type: ignore[misc]
     prepared = _worker_prepared(name, scheme, config)
-    tracer = trace_mod.activate(config.trace)
     registry = global_registry()
     before = registry.snapshot()
-    with tracer.span(
+    with trace_mod.activate(config.trace).span(
         "chunk", cat="chunk", first=chunk[0][0], size=len(chunk)
     ):
         result = _execute_chunk(prepared, config, chunk)
@@ -192,7 +187,7 @@ def _run_chunk(chunk: Sequence[Tuple[int, InjectionPlan]]) -> ChunkResult:
         for key, value in registry.snapshot().items()
         if value != before.get(key)
     }
-    return result._replace(spans=tracer.drain(), counters=counters)
+    return result._replace(counters=counters)
 
 
 def _chunk_size(n_trials: int, jobs: int) -> int:

@@ -4,7 +4,7 @@ See ``docs/OBSERVABILITY.md``.  Everything here is off by default — a
 campaign only pays for observability when the corresponding knob is
 configured: ``REPRO_OBS``/``--obs-log`` (trial event log, byte-identical
 from run to run), ``REPRO_TRACE``/``--trace`` (hierarchical wall-clock span
-traces, Chrome trace-event JSON — the only place a trial's wall time is
+traces, Chrome trace events — the only place a trial's wall time is
 recorded), and ``REPRO_HEARTBEAT``/``--heartbeat`` (live status file for
 ``python -m repro.obs top``).
 """

@@ -48,7 +48,7 @@ def _cmd_report(args) -> int:
     if args.trace:
         try:
             document = trace_mod.load_trace(args.trace)
-        except (OSError, ValueError) as err:
+        except OSError as err:
             print(f"report: cannot read trace {args.trace}: {err}",
                   file=sys.stderr)
             return 1
@@ -100,7 +100,7 @@ def main(argv=None) -> int:
                              "the standard report")
     report.add_argument("--trace", metavar="TRACE", default=None,
                         help="also validate + summarize a Chrome trace-event "
-                             "JSON written via --trace/REPRO_TRACE: "
+                             "file written via --trace/REPRO_TRACE: "
                              "per-phase self times and the critical path")
     report.set_defaults(func=_cmd_report)
 

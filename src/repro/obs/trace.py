@@ -16,7 +16,7 @@ records hierarchical spans::
           classify               (output comparison + fidelity)
       cache.get / cache.put / checkpoint.save / checkpoint.load / ...
 
-and exports them as **Chrome trace-event JSON** — load the file at
+and writes them as **Chrome trace events** — load the file at
 https://ui.perfetto.dev (or ``chrome://tracing``) for a flame view per
 process, or feed it to ``python -m repro.obs report --trace`` for a
 per-phase self-time breakdown and a critical-path summary.
@@ -31,11 +31,13 @@ Design rules (the house determinism invariant):
   file only — campaign results, the main obs JSONL log, cache keys, and
   checkpoints are byte-identical with tracing on or off, for any jobs count
   (differential tests enforce this).
-* **Workers fold into the parent stream by pid.**  Worker processes buffer
-  their spans and hand them back with each chunk's result
-  (:mod:`repro.faultinjection.parallel`); the parent appends them to its own
-  buffer, and each event keeps the pid it was recorded under, so Perfetto
-  shows one track per worker process.
+* **Each span is written once, by the process that recorded it.**  The
+  file is Chrome's JSON Array Format (a ``[`` line, then one event per
+  line, no closing ``]``), appended to in batches (see :class:`Tracer`):
+  a span costs the same in a run of any length, and a killed run keeps
+  every batch it wrote.  Pool workers (:mod:`repro.faultinjection.parallel`)
+  append their own batches and ``process_name`` event, and each event
+  keeps its pid, so Perfetto shows one track per process.
 
 Timestamps come from ``time.perf_counter_ns()`` (CLOCK_MONOTONIC), which is
 system-wide on the supported platforms, so parent and worker spans share one
@@ -44,11 +46,13 @@ timeline.
 
 from __future__ import annotations
 
+import atexit
 import json
+import multiprocessing
 import os
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .. import durable
 
@@ -64,8 +68,11 @@ __all__ = [
     "validate_trace",
 ]
 
-#: bump on any change to exported event fields or semantics
-TRACE_SCHEMA_VERSION = 1
+#: bump on any change to the file's form or to event fields or semantics
+TRACE_SCHEMA_VERSION = 2
+
+#: pending events that make a tracer append them even inside an open span
+FLUSH_EVENTS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +111,22 @@ class _Span:
         self.args = args
 
     def __enter__(self) -> "_Span":
+        with self._tracer._lock:
+            self._tracer._depth += 1
         self._start = time.perf_counter_ns()
         return self
 
     def __exit__(self, *exc) -> None:
-        self._tracer.add_complete(
+        tracer = self._tracer
+        tracer.add_complete(
             self.name, self.cat, self._start, time.perf_counter_ns(),
             **self.args,
         )
+        with tracer._lock:
+            tracer._depth -= 1
+            outermost = tracer._depth == 0
+        if outermost:
+            tracer._flush()
 
     def add(self, **args) -> None:
         """Attach args discovered mid-span (e.g. the trial outcome)."""
@@ -122,7 +137,6 @@ class _NullTracer:
     """Disabled tracer: every method is a no-op one-liner."""
 
     enabled = False
-    path: Optional[str] = None
 
     def span(self, name: str, cat: str = "phase", **args) -> _NullSpan:
         return _NULL_SPAN
@@ -134,9 +148,6 @@ class _NullTracer:
                      **args) -> None:
         pass
 
-    def drain(self) -> List[Dict]:
-        return []
-
     def export(self) -> None:
         pass
 
@@ -145,20 +156,35 @@ _NULL = _NullTracer()
 
 
 class Tracer:
-    """Buffers span events for one trace output path.
-
-    Thread-compatible for the repo's usage (campaigns record from the main
-    thread of each process); the buffer append is protected by a lock so
-    incidental cross-thread spans cannot corrupt it.
+    """Buffers span events for one trace file and appends them in one
+    write when the outermost open span closes, when :data:`FLUSH_EVENTS`
+    are pending, on :meth:`export` and at exit.  Creating one outside a
+    pool worker starts the file afresh.  A lock guards the buffer and the
+    open-span depth: a caller may record spans from several threads.
     """
 
     enabled = True
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self.events: List[Dict] = []
+        main = multiprocessing.parent_process() is None
+        if main:
+            self._append(b"[\n", fresh=True)
+        self._begin(main)
+        atexit.register(self._flush)
+        os.register_at_fork(after_in_child=self._begin)
+
+    def _begin(self, main: bool = False) -> None:
+        """Start this process's share of the file (a forked one drops what
+        it inherited): no open span, only its ``process_name`` pending."""
         self._lock = threading.Lock()
-        self._owner_pid = os.getpid()
+        self._pid = os.getpid()
+        self._depth = 0
+        self._pending: List[Dict] = [{
+            "name": "process_name", "ph": "M", "pid": self._pid, "tid": 0,
+            "args": {"name": "main" if main else f"worker-{self._pid}",
+                     "schema": TRACE_SCHEMA_VERSION},
+        }]
 
     # -- recording ---------------------------------------------------------
 
@@ -168,85 +194,46 @@ class Tracer:
     def add_complete(self, name: str, cat: str, start_ns: int, end_ns: int,
                      **args) -> None:
         """Record one complete event from explicit perf_counter_ns stamps."""
-        event = {
-            "name": name,
-            "cat": cat,
-            "ph": "X",
-            "ts": start_ns // 1000,
-            "dur": max(0, (end_ns - start_ns) // 1000),
-            "pid": os.getpid(),
-            "tid": threading.get_ident() % 1_000_000,
-        }
-        if args:
-            event["args"] = args
-        with self._lock:
-            self.events.append(event)
+        self._record(name, cat, args, ph="X", ts=start_ns // 1000,
+                     dur=max(0, (end_ns - start_ns) // 1000))
 
     def instant(self, name: str, cat: str = "mark", **args) -> None:
         """Record one instant ("ph": "i") event — e.g. a recovery action."""
-        event = {
-            "name": name,
-            "cat": cat,
-            "ph": "i",
-            "s": "p",
-            "ts": time.perf_counter_ns() // 1000,
-            "pid": os.getpid(),
-            "tid": threading.get_ident() % 1_000_000,
-        }
+        self._record(name, cat, args, ph="i", s="p",
+                     ts=time.perf_counter_ns() // 1000)
+
+    def _record(self, name: str, cat: str, args: Dict, **fields) -> None:
+        event = {"name": name, "cat": cat, **fields, "pid": self._pid,
+                 "tid": threading.get_ident() % 1_000_000}
         if args:
             event["args"] = args
         with self._lock:
-            self.events.append(event)
+            self._pending.append(event)
+            full = len(self._pending) >= FLUSH_EVENTS
+        if full:
+            self._flush()
 
-    # -- worker spans ------------------------------------------------------
+    # -- writing -----------------------------------------------------------
 
-    def drain(self) -> List[Dict]:
-        """Remove and return the buffered events (a worker, after a chunk)."""
+    def _flush(self) -> None:
+        """Append the pending events in one write."""
         with self._lock:
-            events, self.events = self.events, []
-        return events
+            events, self._pending = self._pending, []
+        if events:
+            self._append("".join(
+                json.dumps(event, separators=(",", ":")) + ",\n"
+                for event in events
+            ).encode())
 
-    def extend(self, events: Iterable[Dict]) -> None:
-        """Append events a worker recorded (the parent, per chunk)."""
-        with self._lock:
-            self.events.extend(events)
-
-    # -- export ------------------------------------------------------------
-
-    def export(self) -> Optional[str]:
-        """Write the Chrome trace-event JSON file (atomic replace).
-
-        Keeps the buffer, so a process running several traced campaigns
-        against one path exports a cumulative trace.  Returns the path
-        written, or None on failure.
-        """
-        with self._lock:
-            events = list(self.events)
-        pids = sorted({e.get("pid") for e in events if "pid" in e})
-        meta = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": ("campaign" if i == 0
-                                  else f"worker-{pid}")},
-            }
-            for i, pid in enumerate(pids)
-        ]
-        document = {
-            "traceEvents": meta + events,
-            "displayTimeUnit": "ms",
-            "otherData": {
-                "schema": TRACE_SCHEMA_VERSION,
-                "generator": "repro.obs.trace",
-            },
-        }
+    def _append(self, data: bytes, fresh: bool = False) -> None:
         try:
-            durable.write_json_atomic(self.path, document)
-            return self.path
-        except OSError:  # pragma: no cover - tracing is best effort
-            return None
+            durable.append_bytes(self.path, data, fresh)
+        except OSError:  # pragma: no cover - a failed write loses spans only
+            pass
+
+    def export(self) -> None:
+        """Append every pending event now."""
+        self._flush()
 
 
 #: per-path tracer memo + the process-wide active tracer
@@ -268,13 +255,6 @@ def activate(path: Optional[str]):
     tracer = _TRACERS.get(path)
     if tracer is None:
         tracer = _TRACERS[path] = Tracer(path)
-    elif tracer._owner_pid != os.getpid():
-        # Fork-started worker: the inherited buffer still belongs to the
-        # parent (which exports it itself) — flushing it from here would
-        # duplicate every parent event, so the child starts empty.
-        tracer.events = []
-        tracer._lock = threading.Lock()
-        tracer._owner_pid = os.getpid()
     _ACTIVE = tracer
     return tracer
 
@@ -290,17 +270,29 @@ def current():
 
 
 def load_trace(path) -> Dict:
-    """Parse an exported trace file (raises on unreadable/invalid JSON)."""
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """Read a trace file as ``{"traceEvents": [...], "skipped": n}``.
+
+    Each line but ``[`` and an optional closing ``]`` is one event and its
+    comma; ``skipped`` counts lines that do not parse (torn or garbled).
+    """
+    events, skipped = [], 0
+    with open(path, "rb") as fh:
+        for line in fh:
+            line = line.strip().rstrip(b",")
+            if line not in (b"", b"[", b"]"):
+                try:
+                    events.append(json.loads(line))
+                except ValueError:
+                    skipped += 1
+    return {"traceEvents": events, "skipped": skipped}
 
 
 def validate_trace(document) -> List[str]:
-    """Schema check of an exported trace; returns a list of problems.
+    """Schema check of a loaded trace; returns a list of problems.
 
-    An empty list means the document is a well-formed Chrome trace-event
-    JSON object as this module writes it: a ``traceEvents`` array whose
-    complete events carry name/cat/ph/ts/dur/pid/tid with the right types.
+    An empty list means the document is well-formed as :func:`load_trace`
+    returns it: a ``traceEvents`` array whose complete events carry
+    name/cat/ph/ts/dur/pid/tid with the right types.
     """
     problems: List[str] = []
     if not isinstance(document, dict):
@@ -337,7 +329,7 @@ def validate_trace(document) -> List[str]:
 
 
 class TraceSummary:
-    """Per-phase timing attribution for one exported trace.
+    """Per-phase timing attribution for one loaded trace.
 
     ``phases`` maps ``(cat, name)`` to ``{count, total_us, self_us}`` where
     self time is the span's duration minus its direct children's durations
@@ -357,6 +349,7 @@ class TraceSummary:
         self.restores = 0
         self.restore_cycles_skipped = 0
         self.in_campaign_self_us = 0
+        self.skipped_lines = 0
 
     def phase_rows(self) -> List[Tuple[str, str, Dict[str, float]]]:
         rows = [
@@ -385,8 +378,9 @@ def _assign_nesting(events: List[Dict]) -> None:
 
 
 def summarize_trace(document) -> TraceSummary:
-    """Aggregate an exported trace into per-phase self-time totals."""
+    """Aggregate a loaded trace into per-phase self-time totals."""
     summary = TraceSummary()
+    summary.skipped_lines = document.get("skipped", 0)
     events = [
         e for e in document.get("traceEvents", []) if isinstance(e, dict)
     ]
@@ -464,7 +458,9 @@ def render_summary(summary: TraceSummary, top: int = 20) -> str:
     w("== trace phase report ==")
     w(f"processes: {len(summary.pids)}  campaign spans: "
       f"{len(summary.campaigns)}  campaign wall: "
-      f"{_fmt_us(summary.campaign_wall_us)}")
+      f"{_fmt_us(summary.campaign_wall_us)}"
+      + (f"  corrupt lines skipped: {summary.skipped_lines}"
+         if summary.skipped_lines else ""))
     for c in summary.campaigns:
         w(f"  - {c.get('workload')}/{c.get('scheme')} "
           f"trials={c.get('trials')} jobs={c.get('jobs')} "

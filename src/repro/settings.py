@@ -151,9 +151,9 @@ OBS = Knob(
 )
 TRACE = Knob(
     "REPRO_TRACE",
-    help="export wall-clock spans as Chrome trace-event JSON to this "
-         "file; load it at ui.perfetto.dev or summarize it with 'python -m "
-         "repro.obs report --trace'",
+    help="write wall-clock spans as Chrome trace events to this file, "
+         "started afresh each run; load it at ui.perfetto.dev or summarize "
+         "it with 'python -m repro.obs report --trace'",
 )
 HEARTBEAT = Knob(
     "REPRO_HEARTBEAT",

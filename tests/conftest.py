@@ -9,6 +9,22 @@ import pytest
 from repro.ir import I32, IRBuilder, Module, verify_module
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--oracle-bits", default="0", metavar="A[-B]",
+        help="bits the exhaustive register-site oracle flips, one bit or an "
+             "inclusive range (default 0; CI's oracle job runs 1-31, which "
+             "take about 8 s a bit)",
+    )
+
+
+@pytest.fixture
+def oracle_bits(request):
+    """The bits of ``--oracle-bits``, e.g. ``range(1, 32)`` for ``1-31``."""
+    first, _, last = request.config.getoption("--oracle-bits").partition("-")
+    return range(int(first), int(last or first) + 1)
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _hermetic_campaign_cache(tmp_path_factory):
     """Point the on-disk campaign cache at a per-session temp directory.

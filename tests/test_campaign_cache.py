@@ -128,26 +128,26 @@ def test_result_round_trip_survives_json(small_campaign):
 def test_cache_put_get_round_trip(tmp_path, small_campaign):
     cache = CampaignCache(root=tmp_path, enabled=True)
     cache.put("deadbeef", small_campaign)
-    restored = cache.get("deadbeef")
-    assert restored is not None
-    assert restored.trials == small_campaign.trials
+    entry = cache.get_entry("deadbeef")
+    assert entry is not None
+    assert entry[0].trials == small_campaign.trials
 
 
 def test_cache_miss_and_corrupt_entry(tmp_path, small_campaign):
     cache = CampaignCache(root=tmp_path, enabled=True)
-    assert cache.get("no-such-key") is None
+    assert cache.get_entry("no-such-key") is None
     cache.put("bad", small_campaign)
     (tmp_path / "campaign-bad.json").write_text("{not json")
-    assert cache.get("bad") is None
+    assert cache.get_entry("bad") is None
     (tmp_path / "campaign-bad.json").write_text('{"valid": "but wrong shape"}')
-    assert cache.get("bad") is None
+    assert cache.get_entry("bad") is None
 
 
 def test_cache_disabled_is_noop(tmp_path, small_campaign):
     cache = CampaignCache(root=tmp_path, enabled=False)
     cache.put("k", small_campaign)
     assert list(tmp_path.iterdir()) == []
-    assert cache.get("k") is None
+    assert cache.get_entry("k") is None
 
 
 def test_cache_enabled_honours_env(monkeypatch, tmp_path):

@@ -670,14 +670,18 @@ def test_exhaustive_dead_region_oracle(kernel, probe_models, monkeypatch):
     assert dead > 0
 
 
-def test_exhaustive_register_site_oracle(kernel, probe_models, monkeypatch):
+def test_exhaustive_register_site_oracle(kernel, probe_models, monkeypatch,
+                                        oracle_bits):
     """Every cycle of the kernel's golden run x each of the 32 most
-    recently written registers x bit 0: wherever dead-flip triage
-    short-circuits the flip to Masked, stale slot or value never read
-    again, the trial equals the full run, record and outcome alike.
+    recently written registers x each bit of ``--oracle-bits`` (bit 0 by
+    default): wherever dead-flip triage short-circuits the flip to Masked,
+    stale slot or value never read again, the trial equals the full run,
+    record and outcome alike.
 
     The 32 is ``injection_recent_window``: the injection draw reaches no
-    other slot, so these are all the register sites a plan can hit."""
+    other slot, so these are all the register sites a plan can hit.  Bit 0
+    alone can miss an unsound verdict on a value whose low bit a later
+    mask discards, so CI's oracle job runs bits 1-31 too."""
     monkeypatch.setattr(
         campaign, "TRIAGEABLE_FAULT_MODELS",
         campaign.TRIAGEABLE_FAULT_MODELS | {"recent_register_flip"},
@@ -686,16 +690,17 @@ def test_exhaustive_register_site_oracle(kernel, probe_models, monkeypatch):
     full = replace(config, triage=False)
     window = config.sim.injection_recent_window
     sites = triaged = 0
-    for cycle in range(1, kernel.golden_instructions + 1):
-        for back in range(window):
-            sites += 1
-            stats = {}
-            on = run_trial(kernel, cycle, 0, back, config, stats=stats,
-                           model="recent_register_flip")
-            if not stats.get("triaged_masked"):
-                continue
-            triaged += 1
-            off = run_trial(kernel, cycle, 0, back, full,
-                            model="recent_register_flip")
-            assert repr(on) == repr(off), (cycle, back)
+    for bit in oracle_bits:
+        for cycle in range(1, kernel.golden_instructions + 1):
+            for back in range(window):
+                sites += 1
+                stats = {}
+                on = run_trial(kernel, cycle, bit, back, config, stats=stats,
+                               model="recent_register_flip")
+                if not stats.get("triaged_masked"):
+                    continue
+                triaged += 1
+                off = run_trial(kernel, cycle, bit, back, full,
+                                model="recent_register_flip")
+                assert repr(on) == repr(off), (bit, cycle, back)
     assert 0 < triaged < sites

@@ -54,4 +54,4 @@ class TestFiCli:
             monkeypatch.setenv("REPRO_TRACE", str(path))
         assert main(argv) == 0
         assert path.exists()
-        assert f"span trace exported to {path}" in capsys.readouterr().out
+        assert f"span trace written to {path}" in capsys.readouterr().out

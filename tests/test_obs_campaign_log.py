@@ -10,7 +10,6 @@ live status's progress line flushes its final line on completion.
 from __future__ import annotations
 
 import io
-import json
 import os
 from collections import Counter
 from dataclasses import replace
@@ -111,9 +110,10 @@ def test_serial_and_parallel_logs_byte_identical(tmp_path, prepared_tiff):
 
 
 def test_pool_workers_write_no_files(tmp_path, prepared_tiff):
-    """Workers hand their trials and spans back with each chunk's result:
-    mid-run, a traced and logged ``jobs=2`` campaign's directory holds only
-    the log — no per-chunk shard or per-worker span files."""
+    """Workers hand their trials back with each chunk's result and append
+    their spans to the one trace file: mid-run, a traced and logged
+    ``jobs=2`` campaign's directory holds only the log and the trace — no
+    per-chunk shard or per-worker span files."""
     config, prepared = prepared_tiff
     cfg = replace(
         config, trials=48, jobs=2, obs_log=str(tmp_path / "log.jsonl"),
@@ -128,7 +128,8 @@ def test_pool_workers_write_no_files(tmp_path, prepared_tiff):
     finally:
         trace_mod.activate(None)
     assert len(listings) == cfg.trials
-    assert all(names == ["log.jsonl"] for names in listings), listings[-1]
+    assert all(sorted(names) == ["log.jsonl", "trace.json"]
+               for names in listings), listings[-1]
 
 
 def test_obs_env_var_enables_logging(tmp_path, monkeypatch, prepared_tiff):
@@ -262,19 +263,6 @@ def test_cache_entry_meta_round_trip(tmp_path, prepared_tiff):
     restored, meta = entry
     assert restored.trials == result.trials
     assert meta["workload"] == "tiff2bw" and meta["trials"] == 3
-
-
-def test_legacy_unwrapped_cache_entry_still_readable(tmp_path, prepared_tiff):
-    config, prepared = prepared_tiff
-    result = run_campaign(prepared.workload, "dup_valchk",
-                          replace(config, trials=3), prepared=prepared)
-    cache = CampaignCache(root=tmp_path, enabled=True)
-    (tmp_path / "campaign-legacy.json").write_text(json.dumps(result.to_dict()))
-    entry = cache.get_entry("legacy")
-    assert entry is not None
-    restored, meta = entry
-    assert restored.trials == result.trials
-    assert meta == {}
 
 
 # ---------------------------------------------------------------------------

@@ -354,21 +354,21 @@ def test_corrupt_cache_entry_is_quarantined_and_recomputed(
     cache.put(key, result)
 
     # Intact entry round-trips...
-    assert cache.get(key).trials == result.trials
+    assert cache.get_entry(key)[0].trials == result.trials
 
     # ...then flip bytes in the stored payload: the load must refuse it.
     path = cache._path(key)
     document = json.loads(path.read_text())
     document["result"]["records"][0]["outcome"] = "USDC"
     path.write_text(json.dumps(document))
-    assert cache.get(key) is None
+    assert cache.get_entry(key) is None
     assert not path.exists()
     quarantined = list((tmp_path / "cache" / "quarantine").iterdir())
     assert len(quarantined) == 1
 
     # A fresh put repopulates the slot (the "recomputed" half of the story).
     cache.put(key, result)
-    assert cache.get(key).trials == result.trials
+    assert cache.get_entry(key)[0].trials == result.trials
 
 
 def test_unparsable_cache_entry_is_quarantined(tmp_path, prepared_g721):
@@ -378,7 +378,7 @@ def test_unparsable_cache_entry_is_quarantined(tmp_path, prepared_g721):
     cache.root.mkdir(parents=True)
     path = cache._path("deadbeef")
     path.write_text("{ truncated")
-    assert cache.get("deadbeef") is None
+    assert cache.get_entry("deadbeef") is None
     assert not path.exists()
     assert list((tmp_path / "cache" / "quarantine").iterdir())
 

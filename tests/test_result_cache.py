@@ -16,6 +16,7 @@ import pytest
 from repro.durable import canonical_sha256
 from repro.experiments import (
     crossval,
+    false_positives,
     figure2,
     figure10,
     figure11,
@@ -84,6 +85,27 @@ def test_warm_render_recomputes_nothing(tmp_path, monkeypatch):
     for scheme in figure12.SCHEMES + ("original",):
         assert (warm.runtime_cycles("tiff2bw", scheme).hex()
                 == cold.runtime_cycles("tiff2bw", scheme).hex())
+
+
+def test_false_positives_take_no_capture_run(tmp_path, monkeypatch):
+    """The false-positive counts come from the golden run alone: over a warm
+    disk cache, where no campaign prepares its workload, the report renders
+    the same bytes as after the cold run's campaigns with no capture run."""
+    root = tmp_path / "cache"
+    cold = ExperimentCache(
+        _settings(), disk_cache=CampaignCache(root=root, enabled=True)
+    )
+    cold.campaign("tiff2bw", "dup_valchk")
+    text = false_positives.report(cold)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the false-positive report ran a capture")
+
+    monkeypatch.setattr(campaign, "_capture_golden_state", forbidden)
+    warm = ExperimentCache(
+        _settings(), disk_cache=CampaignCache(root=root, enabled=True)
+    )
+    assert false_positives.report(warm) == text
 
 
 def test_disabled_cache_writes_no_entries(tmp_path):

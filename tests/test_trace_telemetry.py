@@ -5,8 +5,9 @@ heartbeat (``REPRO_HEARTBEAT``/``--heartbeat``) are pure sidecars — campaign
 results, the main obs JSONL log, cache keys, and checkpoints are
 byte-identical with them on or off, serial or parallel.  Plus unit coverage
 for the trace schema round-trip, the phase summary's self-time accounting,
-heartbeat atomicity, the ``repro.obs top`` watcher, and the progress line's
-EMA/ETA columns.
+the append-only trace file (runs with several campaigns, none, or a kill)
+and its loader's tolerance of damage, heartbeat atomicity, the
+``repro.obs top`` watcher, and the progress line's EMA/ETA columns.
 """
 
 from __future__ import annotations
@@ -15,13 +16,18 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+from repro.experiments import ExperimentCache, ExperimentSettings, figure12
 from repro.faultinjection.campaign import CampaignConfig, prepare, run_campaign
+from repro.faultinjection.diskcache import CampaignCache
 from repro.faultinjection.resilience import Checkpoint, save_checkpoint
 from repro.obs import trace as trace_mod
+from repro.obs.__main__ import main as obs_main
 from repro.obs.heartbeat import (
     HEARTBEAT_SCHEMA_VERSION,
     LiveStatus,
@@ -168,7 +174,10 @@ def test_trace_schema_roundtrip_and_self_time(tmp_path, prepared_g721):
 
     document = load_trace(trace_file)
     assert validate_trace(document) == []
-    assert document["otherData"]["schema"] == trace_mod.TRACE_SCHEMA_VERSION
+    names = [e for e in document["traceEvents"] if e["ph"] == "M"]
+    assert [e["args"]["schema"] for e in names] == [
+        trace_mod.TRACE_SCHEMA_VERSION
+    ]
 
     summary = summarize_trace(document)
     assert summary.campaign_wall_us > 0
@@ -185,6 +194,101 @@ def test_trace_schema_roundtrip_and_self_time(tmp_path, prepared_g721):
     assert "trace phase report" in rendered
     assert "per-phase self time" in rendered
     assert "critical path" in rendered
+
+
+def _spans(document, name):
+    return [e for e in document["traceEvents"]
+            if e.get("ph") == "X" and e.get("name") == name]
+
+
+def test_trace_file_is_append_only(tmp_path, prepared_g721):
+    """Three traced campaigns into one path in one process: each appends
+    to what the last one wrote, and every span is in the file once."""
+    trace_file = tmp_path / "trace.json"
+    cfg = replace(_base_config(), trace=str(trace_file))
+    before = b""
+    for number in range(3):
+        _campaign(prepared_g721, cfg, tmp_path / f"log{number}.jsonl")
+        after = trace_file.read_bytes()
+        assert after.startswith(before) and len(after) > len(before)
+        before = after
+    document = load_trace(trace_file)
+    assert validate_trace(document) == []
+    assert document["skipped"] == 0
+    assert len(_spans(document, "campaign")) == 3
+    assert len(_spans(document, "trial")) == 3 * cfg.trials
+
+
+_KILLED_AFTER_ONE_CAMPAIGN = """
+import os, sys
+from repro.faultinjection.campaign import CampaignConfig, run_campaign
+from repro.workloads.registry import get_workload
+
+config = CampaignConfig(trials=4, seed=5, trace=sys.argv[1])
+run_campaign(get_workload("tiff2bw"), "original", config)
+os._exit(0)
+"""
+
+
+def test_killed_run_keeps_its_finished_campaign(tmp_path):
+    """A process that exits without running exit handlers, right after
+    its first campaign, leaves that campaign's spans in the file."""
+    trace_file = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(
+        os.path.join(os.path.dirname(__file__), "..", "src")))
+    subprocess.run(
+        [sys.executable, "-c", _KILLED_AFTER_ONE_CAMPAIGN, str(trace_file)],
+        env=env, check=True, timeout=300,
+    )
+    document = load_trace(trace_file)
+    assert validate_trace(document) == []
+    assert len(_spans(document, "campaign")) == 1
+    assert len(_spans(document, "trial")) == 4
+
+
+def test_run_without_a_campaign_leaves_a_trace(tmp_path, monkeypatch):
+    """A cold Figure 12 runs no campaign; its module stages and cache
+    writes still reach the trace file."""
+    trace_file = tmp_path / "t.json"
+    monkeypatch.setenv("REPRO_TRACE", str(trace_file))
+    cache = ExperimentCache(
+        ExperimentSettings(trials=4, workloads=("tiff2bw",)),
+        disk_cache=CampaignCache(root=tmp_path / "cache", enabled=True),
+    )
+    figure12.report(cache)
+    document = load_trace(trace_file)
+    assert validate_trace(document) == []
+    assert _spans(document, "build_module")
+    assert _spans(document, "cache.put")
+
+
+def test_load_trace_tolerates_damage(tmp_path, capsys):
+    """No closing bracket, a garbled middle line and a torn last line: the
+    loader keeps every whole event, and the report counts the rest."""
+    def complete(name, ts):
+        return json.dumps({"name": name, "cat": "c", "ph": "X", "ts": ts,
+                           "dur": 5, "pid": 1, "tid": 1})
+
+    meta = json.dumps({"name": "process_name", "ph": "M", "pid": 1,
+                       "tid": 0, "args": {"name": "main", "schema": 2}})
+    lines = ["[", meta + ",", complete("a", 0) + ",", '{"name": "b", "ca,',
+             complete("c", 10) + ","]
+    path = tmp_path / "t.json"
+    path.write_text("\n".join(lines) + "\n" + complete("d", 20)[:-9])
+    document = load_trace(path)
+    assert validate_trace(document) == []
+    assert [e["name"] for e in document["traceEvents"]] == [
+        "process_name", "a", "c"
+    ]
+    assert document["skipped"] == 2
+    assert obs_main(["report", "--trace", str(path)]) == 0
+    assert "corrupt lines skipped: 2" in capsys.readouterr().out
+
+    # A closing bracket, as a finished Chrome trace would have, is read too.
+    path.write_text("\n".join(lines) + "\n]\n")
+    document = load_trace(path)
+    assert len(document["traceEvents"]) == 3
+    assert document["skipped"] == 1
 
 
 def test_validate_trace_flags_problems():
